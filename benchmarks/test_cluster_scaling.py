@@ -7,21 +7,24 @@ under flat ``bd-unauthenticated`` and under ``cluster-tree[bd]``, apply one
 leave and one join to each, and record wall time, rekey message counts and
 rekey bits on the shared medium.  The flat protocol re-runs the full GKA on
 every event (2n messages, O(n^2) work); the cluster protocol re-runs one
-sub-ring of ~sqrt(n) members plus the dirty tree path.
+sub-ring of ~sqrt(n) members plus the dirty tree path.  Flat BD is measured
+up to ``FLAT_MAX_N`` members only: beyond it every re-execution takes
+minutes, so larger sizes measure the cluster protocol alone.
 
-Asserted shape claims:
+Asserted shape claims, over the sizes where both protocols ran:
 
 * every run (flat and cluster, every event) ends in full key agreement;
 * the cluster rekey moves **at least 5x fewer bits** than the flat rekey at
-  every measured size (the ISSUE's acceptance bound, set at n=2000 — the
-  measured margin is >20x from n=100 up);
+  every compared size (the acceptance bound, set at n=2000 — the measured
+  margin is >20x from n=500 up);
 * cluster rekey traffic grows sublinearly in n while flat traffic grows
-  linearly (the localisation claim, checked across the size grid).
+  linearly (the localisation claim, checked across the compared sizes).
 
 Sizes default to ``100,500`` so the tier-1 run stays fast; the committed
-trajectory point was generated with ``REPRO_CLUSTER_SIZES=100,500,2000``
-(the paper-scale point takes minutes of pure-Python flat-BD re-execution,
-which is exactly the cost the hierarchy removes).
+trajectory point was generated with
+``REPRO_CLUSTER_SIZES=100,500,2000,10000`` (the n=2000 flat-BD point takes
+minutes of pure-Python re-execution, which is exactly the cost the
+hierarchy removes).
 """
 
 from __future__ import annotations
@@ -41,6 +44,13 @@ SIZES = tuple(
     for token in os.environ.get("REPRO_CLUSTER_SIZES", "100,500").split(",")
     if token.strip()
 )
+
+#: Largest group the flat protocol is measured at (its Θ(n²) re-execution
+#: takes ~2 minutes per event at n=2000).
+FLAT_MAX_N = 2000
+
+#: The sizes measured under both protocols.
+COMPARED = tuple(n for n in SIZES if n <= FLAT_MAX_N)
 
 #: Acceptance bound: cluster rekey bits must undercut flat rekey bits 5x.
 REQUIRED_BITS_RATIO = 5.0
@@ -87,6 +97,10 @@ def grid(small_setup, bench_artifact):
     rows = {}
     started = time.perf_counter()
     for n in SIZES:
+        if n not in COMPARED:
+            rows[n] = {"cluster": _measure(small_setup, "cluster-tree[bd]", n)}
+            bench_artifact.record(f"n{n}", rows[n])
+            continue
         flat = _measure(small_setup, "bd-unauthenticated", n)
         cluster = _measure(small_setup, "cluster-tree[bd]", n)
         rows[n] = {
@@ -111,7 +125,7 @@ class TestClusterScaling:
         assert SIZES == tuple(sorted(SIZES))
         assert all(n >= 20 for n in SIZES)
 
-    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("n", COMPARED)
     def test_cluster_rekey_moves_5x_fewer_bits(self, grid, n):
         row = grid[n]
         assert row["rekey_bits_ratio"] >= REQUIRED_BITS_RATIO, (
@@ -120,7 +134,7 @@ class TestClusterScaling:
             f"{row['rekey_bits_ratio']} below {REQUIRED_BITS_RATIO}"
         )
 
-    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("n", COMPARED)
     def test_cluster_rekey_is_faster_wall_clock(self, grid, n):
         row = grid[n]
         flat_s = row["flat"]["leave_s"] + row["flat"]["join_s"]
@@ -128,9 +142,9 @@ class TestClusterScaling:
         assert cluster_s < flat_s
 
     def test_cluster_traffic_grows_sublinearly(self, grid):
-        if len(SIZES) < 2:
-            pytest.skip("need at least two sizes to compare growth")
-        low, high = SIZES[0], SIZES[-1]
+        if len(COMPARED) < 2:
+            pytest.skip("need at least two compared sizes to compare growth")
+        low, high = COMPARED[0], COMPARED[-1]
         scale = high / low
         flat_growth = grid[high]["flat"]["rekey_messages"] / grid[low]["flat"]["rekey_messages"]
         cluster_growth = (
@@ -150,6 +164,9 @@ class TestClusterScaling:
         )
         print(header)
         for n, row in grid.items():
+            if "flat" not in row:
+                print(f"{n:>6} {'-':>13} {row['cluster']['rekey_bits']:>16}")
+                continue
             print(
                 f"{n:>6} {row['flat']['rekey_bits']:>13} "
                 f"{row['cluster']['rekey_bits']:>16} "

@@ -25,7 +25,7 @@ stalled round" default re-broadcasts exactly the missing blinded key.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.base import PartyState, SystemSetup
 from ..engine.machine import Outbound, PartyMachine
@@ -88,10 +88,15 @@ class ClusterCrew:
         #: for rekeying ones
         self.cluster_key = cluster_key
         self.scope = f"ct/{uid}.e{epoch}/"
+        #: who a wrapped sub-protocol broadcast is narrowed to
+        self.recipients = tuple(self.members)
         self.leader = members[0]
         self.wrappers: List["ClusterMachine"] = []
         self.wrapper_by_inner: Dict[int, "ClusterMachine"] = {}
         self.inner_context = _InnerContext(self)
+        #: the last scoped message unwrapped and its unwrapped copy: every
+        #: cluster member receives the same message, one after another
+        self._unscoped: Tuple[Optional[Message], Optional[Message]] = (None, None)
 
     def adopt(self, wrapper: "ClusterMachine") -> None:
         self.wrappers.append(wrapper)
@@ -99,9 +104,13 @@ class ClusterCrew:
             self.wrapper_by_inner[id(wrapper.inner)] = wrapper
             wrapper.inner.context = self.inner_context
 
-    @property
-    def recipients(self) -> tuple:
-        return tuple(self.members)
+    def unscope(self, message: Message) -> Message:
+        """``message`` with the cluster scope stripped from its round label."""
+        scoped, unscoped = self._unscoped
+        if scoped is not message:
+            unscoped = dc_replace(message, round_label=message.round_label[len(self.scope):])
+            self._unscoped = (message, unscoped)
+        return unscoped
 
 
 class TreeRun:
@@ -172,7 +181,7 @@ class ClusterMachine(PartyMachine):
         if label.startswith(self.crew.scope):
             if self.inner is None:
                 return []
-            unscoped = dc_replace(message, round_label=label[len(self.crew.scope):])
+            unscoped = self.crew.unscope(message)
             return self._after_inner(self.inner.on_message(unscoped, now), now)
         if label.startswith(BK_PREFIX):
             node_label = label[len(BK_PREFIX):]

@@ -321,20 +321,7 @@ class MachineExecutor:
         field_ = getattr(self.medium, "field", None)
         for identity in receipt.delivered_to:
             receiver = self._by_name.get(identity.name)
-            if receiver is None:
-                continue
-            # The medium already appended the copy to the node's inbox; the
-            # machine consumes the message object directly instead, so take
-            # the copy back out (it is the most recent append).
-            inbox = receiver.node.inbox
-            if inbox and inbox[-1] is message:
-                inbox.pop()
-            else:  # pragma: no cover - defensive: out-of-order inbox use
-                try:
-                    inbox.remove(message)
-                except ValueError:
-                    pass
-            if suppress:
+            if receiver is None or suppress:
                 continue
             delay = 0.0
             if self.latency is not None:

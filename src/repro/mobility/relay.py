@@ -84,7 +84,7 @@ class MultiHopMedium(BroadcastMedium):
         distance checks and node sets change only on membership events.
         Without a field the topology only changes with membership.
         """
-        names = tuple(sorted(name for name in (n.identity.name for n in self.nodes)))
+        names = tuple(sorted(self._nodes))
         key = (self.field.step_count if self.field is not None else -1, names)
         if self._graph_cache is not None and self._graph_cache[:2] == key:
             return self._graph_cache[2]
@@ -118,10 +118,8 @@ class MultiHopMedium(BroadcastMedium):
         bits = message.wire_bits
         graph = self.neighbours()
 
-        addressed = {
-            node.identity.name for node in self._nodes.values()
-            if message.addressed_to(node.identity)
-        }
+        addressees = self._addressees(message)
+        addressed = {node.identity.name for node in addressees}
         unreachable = addressed - self.reachable_set(origin_name)
         if unreachable:
             when = f" at t={self.field.time:g}s" if self.field is not None else ""
@@ -169,8 +167,6 @@ class MultiHopMedium(BroadcastMedium):
                             continue
                         covered.add(rx_name)
                         next_frontier.append(rx_name)
-                        if rx_name in addressed:
-                            rx_node.deliver(message)
                 deepest_hop = max(deepest_hop, hop)
                 frontier = next_frontier
             if addressed <= covered:
@@ -184,14 +180,10 @@ class MultiHopMedium(BroadcastMedium):
                     "the topology is deeper than the TTL"
                 )
 
-        delivered = [
-            node.identity for node in self._nodes.values() if node.identity.name in covered
-            and node.identity.name in addressed
-        ]
         receipt = DeliveryReceipt(
             message=message,
             attempts=waves,
-            delivered_to=delivered,
+            delivered_to=[node.identity for node in addressees],
             hops=max(deepest_hop, 1),
             transmissions=transmissions,
             relay_bits=relay_bits,
@@ -213,10 +205,8 @@ class MultiHopMedium(BroadcastMedium):
         origin_name = origin.identity.name
         bits = message.wire_bits
         graph = self.neighbours()
-        addressed = {
-            node.identity.name for node in self._nodes.values()
-            if message.addressed_to(node.identity)
-        }
+        addressees = self._addressees(message)
+        addressed = {node.identity.name for node in addressees}
         covered: Set[str] = {origin_name}
         hop_of: Dict[str, int] = {}
         transmissions = 0
@@ -243,8 +233,6 @@ class MultiHopMedium(BroadcastMedium):
                     covered.add(rx_name)
                     hop_of[rx_name] = hop
                     next_frontier.append(rx_name)
-                    if rx_name in addressed:
-                        rx_node.deliver(message)
             deepest_hop = max(deepest_hop, hop)
             frontier = next_frontier
         if transmissions == 0:
@@ -252,10 +240,7 @@ class MultiHopMedium(BroadcastMedium):
             # copy on air, mirroring send()'s no-addressee behaviour.
             origin.recorder.record_tx(bits)
             transmissions = 1
-        delivered = [
-            node.identity for node in self._nodes.values()
-            if node.identity.name in covered and node.identity.name in addressed
-        ]
+        delivered = [node.identity for node in addressees if node.identity.name in covered]
         receipt = DeliveryReceipt(
             message=message,
             attempts=1,

@@ -11,6 +11,7 @@ behaviour the paper appeals to when a verification fails.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -86,6 +87,10 @@ class DeliveryReceipt:
 
     message: Message
     attempts: int
+    #: the receivers that decoded the message, in the order they were
+    #: attached to the medium (a node detached and re-attached counts from
+    #: its latest attach).  The engine schedules same-instant deliveries in
+    #: this order, so it fixes their kernel tie-break.
     delivered_to: List[Identity]
     hops: int = 1
     transmissions: int = 0
@@ -145,8 +150,17 @@ class BroadcastMedium:
         # own draw stream — pre-tier runs stay bit-identical.
         self.link_model.bind(self._rng.fork("links"))
         self._nodes: Dict[str, Node] = {}
+        #: attach rank of every attached node, increasing in the order of
+        #: ``_nodes`` (which keeps attach order): the multicast sort key
+        self._rank: Dict[str, int] = {}
+        self._attach_count = itertools.count()
         self.transcript: List[Message] = []
         self.receipts: List[DeliveryReceipt] = []
+        # Running traffic totals, kept by _finalize so total_* are O(1).
+        self._bits = 0
+        self._bits_on_air = 0
+        self._transmissions = 0
+        self._relay_bits = 0
         #: read-only observers called after every physical send — the
         #: adversary subsystem's eavesdropping hook.  Taps must not mutate
         #: anything: they see the message and its receipt, nothing more, so
@@ -161,6 +175,10 @@ class BroadcastMedium:
         """Record a completed send and notify the taps."""
         self.transcript.append(message)
         self.receipts.append(receipt)
+        self._bits += message.wire_bits
+        self._bits_on_air += message.wire_bits * receipt.transmissions
+        self._transmissions += receipt.transmissions
+        self._relay_bits += receipt.relay_bits
         for tap in self.taps:
             tap(message, receipt)
         return receipt
@@ -168,12 +186,16 @@ class BroadcastMedium:
     # ----------------------------------------------------------- membership
     def attach(self, node: Node) -> Node:
         """Attach a node to the broadcast domain."""
-        self._nodes[node.identity.name] = node
+        name = node.identity.name
+        # Attaching an attached node again keeps its place, as in _nodes.
+        self._rank.setdefault(name, next(self._attach_count))
+        self._nodes[name] = node
         return node
 
     def detach(self, identity: Identity) -> None:
         """Remove a node (it stops receiving and being charged)."""
         self._nodes.pop(identity.name, None)
+        self._rank.pop(identity.name, None)
 
     def node(self, identity: Identity) -> Node:
         """Look up an attached node."""
@@ -200,6 +222,22 @@ class BroadcastMedium:
         draw = self._rng.randbelow(1_000_000) / 1_000_000.0
         return draw < self.loss_probability
 
+    def _addressees(self, message: Message) -> List[Node]:
+        """The attached nodes ``message`` is addressed to, in attach order.
+
+        A broadcast goes to every other attached node; a multicast to its
+        attached recipients, each once, never the sender.
+        """
+        sender = message.sender.name
+        if message.recipients is None:
+            return [node for name, node in self._nodes.items() if name != sender]
+        rank = self._rank
+        names = {recipient.name for recipient in message.recipients}
+        names.discard(sender)
+        attached = [name for name in names if name in rank]
+        attached.sort(key=rank.__getitem__)
+        return [self._nodes[name] for name in attached]
+
     def send(self, message: Message) -> DeliveryReceipt:
         """Transmit a message, charging sender and receivers, with retries on loss.
 
@@ -209,21 +247,21 @@ class BroadcastMedium:
         when the last retry is also lost does :class:`NetworkError` surface.
         """
         sender = self.node(message.sender)
+        addressees = self._addressees(message)
         # Validate deliverability before anything is charged, so a failed
         # send is side-effect-free: a single-hop domain has no relays, and an
         # addressed member out of direct range could never be served —
         # silently skipping it would surface much later as a confusing
         # protocol failure.  Multi-hop delivery lives in
         # repro.mobility.relay.MultiHopMedium.
-        for node in self._nodes.values():
-            if not message.addressed_to(node.identity):
-                continue
-            if not self.link_model.reachable(message.sender.name, node.identity.name):
-                raise NetworkError(
-                    f"{node.identity.name} is out of direct range of "
-                    f"{message.sender.name} and this single-hop medium cannot "
-                    "relay; use MultiHopMedium for multi-hop topologies"
-                )
+        if type(self.link_model).reachable is not LinkModel.reachable:
+            for node in addressees:
+                if not self.link_model.reachable(message.sender.name, node.identity.name):
+                    raise NetworkError(
+                        f"{node.identity.name} is out of direct range of "
+                        f"{message.sender.name} and this single-hop medium cannot "
+                        "relay; use MultiHopMedium for multi-hop topologies"
+                    )
         attempts = 0
         while True:
             attempts += 1
@@ -234,19 +272,15 @@ class BroadcastMedium:
                 raise NetworkError(
                     f"message from {message.sender.name} lost {attempts} times; giving up"
                 )
-        delivered: List[Identity] = []
-        for node in self._nodes.values():
-            if not message.addressed_to(node.identity):
-                continue
-            # Receivers pay for every attempt they had to listen to; with the
-            # default lossless medium this is exactly one reception.
-            node.recorder.record_rx(message.wire_bits * attempts, messages=attempts)
-            node.deliver(message)
-            delivered.append(node.identity)
+        # Receivers pay for every attempt they had to listen to; with the
+        # default lossless medium this is exactly one reception.
+        rx_bits = message.wire_bits * attempts
+        for node in addressees:
+            node.recorder.record_rx(rx_bits, messages=attempts)
         receipt = DeliveryReceipt(
             message=message,
             attempts=attempts,
-            delivered_to=delivered,
+            delivered_to=[node.identity for node in addressees],
             hops=1,
             transmissions=attempts,
             relay_bits=0,
@@ -268,25 +302,22 @@ class BroadcastMedium:
         for synchronous execution.
         """
         sender = self.node(message.sender)
-        sender.recorder.record_tx(message.wire_bits)
+        bits = message.wire_bits
+        sender.recorder.record_tx(bits)
         attempt_lost = self._attempt_lost()
         per_link = not isinstance(self.link_model, UniformLink)
         delivered: List[Identity] = []
-        for node in self._nodes.values():
-            if not message.addressed_to(node.identity):
+        for node in self._addressees(message):
+            name = node.identity.name
+            if not self.link_model.reachable(message.sender.name, name):
                 continue
-            if not self.link_model.reachable(message.sender.name, node.identity.name):
-                continue
-            node.recorder.record_rx(message.wire_bits)
+            node.recorder.record_rx(bits)
             if attempt_lost:
                 continue
             if per_link:
-                loss = self.link_model.loss_probability(
-                    message.sender.name, node.identity.name
-                )
+                loss = self.link_model.loss_probability(message.sender.name, name)
                 if loss > 0.0 and self._rng.randbelow(1_000_000) / 1_000_000.0 < loss:
                     continue
-            node.deliver(message)
             delivered.append(node.identity)
         receipt = DeliveryReceipt(
             message=message,
@@ -297,10 +328,6 @@ class BroadcastMedium:
             relay_bits=0,
         )
         return self._finalize(message, receipt)
-
-    def broadcast_all(self, messages: List[Message]) -> List[DeliveryReceipt]:
-        """Send a batch of messages (one protocol round) in order."""
-        return [self.send(message) for message in messages]
 
     # ------------------------------------------------------------- reporting
     def total_messages(self) -> int:
@@ -318,19 +345,13 @@ class BroadcastMedium:
         lossy scenarios must use.
         """
         if include_retries:
-            return sum(
-                receipt.message.wire_bits * receipt.transmissions for receipt in self.receipts
-            )
-        return sum(message.wire_bits for message in self.transcript)
+            return self._bits_on_air
+        return self._bits
 
     def total_transmissions(self) -> int:
         """Physical transmissions: every on-air copy, including retries and relays."""
-        return sum(receipt.transmissions for receipt in self.receipts)
+        return self._transmissions
 
     def total_relay_bits(self) -> int:
         """Bits transmitted by relay nodes on behalf of other senders."""
-        return sum(receipt.relay_bits for receipt in self.receipts)
-
-    def messages_for_round(self, round_label: str) -> List[Message]:
-        """All transcript messages belonging to one round."""
-        return [m for m in self.transcript if m.round_label == round_label]
+        return self._relay_bits

@@ -77,24 +77,24 @@ class Message:
     recipients:
         ``None`` for a broadcast; otherwise the explicit list of recipients
         (the Join protocol's final message ``m'''_n`` is unicast to ``U_{n+1}``).
+    wire_bits:
+        Total transmitted size of the message in bits, summed once at
+        construction.
     """
 
     sender: Identity
     round_label: str
     parts: Tuple[MessagePart, ...]
     recipients: Optional[Tuple[Identity, ...]] = None
+    wire_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [part.name for part in self.parts]
         if len(names) != len(set(names)):
             raise ParameterError(f"duplicate part names in message: {names}")
+        object.__setattr__(self, "wire_bits", sum(part.bits for part in self.parts))
 
     # ------------------------------------------------------------------ size
-    @property
-    def wire_bits(self) -> int:
-        """Total transmitted size of the message in bits."""
-        return sum(part.bits for part in self.parts)
-
     @property
     def is_broadcast(self) -> bool:
         """Whether the message is addressed to the whole group."""
@@ -121,12 +121,13 @@ class Message:
         return [part.name for part in self.parts]
 
     def addressed_to(self, identity: Identity) -> bool:
-        """Whether ``identity`` should receive this message."""
-        if self.sender == identity:
+        """Whether ``identity`` should receive this message (compared by name)."""
+        name = identity.name
+        if self.sender.name == name:
             return False
         if self.recipients is None:
             return True
-        return identity in self.recipients
+        return any(recipient.name == name for recipient in self.recipients)
 
     @classmethod
     def broadcast(cls, sender: Identity, round_label: str, parts: Sequence[MessagePart]) -> "Message":

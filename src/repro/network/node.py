@@ -1,21 +1,19 @@
 """Simulated wireless nodes.
 
 A :class:`Node` couples an identity with the bookkeeping the experiments need:
-a :class:`~repro.energy.accounting.CostRecorder` for operation/bit tallies, an
-inbox of received messages, and (optionally) a
-:class:`~repro.energy.accounting.DeviceProfile` describing its hardware so the
-reports can print per-node Joules directly.
+a :class:`~repro.energy.accounting.CostRecorder` for operation/bit tallies
+and (optionally) a :class:`~repro.energy.accounting.DeviceProfile` describing
+its hardware so the reports can print per-node Joules directly.  What a node
+received is on the medium's receipts (``DeliveryReceipt.delivered_to``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
 from ..energy.accounting import CostRecorder, DeviceProfile, EnergyBreakdown
 from ..exceptions import NetworkError
 from ..pki.identity import Identity
-from .message import Message
 
 __all__ = ["Node"]
 
@@ -27,30 +25,6 @@ class Node:
         self.identity = identity
         self.device = device
         self.recorder = CostRecorder(owner=identity.name)
-        self.inbox: List[Message] = []
-
-    # --------------------------------------------------------------- traffic
-    def deliver(self, message: Message) -> None:
-        """Accept a message from the medium (reception cost already charged)."""
-        self.inbox.append(message)
-
-    def drain_inbox(self, round_label: Optional[str] = None) -> List[Message]:
-        """Remove and return inbox messages (optionally only one round's worth)."""
-        if round_label is None:
-            messages, self.inbox = self.inbox, []
-            return messages
-        kept: List[Message] = []
-        taken: List[Message] = []
-        for message in self.inbox:
-            (taken if message.round_label == round_label else kept).append(message)
-        self.inbox = kept
-        return taken
-
-    def peek_inbox(self, round_label: Optional[str] = None) -> List[Message]:
-        """Return (without removing) inbox messages, optionally filtered by round."""
-        if round_label is None:
-            return list(self.inbox)
-        return [m for m in self.inbox if m.round_label == round_label]
 
     # ---------------------------------------------------------------- energy
     def energy(self, device: Optional[DeviceProfile] = None) -> EnergyBreakdown:

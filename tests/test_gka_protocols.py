@@ -93,7 +93,8 @@ class TestProposedGKA:
         assert result.all_agree()
         assert result.group_key.bit_length() <= 1024
         # Round 1 messages are |U| + |p| + |n| = 32 + 1024 + 1024 bits.
-        round1 = result.medium.messages_for_round("round1")
+        round1 = [m for m in result.medium.transcript if m.round_label == "round1"]
+        assert len(round1) == len(members)
         assert all(m.wire_bits == 32 + 1024 + 1024 for m in round1)
 
 
@@ -160,7 +161,8 @@ class TestAuthenticatedBD:
     def test_round1_carries_certificates(self, small_setup):
         members = [Identity(f"cert-{i}") for i in range(3)]
         result = AuthenticatedBDProtocol(small_setup, "ecdsa").run(members, seed=2)
-        round1 = result.medium.messages_for_round("authbd-round1")
+        round1 = [m for m in result.medium.transcript if m.round_label == "authbd-round1"]
+        assert len(round1) == len(members)
         assert all(m.has_part("certificate") for m in round1)
         assert all(m.wire_bits > 688 for m in round1)
 

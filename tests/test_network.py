@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.energy import DeviceProfile
 from repro.exceptions import MembershipError, NetworkError, ParameterError
 from repro.mathutils.rand import DeterministicRNG
+from repro.mobility import Area, MobilityField, MultiHopMedium, RadioLink, StaticGrid
+from repro.mobility.tiered import TieredMedium
 from repro.network import (
     BroadcastMedium,
     EventTraceGenerator,
     JoinEvent,
     LeaveEvent,
+    LinkModel,
     MergeEvent,
     Message,
     MessagePart,
     Node,
     PartitionEvent,
     RingTopology,
+    TierConfig,
     group_element_part,
     identity_part,
 )
@@ -75,12 +83,11 @@ class TestBroadcastMedium:
         message = _message(nodes[0].identity, bits=500)
         receipt = medium.send(message)
         assert receipt.attempts == 1
-        assert len(receipt.delivered_to) == 3
+        assert receipt.delivered_to == [node.identity for node in nodes[1:]]
         assert nodes[0].recorder.tx_bits == 500
         assert nodes[0].recorder.rx_bits == 0
         for node in nodes[1:]:
             assert node.recorder.rx_bits == 500
-            assert node.peek_inbox() == [message]
 
     def test_unicast_only_reaches_recipient(self):
         medium = BroadcastMedium()
@@ -139,21 +146,239 @@ class TestBroadcastMedium:
         medium.send(_message(b.identity, "round2", 20))
         assert medium.total_messages() == 2
         assert medium.total_bits() == 30
-        assert len(medium.messages_for_round("round1")) == 1
+        assert [m.round_label for m in medium.transcript] == ["round1", "round2"]
+
+
+# ---------------------------------------------------------------------------
+# The addressee contract: delivery in attach order, each addressee once
+# ---------------------------------------------------------------------------
+
+_NAMES = ("n0", "n1", "n2", "n3", "n4")
+_GHOSTS = ("ghost0", "ghost1")
+
+
+def _scan_addressed(message: Message, identity: Identity) -> bool:
+    """The historical addressing rule: identity equality on the recipient tuple."""
+    if message.sender == identity:
+        return False
+    if message.recipients is None:
+        return True
+    return identity in message.recipients
+
+
+class _ScanMedium(BroadcastMedium):
+    """Reference medium: the historical O(n) scan over every attached node."""
+
+    def _addressees(self, message):
+        return [node for node in self.nodes if _scan_addressed(message, node.identity)]
+
+
+class _PatchyLink(LinkModel):
+    """Stateless per-pair reachability and loss, so ``transmit`` draws per link."""
+
+    def reachable(self, sender, receiver):
+        return (sender, receiver) not in {("n0", "n3"), ("n4", "n1")}
+
+    def loss_probability(self, sender, receiver):
+        return 0.4 if sender < receiver else 0.0
+
+
+def _contract_medium(kind: str, cls=BroadcastMedium) -> BroadcastMedium:
+    rng = DeterministicRNG("addressees", label="medium")
+    if kind == "lossy":
+        # A small retry budget so that exhausted sends are exercised too.
+        return cls(loss_probability=0.3, max_retries=3, rng=rng)
+    if kind == "patchy":
+        return cls(link_model=_PatchyLink(), rng=rng)
+    return cls(rng=rng)
+
+
+def _ledgers(nodes):
+    return {
+        name: (
+            node.recorder.tx_bits,
+            node.recorder.rx_bits,
+            node.recorder.messages_sent,
+            node.recorder.messages_received,
+        )
+        for name, node in nodes.items()
+    }
+
+
+_SEND_OPS = st.tuples(
+    st.sampled_from(["send", "transmit"]),
+    st.sampled_from(_NAMES),
+    st.one_of(st.none(), st.lists(st.sampled_from(_NAMES + _GHOSTS), max_size=7)),
+)
+_MEMBERSHIP_OPS = st.tuples(st.sampled_from(["attach", "detach"]), st.sampled_from(_NAMES))
+
+
+class TestAddresseeContract:
+    @given(
+        kind=st.sampled_from(["lossless", "lossy", "patchy"]),
+        initial=st.permutations(_NAMES),
+        ops=st.lists(st.one_of(_MEMBERSHIP_OPS, _SEND_OPS), max_size=30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_attach_order_scan(self, kind, initial, ops):
+        medium = _contract_medium(kind)
+        reference = _contract_medium(kind, _ScanMedium)
+        nodes = {name: Node(Identity(name)) for name in _NAMES}
+        reference_nodes = {name: Node(Identity(name)) for name in _NAMES}
+        for name in initial:
+            medium.attach(nodes[name])
+            reference.attach(reference_nodes[name])
+        for step, op in enumerate(ops):
+            if op[0] == "attach":
+                medium.attach(nodes[op[1]])
+                reference.attach(reference_nodes[op[1]])
+            elif op[0] == "detach":
+                medium.detach(Identity(op[1]))
+                reference.detach(Identity(op[1]))
+            else:
+                mode, sender, names = op
+                recipients = None if names is None else tuple(Identity(n) for n in names)
+                message = Message(
+                    Identity(sender), f"r{step}", (MessagePart("x", b"", 8 + step),), recipients
+                )
+                before = _ledgers(nodes)
+                outcomes = []
+                for target in (medium, reference):
+                    try:
+                        receipt = getattr(target, mode)(message)
+                    except NetworkError as exc:
+                        outcomes.append(("error", str(exc)))
+                    else:
+                        outcomes.append(
+                            ([i.name for i in receipt.delivered_to], receipt.attempts)
+                        )
+                assert outcomes[0] == outcomes[1]
+                if outcomes[0][0] == "error":
+                    if kind == "patchy" and mode == "send" and Identity(sender) in medium:
+                        # Out of direct range: refused before anything is charged.
+                        assert _ledgers(nodes) == before
+                else:
+                    delivered, attempts = outcomes[0]
+                    assert sender not in delivered
+                    assert len(set(delivered)) == len(delivered)
+                    assert all(Identity(name) in medium for name in delivered)
+                    if mode == "send":
+                        # Every addressee is charged once per attempt, however
+                        # often it is listed.
+                        after = _ledgers(nodes)
+                        for name in _NAMES:
+                            charged = after[name][1] - before[name][1]
+                            expected = message.wire_bits * attempts if name in delivered else 0
+                            assert charged == expected
+            assert _ledgers(nodes) == _ledgers(reference_nodes)
+            assert [n.identity.name for n in medium.nodes] == [
+                n.identity.name for n in reference.nodes
+            ]
+
+    def test_reattached_node_goes_last_and_duplicates_are_charged_once(self):
+        medium = BroadcastMedium()
+        nodes = {name: Node(Identity(name)) for name in "abcd"}
+        for node in nodes.values():
+            medium.attach(node)
+        medium.detach(Identity("b"))
+        medium.attach(nodes["b"])
+        broadcast = medium.send(_message(Identity("a"), bits=10))
+        assert [i.name for i in broadcast.delivered_to] == ["c", "d", "b"]
+        # Reversed, with a duplicate, the sender and an unattached name.
+        recipients = tuple(Identity(n) for n in ("d", "b", "ghost", "a", "d", "c"))
+        multicast = Message(Identity("a"), "r", (MessagePart("x", b"", 10),), recipients)
+        for receipt in (medium.send(multicast), medium.transmit(multicast)):
+            assert [i.name for i in receipt.delivered_to] == ["c", "d", "b"]
+        assert nodes["d"].recorder.rx_bits == 30
+        assert nodes["d"].recorder.messages_received == 3
+        assert nodes["a"].recorder.rx_bits == 0
+
+
+# ---------------------------------------------------------------------------
+# Running traffic totals: energy equals priced bits
+# ---------------------------------------------------------------------------
+
+def _single_hop(seed):
+    rng = DeterministicRNG(seed, label="medium")
+    return BroadcastMedium(loss_probability=0.3, max_retries=60, rng=rng)
+
+
+def _multi_hop(seed):
+    # A 3x3 grid, 100 m apart, 120 m range: corner to corner is four hops.
+    names = [f"m{i}" for i in range(9)]
+    field = MobilityField(
+        names, StaticGrid(), Area(300.0, 300.0), 1.0, DeterministicRNG(seed, label="field")
+    )
+    link = RadioLink(field, 120.0, base_loss=0.1, edge_loss=0.3)
+    return MultiHopMedium(field, link, max_retries=60, rng=DeterministicRNG(seed, label="medium"))
+
+
+def _tiered(seed):
+    config = TierConfig(
+        tiers={"ground": "ground", "sat": "satellite-bursty"},
+        members={"sat": 3},
+        gateways={"ground:sat": 1},
+        loss_floor=0.1,
+    )
+    tier_map = config.build_map([f"m{i}" for i in range(9)])
+    return TieredMedium(tier_map, max_retries=60, rng=DeterministicRNG(seed, label="medium"))
+
+
+class TestTrafficTotals:
+    """The O(1) running totals against the ledgers and the receipts.
+
+    Every on-air copy (retries and relays included) is charged to the node
+    that transmitted it, so the medium's totals must equal the ledgers of
+    every node ever attached, and re-summing the receipts must agree too.
+    """
+
+    @pytest.mark.parametrize(
+        "build, mode",
+        [
+            (_single_hop, "send"),
+            (_single_hop, "transmit"),
+            (_multi_hop, "send"),
+            (_multi_hop, "transmit"),
+            (_tiered, "send"),
+            (_tiered, "transmit"),
+        ],
+    )
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=8, deadline=None)
+    def test_totals_equal_ledgers_and_receipts(self, build, mode, seed):
+        medium = build(seed)
+        picker = random.Random(seed)
+        nodes = [Node(Identity(f"m{i}")) for i in range(9)]
+        for node in nodes[:8]:
+            medium.attach(node)
+        # m8 joins late; m3 (never a gateway: the gateway is the first
+        # ground member) leaves and comes back.
+        for step in range(30):
+            if step == 10:
+                medium.attach(nodes[8])
+            if step == 15:
+                medium.detach(nodes[3].identity)
+            if step == 20:
+                medium.attach(nodes[3])
+            sender = picker.choice(medium.nodes).identity
+            recipients = None
+            if picker.random() < 0.5:
+                recipients = tuple(picker.sample([n.identity for n in nodes], 3))
+            parts = (MessagePart("x", b"", picker.randint(8, 64)),)
+            getattr(medium, mode)(Message(sender, f"r{step}", parts, recipients))
+
+        receipts = medium.receipts
+        assert medium.total_messages() == len(receipts) == 30
+        assert medium.total_bits() == sum(r.message.wire_bits for r in receipts)
+        on_air = sum(r.message.wire_bits * r.transmissions for r in receipts)
+        assert medium.total_bits(include_retries=True) == on_air
+        assert medium.total_transmissions() == sum(r.transmissions for r in receipts)
+        assert medium.total_relay_bits() == sum(r.relay_bits for r in receipts)
+        assert medium.total_bits(include_retries=True) == sum(n.recorder.tx_bits for n in nodes)
+        assert medium.total_transmissions() == sum(n.recorder.messages_sent for n in nodes)
 
 
 class TestNode:
-    def test_inbox_draining_by_round(self):
-        node = Node(Identity("n"))
-        node.deliver(_message(Identity("a"), "round1"))
-        node.deliver(_message(Identity("b"), "round2"))
-        assert len(node.peek_inbox("round1")) == 1
-        taken = node.drain_inbox("round1")
-        assert len(taken) == 1
-        assert len(node.inbox) == 1
-        assert len(node.drain_inbox()) == 1
-        assert node.inbox == []
-
     def test_energy_requires_profile(self):
         node = Node(Identity("n"))
         with pytest.raises(NetworkError):
