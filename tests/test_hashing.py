@@ -150,6 +150,17 @@ class TestHashFunction:
 
 
 class TestKDF:
+    def test_rfc5869_case_1(self):
+        prk = hkdf_extract(bytes.fromhex("000102030405060708090a0b0c"), b"\x0b" * 22)
+        assert prk.hex() == (
+            "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"
+        )
+        okm = hkdf_expand(prk, bytes.fromhex("f0f1f2f3f4f5f6f7f8f9"), 42)
+        assert okm.hex() == (
+            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c"
+            "5db02d56ecc4c5bf34007208d5b887185865"
+        )
+
     def test_hkdf_deterministic_and_length(self):
         prk = hkdf_extract(b"salt", b"ikm")
         out = hkdf_expand(prk, b"info", 42)
