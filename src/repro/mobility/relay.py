@@ -103,88 +103,93 @@ class MultiHopMedium(BroadcastMedium):
             return False
         return unit_draw(self._rng) < loss
 
+    def _wave(
+        self,
+        message: Message,
+        frontier: List[str],
+        covered: Set[str],
+        addressed: Set[str],
+        hop_of: Dict[str, int],
+    ) -> Tuple[int, int, int]:
+        """One bounded BFS flood wave; returns (transmissions, relay bits, depth).
+
+        Every node in ``frontier`` transmits and each node it newly covers
+        re-transmits on the next hop, up to ``max_hops`` hops or until every
+        ``addressed`` name is in ``covered``.  Everyone in range overhears
+        (and pays for) every copy; a loss is drawn only for a copy that would
+        newly cover its receiver, whose hop goes into ``hop_of``.  With
+        nobody to reach, the origin still puts one copy on air.
+        """
+        origin = message.sender.name
+        bits = message.wire_bits
+        graph = self.neighbours()
+        nodes = self._nodes
+        transmissions = relay_bits = hop = 0
+        while frontier and hop < self.max_hops and not addressed <= covered:
+            hop += 1
+            next_frontier: List[str] = []
+            for tx_name in frontier:
+                nodes[tx_name].recorder.record_tx(bits)
+                transmissions += 1
+                if tx_name != origin:
+                    relay_bits += bits
+                for rx_name in graph[tx_name]:
+                    nodes[rx_name].recorder.record_rx(bits)
+                    if rx_name in covered or self._copy_lost(tx_name, rx_name):
+                        continue
+                    covered.add(rx_name)
+                    hop_of[rx_name] = hop
+                    next_frontier.append(rx_name)
+            frontier = next_frontier
+        if not transmissions:
+            nodes[origin].recorder.record_tx(bits)
+            transmissions = 1
+        return transmissions, relay_bits, hop
+
     def send(self, message: Message) -> DeliveryReceipt:
         """Flood ``message`` through the network, charging every hop.
 
-        One *wave* is a bounded BFS flood: the origin transmits, each newly
-        covered node re-transmits on the next hop, up to ``max_hops`` hops or
-        until all addressed nodes are covered.  If per-link losses leave
-        addressed nodes uncovered, a retry wave starts in which every covered
-        node re-floods.  Receipts record the physical transmission count,
-        relay bits, and the deepest hop used.
+        The first wave floods out from the origin (see :meth:`_wave`).  If
+        per-link losses or the TTL leave addressed nodes uncovered, a retry
+        wave starts in which every covered node re-floods, in name order.
+        Receipts record the waves used, the physical transmission count,
+        relay bits, and the deepest hop of any wave.
         """
-        origin = self.node(message.sender)
-        origin_name = origin.identity.name
-        bits = message.wire_bits
-        graph = self.neighbours()
-
+        origin = self.node(message.sender).identity.name
         addressees = self._addressees(message)
         addressed = {node.identity.name for node in addressees}
-        unreachable = addressed - self.reachable_set(origin_name)
+        unreachable = addressed - self.reachable_set(origin)
         if unreachable:
             when = f" at t={self.field.time:g}s" if self.field is not None else ""
             raise NetworkError(
-                f"message from {origin_name} cannot reach {sorted(unreachable)}: "
+                f"message from {origin} cannot reach {sorted(unreachable)}: "
                 f"no relay path{when} "
                 "(the connectivity monitor should have partitioned them out)"
             )
-
-        covered: Set[str] = {origin_name}
-        transmissions = 0
-        relay_bits = 0
-        deepest_hop = 0
-        waves = 0
-        if not addressed:
-            # Nobody (else) to reach: the origin still puts one copy on air.
-            origin.recorder.record_tx(bits)
-            receipt = DeliveryReceipt(
-                message=message, attempts=1, delivered_to=[], hops=1,
-                transmissions=1, relay_bits=0,
-            )
-            return self._finalize(message, receipt)
+        covered = {origin}
+        frontier = [origin]
+        transmissions = relay_bits = hops = waves = 0
         while True:
             waves += 1
-            # Wave 1 floods out from the origin; retry waves re-flood from
-            # every node already holding the message.
-            frontier = [origin_name] if waves == 1 else sorted(covered)
-            hop = 0
-            while frontier and hop < self.max_hops and not addressed <= covered:
-                hop += 1
-                next_frontier: List[str] = []
-                for tx_name in frontier:
-                    tx_node = self._nodes[tx_name]
-                    tx_node.recorder.record_tx(bits)
-                    transmissions += 1
-                    if tx_name != origin_name:
-                        relay_bits += bits
-                    for rx_name in graph[tx_name]:
-                        rx_node = self._nodes[rx_name]
-                        # Everyone in range overhears (and pays for) the copy.
-                        rx_node.recorder.record_rx(bits)
-                        if rx_name in covered:
-                            continue
-                        if self._copy_lost(tx_name, rx_name):
-                            continue
-                        covered.add(rx_name)
-                        next_frontier.append(rx_name)
-                deepest_hop = max(deepest_hop, hop)
-                frontier = next_frontier
+            sent, relayed, depth = self._wave(message, frontier, covered, addressed, {})
+            transmissions += sent
+            relay_bits += relayed
+            hops = max(hops, depth)
             if addressed <= covered:
                 break
             if waves > self.max_retries:
-                missing = sorted(addressed - covered)
                 raise NetworkError(
-                    f"message from {origin_name} still missing {missing} "
+                    f"message from {origin} still missing {sorted(addressed - covered)} "
                     f"after {waves} flood waves (TTL {self.max_hops} hops per "
                     "wave); raise max_retries for lossy links or max_hops if "
                     "the topology is deeper than the TTL"
                 )
-
+            frontier = sorted(covered)
         receipt = DeliveryReceipt(
             message=message,
             attempts=waves,
             delivered_to=[node.identity for node in addressees],
-            hops=max(deepest_hop, 1),
+            hops=max(hops, 1),
             transmissions=transmissions,
             relay_bits=relay_bits,
         )
@@ -201,51 +206,18 @@ class MultiHopMedium(BroadcastMedium):
         (``hop_by_receiver``) so latency models can charge relay
         re-serialization per hop actually travelled.
         """
-        origin = self.node(message.sender)
-        origin_name = origin.identity.name
-        bits = message.wire_bits
-        graph = self.neighbours()
+        origin = self.node(message.sender).identity.name
         addressees = self._addressees(message)
-        addressed = {node.identity.name for node in addressees}
-        covered: Set[str] = {origin_name}
+        covered = {origin}
         hop_of: Dict[str, int] = {}
-        transmissions = 0
-        relay_bits = 0
-        deepest_hop = 0
-        frontier = [origin_name]
-        hop = 0
-        while frontier and hop < self.max_hops and not addressed <= covered:
-            hop += 1
-            next_frontier: List[str] = []
-            for tx_name in frontier:
-                tx_node = self._nodes[tx_name]
-                tx_node.recorder.record_tx(bits)
-                transmissions += 1
-                if tx_name != origin_name:
-                    relay_bits += bits
-                for rx_name in graph[tx_name]:
-                    rx_node = self._nodes[rx_name]
-                    rx_node.recorder.record_rx(bits)
-                    if rx_name in covered:
-                        continue
-                    if self._copy_lost(tx_name, rx_name):
-                        continue
-                    covered.add(rx_name)
-                    hop_of[rx_name] = hop
-                    next_frontier.append(rx_name)
-            deepest_hop = max(deepest_hop, hop)
-            frontier = next_frontier
-        if transmissions == 0:
-            # Nobody to reach (or nobody in range): the origin still puts one
-            # copy on air, mirroring send()'s no-addressee behaviour.
-            origin.recorder.record_tx(bits)
-            transmissions = 1
-        delivered = [node.identity for node in addressees if node.identity.name in covered]
+        transmissions, relay_bits, hops = self._wave(
+            message, [origin], covered, {node.identity.name for node in addressees}, hop_of
+        )
         receipt = DeliveryReceipt(
             message=message,
             attempts=1,
-            delivered_to=delivered,
-            hops=max(deepest_hop, 1),
+            delivered_to=[node.identity for node in addressees if node.identity.name in covered],
+            hops=max(hops, 1),
             transmissions=transmissions,
             relay_bits=relay_bits,
             hop_by_receiver=hop_of,
