@@ -1,9 +1,15 @@
-"""Hashing substrate: from-scratch SHA-256, the paper's ``H``, HMAC, and KDFs."""
+"""Hashing substrate: SHA-256 and HMAC from the stdlib, the paper's ``H``, and the HKDF."""
 
 from .hashfuncs import HashFunction, default_hash
-from .hmac_impl import hmac_sha256, verify_hmac
-from .kdf import derive_key, derive_key_from_group_element, hkdf_expand, hkdf_extract
-from .sha256 import PureSHA256, sha256_digest
+from .kdf import (
+    derive_key,
+    derive_key_from_group_element,
+    hkdf_expand,
+    hkdf_extract,
+    hmac_sha256,
+    verify_hmac,
+)
+from .sha256 import sha256_digest
 
 __all__ = [
     "HashFunction",
@@ -14,6 +20,5 @@ __all__ = [
     "derive_key_from_group_element",
     "hkdf_expand",
     "hkdf_extract",
-    "PureSHA256",
     "sha256_digest",
 ]

@@ -17,11 +17,10 @@ standard hygiene measure the 2006 paper leaves implicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from ..exceptions import ParameterError
 from ..mathutils.serialization import bytes_to_int, encode_fields, int_to_bytes
-from .sha256 import PureSHA256, sha256_digest
+from .sha256 import sha256_digest
 
 __all__ = ["HashFunction", "default_hash"]
 

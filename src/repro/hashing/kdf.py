@@ -1,19 +1,42 @@
-"""Key derivation from group elements.
+"""HMAC-SHA256 and key derivation from group elements.
 
 The group key ``K`` agreed by the protocols is an element of the order-``q``
 subgroup of ``Z_p^*`` (a ~1024-bit integer).  Applications need fixed-length
 symmetric keys, and the dynamic protocols need to use the *current* group key
 ``K`` as an AES key for ``E_K(...)``.  :func:`derive_key` bridges the two with
-an HKDF-like extract-and-expand construction over the library's SHA-256.
+the HKDF extract-and-expand construction (RFC 5869).
+
+HMAC-SHA256 is the stdlib :mod:`hmac`.  It also provides the integrity half
+of the ``E_K(m)`` encrypt-then-MAC envelope in :mod:`repro.symmetric.authenc`:
+the paper checks "if the identity ... is decrypted correctly to ensure the
+validity of K*", which only makes sense if the encryption is authenticated.
 """
 
 from __future__ import annotations
 
+import hmac
+
 from ..exceptions import ParameterError
 from ..mathutils.serialization import int_to_bytes
-from .hmac_impl import hmac_sha256
 
-__all__ = ["hkdf_extract", "hkdf_expand", "derive_key", "derive_key_from_group_element"]
+__all__ = [
+    "hmac_sha256",
+    "verify_hmac",
+    "hkdf_extract",
+    "hkdf_expand",
+    "derive_key",
+    "derive_key_from_group_element",
+]
+
+
+def hmac_sha256(key: bytes, message: bytes) -> bytes:
+    """Return ``HMAC-SHA256(key, message)`` (32 bytes)."""
+    return hmac.digest(key, message, "sha256")
+
+
+def verify_hmac(key: bytes, message: bytes, tag: bytes) -> bool:
+    """Constant-time check of an HMAC-SHA256 tag."""
+    return hmac.compare_digest(hmac.digest(key, message, "sha256"), tag)
 
 
 def hkdf_extract(salt: bytes, input_key_material: bytes) -> bytes:

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import DecryptionError, ParameterError
-from ..hashing.hmac_impl import hmac_sha256, verify_hmac
-from ..hashing.kdf import derive_key, derive_key_from_group_element
+from ..hashing.kdf import derive_key, hmac_sha256, verify_hmac
 from ..mathutils.rand import DeterministicRNG
 from ..mathutils.serialization import bytes_to_int, decode_fields, encode_fields, int_to_bytes
 from .modes import decrypt_ctr, encrypt_ctr

@@ -12,55 +12,38 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ParameterError
 from repro.hashing.hashfuncs import HashFunction, default_hash
-from repro.hashing.hmac_impl import hmac_sha256, verify_hmac
-from repro.hashing.kdf import derive_key, derive_key_from_group_element, hkdf_expand, hkdf_extract
-from repro.hashing.sha256 import PureSHA256, sha256_digest
+from repro.hashing.kdf import (
+    derive_key,
+    derive_key_from_group_element,
+    hkdf_expand,
+    hkdf_extract,
+    hmac_sha256,
+    verify_hmac,
+)
+from repro.hashing.sha256 import sha256_digest
 
 
 class TestPureSHA256:
+    """FIPS 180-4 vectors for ``sha256_digest`` (stdlib ``hashlib`` underneath)."""
+
     def test_empty_vector(self):
         assert (
-            PureSHA256(b"").hexdigest()
+            sha256_digest(b"").hex()
             == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         )
 
     def test_abc_vector(self):
         assert (
-            PureSHA256(b"abc").hexdigest()
+            sha256_digest(b"abc").hex()
             == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
 
     def test_two_block_vector(self):
         message = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
         assert (
-            PureSHA256(message).hexdigest()
+            sha256_digest(message).hex()
             == "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         )
-
-    def test_incremental_equals_one_shot(self):
-        data = bytes(range(256)) * 5
-        h = PureSHA256()
-        for offset in range(0, len(data), 17):
-            h.update(data[offset : offset + 17])
-        assert h.digest() == PureSHA256(data).digest()
-
-    def test_digest_does_not_finalise_state(self):
-        h = PureSHA256(b"hello")
-        first = h.digest()
-        assert h.digest() == first
-        h.update(b" world")
-        assert h.digest() == PureSHA256(b"hello world").digest()
-
-    def test_copy_is_independent(self):
-        h = PureSHA256(b"base")
-        clone = h.copy()
-        clone.update(b"more")
-        assert h.digest() == PureSHA256(b"base").digest()
-        assert clone.digest() == PureSHA256(b"basemore").digest()
-
-    def test_rejects_non_bytes(self):
-        with pytest.raises(TypeError):
-            PureSHA256().update("text")  # type: ignore[arg-type]
 
     @given(st.binary(max_size=500))
     @settings(max_examples=50)
