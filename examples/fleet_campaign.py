@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Fleet demo: a campaign served to local socket workers, streamed live.
 
-Where ``examples/campaign_sweep.py`` shards cells over a process pool,
-this demo runs the same kind of grid through :mod:`repro.fleet`: a
-controller owns the cell queue and forked workers connect to it over TCP,
-streaming result rows back one at a time.  What the fleet adds:
+``examples/campaign_sweep.py`` calls ``run_campaign(workers=N)``, which
+runs on this same machinery; this demo drives :mod:`repro.fleet` directly:
+a controller owns the cell queue and forked workers connect to it over TCP,
+streaming result rows back one at a time.  What driving it directly shows:
 
 * **live progress** — the controller knows exactly what is done, cached,
   in flight and pending, and estimates the finish time (printed below as

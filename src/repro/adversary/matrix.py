@@ -247,7 +247,7 @@ def run_attack_matrix(
 
     The matrix is a :mod:`repro.campaign` sweep under the hood — protocols ×
     attacker columns as campaign axes — so ``workers`` shards the cells over
-    a process pool and ``cache_dir`` replays unchanged cells, with output
+    local fleet workers and ``cache_dir`` replays unchanged cells, with output
     bit-identical to the serial run either way.  A non-default ``device`` (or
     an engine/scenario a JSON spec cannot express) falls back to the in-process
     serial loop, which is equivalent but unsharded.

@@ -1,4 +1,4 @@
-"""``repro.campaign`` — sharded parameter-grid scenario sweeps.
+"""``repro.campaign`` — parameter-grid scenario sweeps.
 
 The scenario engine (:mod:`repro.sim`) answers "what does protocol P do under
 scenario S?"; this subsystem answers the production question "what does the
@@ -10,8 +10,11 @@ actually stress-tested through:
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec` declares the axes and
   expands them into independent cells, each with a stable key and a child
   seed derived from the master seed + cell key;
-* :mod:`repro.campaign.execute` — :func:`run_campaign` shards the cells over
-  a process pool with per-cell crash isolation; ``workers=N`` output is
+* :mod:`repro.campaign.plan` — :func:`plan_campaign` expands the grid and
+  splits it into cached and pending cells without running anything;
+* :mod:`repro.campaign.execute` — :func:`run_campaign` runs the pending
+  cells with per-cell crash isolation, in process or (``workers=N``) on
+  forked local fleet workers (:mod:`repro.fleet`); ``workers=N`` output is
   bit-identical to ``workers=1``;
 * :mod:`repro.campaign.result` — :class:`CampaignResult` aggregates the flat
   rows (groupby, pivot, CSV/JSON export);

@@ -105,9 +105,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="collect counters/histograms and print the summary table to "
-        "stderr (pool workers' in-cell metrics stay in their processes; use "
-        "--workers 1 or the fleet for complete aggregation)",
+        help="collect counters/histograms, the workers' included, and print "
+        "the summary table to stderr",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress the summary on stdout"

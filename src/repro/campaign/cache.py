@@ -159,6 +159,11 @@ class ResultCache:
                         removed, "y" if removed == 1 else "ies", self.directory)
         return removed
 
+    def log_summary(self) -> None:
+        """Count the replayed cells and log :meth:`summary_line` (campaign end)."""
+        telemetry.count("cache.cells_replayed", self.hits)
+        logger.info("%s", self.summary_line())
+
     def summary_line(self) -> str:
         """One line of hit/miss statistics (logged at campaign end)."""
         total = self.hits + self.misses

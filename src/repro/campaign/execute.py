@@ -1,4 +1,4 @@
-"""Sharded campaign execution: one process pool, crash-isolated cells.
+"""Campaign execution: crash-isolated cells, in process or on the local fleet.
 
 :func:`execute_cell` is the whole worker contract — a **pure function from a
 JSON payload to a JSON row**.  It builds the cell's
@@ -9,33 +9,31 @@ flat row of axis values and metrics.  Any exception becomes an ``error`` row
 instead of propagating, so one pathological cell cannot take down a thousand
 good ones.
 
-:func:`run_campaign` shards the cells over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Results are assembled **by
-cell index, never by completion order**, and every stochastic input lives in
-the cell's own derived seed — which is why ``workers=N`` output is
-bit-identical to ``workers=1`` (the property ``tests/test_campaign.py`` pins
-for every registry protocol).  With a cache directory, previously computed
-cells are replayed from disk and only payload changes recompute.
+:func:`run_campaign` plans the grid (:func:`~repro.campaign.plan.plan_campaign`:
+cache hits are served from disk) and runs the pending cells in this process,
+or with ``workers > 1`` hands the campaign to
+:func:`~repro.fleet.local.run_fleet_campaign`, which forks local fleet
+workers that requeue a dead worker's cell and ship their telemetry home.
+Results are assembled **by cell index, never by completion order**, and
+every stochastic input lives in the cell's own derived seed — which is why
+``workers=N`` output is bit-identical to ``workers=1`` (the property
+``tests/test_campaign.py`` pins for every registry protocol).
 """
 
 from __future__ import annotations
 
-import logging
-import multiprocessing
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .. import telemetry
 from ..exceptions import ParameterError
 from .cache import ResultCache
+from .plan import plan_campaign
 from .result import CampaignResult
 from .spec import CampaignCell, CampaignSpec
 
 __all__ = ["execute_cell", "run_campaign"]
-
-logger = logging.getLogger(__name__)
 
 #: Per-process SystemSetup cache: building the 256/1024-bit parameter sets is
 #: pure and deterministic, so sharing one instance across a worker's cells
@@ -145,19 +143,11 @@ def _run_cell(payload: Dict[str, object]) -> Dict[str, object]:
     return metrics
 
 
-def _pool_context():
-    """Prefer fork (cheap, inherits warm caches); fall back where unavailable."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
 def run_campaign(
     spec: CampaignSpec,
     *,
     workers: int = 1,
     cache_dir: Optional[str] = None,
-    chunksize: Optional[int] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
     cells: Optional[List[CampaignCell]] = None,
 ) -> CampaignResult:
     """Execute every cell of ``spec`` and aggregate the rows.
@@ -165,17 +155,13 @@ def run_campaign(
     Parameters
     ----------
     workers:
-        Process count; ``1`` (the default) runs everything in this process.
-        Output is bit-identical either way.
+        ``1`` (the default) runs every cell in this process; more runs them
+        on that many forked local fleet workers.  Output is bit-identical
+        either way.
     cache_dir:
         Enable the content-hash result cache in this directory: cells whose
         payloads are unchanged replay from disk, everything else recomputes
         and is stored back.
-    chunksize:
-        Cells handed to a worker per dispatch; defaults to spreading the
-        pending cells roughly four chunks per worker.
-    progress:
-        Optional ``callback(done, total)`` fired after every completed cell.
     cells:
         Pre-expanded (possibly adjusted) cell list to run instead of
         ``spec.cells()`` — how the attack matrix pins every cell to its
@@ -183,61 +169,27 @@ def run_campaign(
     """
     if workers < 1:
         raise ParameterError("workers must be at least 1")
-    if cells is None:
-        cells = spec.cells()
-    elif [cell.index for cell in cells] != list(range(len(cells))):
-        raise ParameterError("adjusted cell lists must keep contiguous indices")
+    if workers > 1:
+        # Imported here: the fleet builds on this module.
+        from ..fleet.local import run_fleet_campaign
+
+        return run_fleet_campaign(spec, workers=workers, cache_dir=cache_dir, cells=cells)
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    rows: List[Optional[Dict[str, object]]] = [None] * len(cells)
-
-    pending: List[CampaignCell] = []
-    for cell in cells:
-        cached = cache.get(cell.payload) if cache is not None else None
-        if cached is not None:
-            rows[cell.index] = cached
-        else:
-            pending.append(cell)
-
+    plan = plan_campaign(spec, cells=cells, cache=cache)
     started = time.perf_counter()
-    done = len(cells) - len(pending)
-    if progress is not None and done:
-        progress(done, len(cells))
-
-    def _finish(cell: CampaignCell, row: Dict[str, object]) -> None:
-        nonlocal done
-        rows[cell.index] = row
+    rows = dict(plan.cached_rows)
+    for cell in plan.pending:
+        row = execute_cell(dict(cell.payload))
         if cache is not None and not row.get("error"):
             cache.put(cell.payload, row)
-        done += 1
-        if progress is not None:
-            progress(done, len(cells))
-
-    if workers == 1 or len(pending) <= 1:
-        for cell in pending:
-            _finish(cell, execute_cell(dict(cell.payload)))
-        workers_used = 1
-    else:
-        workers_used = min(workers, len(pending))
-        if chunksize is None:
-            chunksize = max(1, len(pending) // (workers_used * 4))
-        with ProcessPoolExecutor(
-            max_workers=workers_used, mp_context=_pool_context()
-        ) as pool:
-            payloads = [dict(cell.payload) for cell in pending]
-            # Ordered map: results come back in submission order regardless
-            # of which worker finishes first — determinism needs no sorting.
-            for cell, row in zip(pending, pool.map(execute_cell, payloads, chunksize=chunksize)):
-                _finish(cell, row)
-
-    assert all(row is not None for row in rows)
+        rows[cell.index] = row
     if cache is not None:
-        telemetry.count("cache.cells_replayed", cache.hits)
-        logger.info("%s", cache.summary_line())
+        cache.log_summary()
     return CampaignResult(
         name=spec.name,
         spec=spec.to_dict(),
-        rows=[row for row in rows if row is not None],
-        workers=workers_used,
+        rows=[rows[index] for index in range(plan.total)],
+        workers=1,
         wall_seconds=time.perf_counter() - started,
         cache_hits=cache.hits if cache is not None else 0,
         cache_misses=cache.misses if cache is not None else 0,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..exceptions import ParameterError
 from .cache import ResultCache
 from .spec import AXIS_NAMES, CampaignCell, CampaignSpec
 
@@ -72,11 +73,14 @@ def plan_campaign(
     """Expand ``spec`` and consult the cache, without running any cell.
 
     Pass an already-open ``cache`` to share its hit/miss counters with the
-    run that follows (the fleet controller does); otherwise ``cache_dir``
-    opens one just for the plan.
+    run that follows (both executors do); otherwise ``cache_dir`` opens one
+    just for the plan.  An adjusted ``cells`` list must keep the indices
+    ``0..len-1``: rows are assembled by index.
     """
     if cells is None:
         cells = spec.cells()
+    elif [cell.index for cell in cells] != list(range(len(cells))):
+        raise ParameterError("adjusted cell lists must keep contiguous indices")
     axes: Dict[str, List[object]] = {name: [] for name in AXIS_NAMES}
     for cell in cells:
         for name in AXIS_NAMES:

@@ -20,8 +20,8 @@ Determinism is structural:
   churn schedules and trajectories — the same comparability contract
   :meth:`~repro.sim.runner.ScenarioRunner.run_all` gives.  Editing the
   master seed or a workload axis reseeds exactly the cells it touches;
-* cells are fully independent, so executing them serially, sharded over a
-  process pool, or resumed from a cache yields identical rows.
+* cells are fully independent, so executing them serially, sharded over
+  fleet workers, or resumed from a cache yields identical rows.
 
 Loss composition: on a schedule-driven cell the loss axis is the medium's
 ``loss_probability``; on a mobility-driven cell (where uniform loss is

@@ -1,7 +1,8 @@
 """``repro.fleet`` — distributed campaign orchestration over TCP.
 
-:mod:`repro.campaign` shards a parameter grid over one machine's cores; this
-subsystem shards it over a *fleet*.  A :class:`CampaignController` owns the
+:mod:`repro.campaign` runs a parameter grid; this subsystem shards it over a
+*fleet* of worker processes, on one machine (``run_campaign(workers=N)``) or
+many.  A :class:`CampaignController` owns the
 cell queue and listens on a TCP socket (stdlib ``socket``/``selectors``,
 length-prefixed JSON frames — no dependencies); :class:`FleetWorker`
 processes register, receive cells one at a time, and stream result rows back
@@ -20,8 +21,8 @@ incrementally:
   (:class:`FleetProgress`: cells done/in-flight/cached, rows per second,
   per-worker health) that replaces wait-for-everything assembly;
 * :mod:`repro.fleet.local` — :func:`run_fleet_campaign`, which forks local
-  workers at an ephemeral loopback port so existing callers and tests need
-  no real network.
+  workers at an ephemeral loopback port (how ``run_campaign`` runs with
+  ``workers > 1``), so callers and tests need no real network.
 
 **The correctness oracle** is the campaign determinism pin extended across
 the network boundary: a fleet run — any worker count, workers joining late

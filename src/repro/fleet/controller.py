@@ -138,8 +138,6 @@ class CampaignController:
 
         self._cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.plan: CampaignPlan = plan_campaign(spec, cells=cells, cache=self._cache)
-        if [cell.index for cell in self.plan.cells] != list(range(len(self.plan.cells))):
-            raise ParameterError("adjusted cell lists must keep contiguous indices")
 
         self._rows: List[Optional[Dict[str, object]]] = [None] * self.plan.total
         for index, row in self.plan.cached_rows.items():
@@ -416,8 +414,6 @@ class CampaignController:
         if worker.unit is not None or not worker.registered:
             return
         if not self._queue:
-            if self._complete():
-                pass  # serve() will notice and shut everything down
             return
         unit = self._queue.popleft()
         unit.attempts += 1
@@ -583,6 +579,8 @@ class CampaignController:
     def _assemble(self) -> CampaignResult:
         assert all(row is not None for row in self._rows)
         elapsed = time.perf_counter() - self._started
+        if self._cache is not None:
+            self._cache.log_summary()
         if self._tracer is not None:
             self._tracer.complete(
                 "fleet.campaign",

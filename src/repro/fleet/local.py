@@ -1,13 +1,14 @@
 """Local fleets: the controller/worker architecture without a network.
 
-:func:`run_fleet_campaign` is the drop-in convenience for existing callers:
-it binds the controller on an ephemeral loopback port, forks ``workers``
-local :class:`~repro.fleet.worker.FleetWorker` processes at it, serves the
-campaign, and returns the same :class:`~repro.campaign.result.CampaignResult`
-a ``run_campaign`` call would — bit-identical to ``workers=1``, because the
-assembly path *is* the distributed one.  Tests, examples and benchmarks get
-the full fault-tolerance machinery (heartbeats, requeues, streaming
-assembly) with no real network and no extra ceremony.
+:func:`run_fleet_campaign` binds the controller on an ephemeral loopback
+port, forks ``workers`` local :class:`~repro.fleet.worker.FleetWorker`
+processes at it, serves the campaign, and returns the same
+:class:`~repro.campaign.result.CampaignResult` as ``run_campaign(workers=1)``
+— bit-identical, because the assembly path *is* the distributed one.  It is
+how ``run_campaign`` runs with ``workers > 1``: one machine's cores get the
+full fault-tolerance machinery (heartbeats, requeues of a dead worker's
+cell, streaming assembly, worker telemetry shipped home) with no real
+network and no extra ceremony.
 """
 
 from __future__ import annotations

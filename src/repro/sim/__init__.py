@@ -33,7 +33,7 @@ JSON scenario spec (optionally with ``--adversary``/``--engine`` profiles)
 and emits the comparison table/CSV/JSON without writing a script.  The spec
 format itself lives in :mod:`repro.sim.specio` (``build_scenario`` and the
 ``*_to_spec`` inverses) — the serialization boundary the
-:mod:`repro.campaign` process-pool sweeps hand their cells across.
+:mod:`repro.campaign` sweeps hand their cells across to worker processes.
 
 Quickstart::
 

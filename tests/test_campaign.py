@@ -2,7 +2,7 @@
 
 The headline property this file pins is the one the whole subsystem is built
 around: **a campaign's output is bit-identical no matter how it is executed**
-— serially, sharded over a process pool, or replayed from the result cache.
+— serially, sharded over the local fleet, or replayed from the result cache.
 ``TestDeterminismHarness`` asserts it for a grid covering every registry
 protocol (keys via the report fingerprint, energy ledgers, virtual latency,
 security verdicts); ``TestFuzzedInvariants`` asserts the structural
@@ -13,14 +13,17 @@ seeded random specs.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import multiprocessing
 import os
 import random
 import time
 
 import pytest
 
+from repro import telemetry
 from repro.campaign import (
     AXIS_NAMES,
     CampaignSpec,
@@ -29,6 +32,7 @@ from repro.campaign import (
     payload_hash,
     run_campaign,
 )
+from repro.campaign import execute as execute_mod
 from repro.campaign.__main__ import main as campaign_main
 from repro.core.registry import available_protocols
 from repro.exceptions import ParameterError
@@ -504,6 +508,48 @@ class TestExecution:
         payload = json.loads(result.to_json(str(tmp_path / "result.json")))
         assert payload["cells"] == 2 and payload["failures"] == 0
         assert payload["spec"]["name"] == "unit"
+
+
+def _exit_once_then_execute(marker: str, cell: str, parent: int, payload):
+    """``execute_cell`` whose worker process dies the first time it meets ``cell``."""
+    if payload.get("cell") == cell and os.getpid() != parent and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return execute_cell(payload)
+
+
+class TestParallelWorkers:
+    """``workers > 1`` runs on the local fleet: dead workers requeue, metrics merge."""
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="patching execute_cell inside the workers needs fork",
+    )
+    def test_dying_worker_does_not_abort_the_campaign(self, tmp_path, monkeypatch):
+        spec = small_spec(losses=(0.0, 0.1))
+        serial = run_campaign(spec, workers=1)
+        marker = tmp_path / "worker-died"
+        doomed = spec.cells()[1].key
+        monkeypatch.setattr(
+            execute_mod,
+            "execute_cell",
+            functools.partial(_exit_once_then_execute, str(marker), doomed, os.getpid()),
+        )
+        result = run_campaign(spec, workers=2)
+        assert marker.exists(), "no worker ever met the doomed cell"
+        assert result.failures() == []
+        assert len(result.rows) == len(serial.rows)
+        assert result.deterministic_rows() == serial.deterministic_rows()
+
+    def test_metrics_session_counts_the_workers_cells(self):
+        # One engine run per cell: no churn schedule, establishment only.
+        spec = small_spec(losses=(0.0, 0.1), schedule=None)
+        with telemetry.telemetry_session(metrics=True) as session:
+            result = run_campaign(spec, workers=2)
+        counters = session.metrics.snapshot()["counters"]
+        assert len(result.rows) == 4
+        assert counters["campaign.cells"] == 4
+        assert counters["engine.runs"] == 4
 
 
 # ---------------------------------------------------------------------------
