@@ -97,12 +97,6 @@ class MultiHopMedium(BroadcastMedium):
         return component(self.neighbours(), origin)
 
     # ------------------------------------------------------------------ send
-    def _copy_lost(self, sender: str, receiver: str) -> bool:
-        loss = self.link_model.loss_probability(sender, receiver)
-        if loss <= 0.0:
-            return False
-        return unit_draw(self._rng) < loss
-
     def _wave(
         self,
         message: Message,
@@ -124,6 +118,7 @@ class MultiHopMedium(BroadcastMedium):
         bits = message.wire_bits
         graph = self.neighbours()
         nodes = self._nodes
+        loss_probability = self.link_model.loss_probability
         transmissions = relay_bits = hop = 0
         while frontier and hop < self.max_hops and not addressed <= covered:
             hop += 1
@@ -135,7 +130,10 @@ class MultiHopMedium(BroadcastMedium):
                     relay_bits += bits
                 for rx_name in graph[tx_name]:
                     nodes[rx_name].recorder.record_rx(bits)
-                    if rx_name in covered or self._copy_lost(tx_name, rx_name):
+                    if rx_name in covered:
+                        continue
+                    loss = loss_probability(tx_name, rx_name)
+                    if loss > 0.0 and unit_draw(self._rng) < loss:
                         continue
                     covered.add(rx_name)
                     hop_of[rx_name] = hop
