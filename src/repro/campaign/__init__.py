@@ -14,8 +14,8 @@ actually stress-tested through:
   splits it into cached and pending cells without running anything;
 * :mod:`repro.campaign.execute` — :func:`run_campaign` runs the pending
   cells with per-cell crash isolation, in process or (``workers=N``) on
-  forked local fleet workers (:mod:`repro.fleet`); ``workers=N`` output is
-  bit-identical to ``workers=1``;
+  local fleet worker processes (:mod:`repro.fleet`); ``workers=N`` output
+  is bit-identical to ``workers=1``;
 * :mod:`repro.campaign.result` — :class:`CampaignResult` aggregates the flat
   rows (groupby, pivot, CSV/JSON export);
 * :mod:`repro.campaign.cache` — :class:`ResultCache` content-hashes cell

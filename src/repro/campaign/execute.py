@@ -12,8 +12,8 @@ good ones.
 :func:`run_campaign` plans the grid (:func:`~repro.campaign.plan.plan_campaign`:
 cache hits are served from disk) and runs the pending cells in this process,
 or with ``workers > 1`` hands the campaign to
-:func:`~repro.fleet.local.run_fleet_campaign`, which forks local fleet
-workers that requeue a dead worker's cell and ship their telemetry home.
+:func:`~repro.fleet.local.run_fleet_campaign`, whose local fleet workers
+requeue a dead worker's cell and ship their telemetry home.
 Results are assembled **by cell index, never by completion order**, and
 every stochastic input lives in the cell's own derived seed — which is why
 ``workers=N`` output is bit-identical to ``workers=1`` (the property
@@ -156,7 +156,7 @@ def run_campaign(
     ----------
     workers:
         ``1`` (the default) runs every cell in this process; more runs them
-        on that many forked local fleet workers.  Output is bit-identical
+        on that many local fleet worker processes.  Output is bit-identical
         either way.
     cache_dir:
         Enable the content-hash result cache in this directory: cells whose

@@ -2,11 +2,10 @@
 
 :mod:`repro.campaign` runs a parameter grid; this subsystem shards it over a
 *fleet* of worker processes, on one machine (``run_campaign(workers=N)``) or
-many.  A :class:`CampaignController` owns the
-cell queue and listens on a TCP socket (stdlib ``socket``/``selectors``,
-length-prefixed JSON frames — no dependencies); :class:`FleetWorker`
-processes register, receive cells one at a time, and stream result rows back
-incrementally:
+many.  A :class:`CampaignController` owns the cell queue and listens on a
+TCP socket (stdlib ``socket``/``selectors``, length-prefixed JSON frames —
+no dependencies); :class:`FleetWorker` processes register, receive cells one
+at a time, and stream result rows back incrementally:
 
 * :mod:`repro.fleet.wire` — the framing layer (4-byte length prefix +
   canonical JSON message);
