@@ -67,7 +67,7 @@ def _tiered(seed: int) -> TieredMedium:
     )
 
 
-#: medium name -> (builder, node count, late joiner, leaver, exhaustion send)
+#: medium name -> (factory, node count, late joiner, leaver, exhaustion send)
 MEDIA = {
     "grid": (_grid, 16, "m15", "m5", ("m0", "m14")),
     "tiered": (_tiered, 12, "m5", "m0", ("m3", "m7")),
