@@ -339,12 +339,15 @@ class _BystanderMachine(PartyMachine):
         return []
 
     def on_message(self, message: Message, now: float) -> List[Outbound]:
-        if message.round_label in ("join-round2-u1", "join-round2-un"):
-            part_name = "E_K(K*)" if message.round_label == "join-round2-u1" else "E_K(DH)"
-            self._sealed[message.round_label] = message.value(part_name)
-            self.waiting_for = (
-                "join-round2-un" if message.round_label == "join-round2-u1" else "join-round2-u1"
-            )
+        if message.round_label not in ("join-round2-u1", "join-round2-un"):
+            # On a multi-hop medium the newcomer's round 1 can arrive after
+            # both envelopes, whose key has been replaced by then.
+            return []
+        part_name = "E_K(K*)" if message.round_label == "join-round2-u1" else "E_K(DH)"
+        self._sealed[message.round_label] = message.value(part_name)
+        self.waiting_for = (
+            "join-round2-un" if message.round_label == "join-round2-u1" else "join-round2-u1"
+        )
         if len(self._sealed) == 2:
             group = self.run.setup.group
             party = self.party

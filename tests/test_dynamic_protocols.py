@@ -74,6 +74,67 @@ class TestJoinProtocol:
         with pytest.raises(ParameterError):
             JoinProtocol(small_setup).run(established.state, Identity("newcomer"))
 
+    def test_bystander_ignores_round1_after_both_envelopes(self, small_setup, established):
+        """A newcomer's round 1 that arrives last must not re-open the envelopes."""
+        from repro.core.join import (
+            _BystanderMachine,
+            _ControllerMachine,
+            _LastMemberMachine,
+            _NewcomerMachine,
+        )
+        from repro.network.medium import BroadcastMedium
+
+        plan = JoinProtocol(small_setup).build_machines(
+            established.state, Identity("newcomer"), medium=BroadcastMedium(), seed=5
+        )
+        by_role = {type(machine): machine for machine in plan.machines}
+        (round1,) = [out.message for out in by_role[_NewcomerMachine].start(0.0)]
+        (from_u1,) = [out.message for out in by_role[_ControllerMachine].on_message(round1, 0.0)]
+        (from_un,) = [out.message for out in by_role[_LastMemberMachine].on_message(round1, 0.0)]
+        by_role[_ControllerMachine].on_message(from_un, 0.0)
+        bystander = by_role[_BystanderMachine]
+        bystander.start(0.0)
+        for message in (from_u1, from_un, round1):
+            assert bystander.on_message(message, 0.0) == []
+        assert bystander.finished
+        assert bystander.party.group_key == by_role[_ControllerMachine].party.group_key
+        assert bystander.party.recorder.operation_count("symmetric") == 2
+
+    def test_join_completes_on_multihop_latency_medium(self, small_setup):
+        """Latency mode on a multi-hop grid: the newcomer's round 1 can reach a
+        bystander after both envelopes (seed 9 of this grid does)."""
+        from repro.energy import WLAN_SPECTRUM24
+        from repro.engine import EngineConfig, TransceiverLatency
+        from repro.mathutils.rand import DeterministicRNG
+        from repro.mobility import Area, MobilityField, MultiHopMedium, RadioLink, StaticGrid
+
+        members = [Identity(f"hop-{i}") for i in range(6)]
+        newcomer = Identity("hop-new")
+        field = MobilityField(
+            [m.name for m in members] + [newcomer.name],
+            StaticGrid(jitter=20.0),
+            Area(300.0, 300.0),
+            1.0,
+            DeterministicRNG(9, label="field"),
+        )
+        medium = MultiHopMedium(
+            field,
+            RadioLink(field, 160.0, base_loss=0.1, edge_loss=0.3),
+            max_hops=4,
+            max_retries=60,
+            rng=DeterministicRNG(9, label="medium"),
+        )
+        engine = EngineConfig(latency=TransceiverLatency(WLAN_SPECTRUM24))
+        protocol = ProposedGKAProtocol(small_setup)
+        established = protocol.run(members, medium=medium, seed=9, engine=engine)
+        old_key = established.group_key
+        result = protocol.apply_event(
+            established.state, JoinEvent(joining=newcomer), medium=medium, seed=9, engine=engine
+        )
+        assert result.all_agree()
+        assert result.group_key != old_key
+        assert result.state.ring.last() == newcomer
+
 
 class TestLeaveProtocol:
     def test_leave_agreement(self, small_setup, established):
