@@ -16,7 +16,14 @@ The workloads cover, for every registry protocol:
 * a lossy 5-member establishment (per-broadcast loss with seeded retries),
 * a join → leave → merge → partition event chain over a shared medium
   (native dynamic sub-protocols for the proposed scheme, re-execution for
-  every baseline).
+  every baseline),
+* latency mode: over 20 seeds, an establishment, a join, a leave and a
+  partition under :class:`~repro.engine.latency.TransceiverLatency` on a
+  lossy :class:`~repro.mobility.relay.MultiHopMedium` (a jittered 3x3 grid,
+  so floods take up to four hops and reorder rounds; the round machines
+  hold Round-2 copies that overtake Round 1 and replay them).  Bulky fields
+  of this section (member keys, ledgers, transcript, retry attempts) are
+  pinned by digest to keep the fixture small.
 """
 
 from __future__ import annotations
@@ -27,7 +34,10 @@ from typing import Dict, List
 
 from repro.core import SystemSetup
 from repro.core.registry import available_protocols, create_protocol, protocol_tags
+from repro.energy import WLAN_SPECTRUM24
+from repro.engine import EngineConfig, TransceiverLatency
 from repro.mathutils.rand import DeterministicRNG
+from repro.mobility import Area, MobilityField, MultiHopMedium, RadioLink, StaticGrid
 from repro.network.events import JoinEvent, LeaveEvent, MergeEvent, PartitionEvent
 from repro.network.medium import BroadcastMedium
 from repro.pki import Identity
@@ -36,6 +46,9 @@ __all__ = ["run_workloads", "flat_protocols", "FIXTURE_RELPATH"]
 
 #: Where the golden capture lives, relative to the tests directory.
 FIXTURE_RELPATH = "fixtures/engine_equivalence.json"
+
+#: Seeds of the latency workload; each one jitters the grid differently.
+LATENCY_SEEDS = tuple(range(20))
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +184,74 @@ def _event_chain(protocol_name: str) -> Dict[str, object]:
     return {"steps": steps, "medium": _capture_medium(medium)}
 
 
+def _digest(value: object) -> str:
+    """64 bits of SHA-256 over the canonical JSON of ``value``."""
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _latency_step(kind: str, result) -> Dict[str, object]:
+    captured = _capture_result(result)
+    return {
+        "kind": kind,
+        "protocol": captured["protocol"],
+        "group_key": captured["group_key"],
+        "member_keys": _digest(captured["member_keys"]),
+        "ring": ",".join(captured["ring"]),
+        "ledgers": _digest(captured["ledgers"]),
+        "sim_latency_s": result.sim_latency_s,
+        "timeouts": result.timeouts,
+    }
+
+
+def _latency_run(protocol_name: str, seed: int) -> Dict[str, object]:
+    setup = _fresh_setup()
+    protocol = create_protocol(protocol_name, setup)
+    members = _members(8, "eqt")
+    newcomer = Identity("eqt-new")
+    # Nine nodes on a 3x3 grid 100 m apart with a 180 m range: diagonal
+    # neighbours are in range, the far corners two to four hops apart, and
+    # the group stays connected after the leave and the partition below.
+    field = MobilityField(
+        [m.name for m in members] + [newcomer.name],
+        StaticGrid(jitter=10.0),
+        Area(300.0, 300.0),
+        1.0,
+        DeterministicRNG(seed, label="field"),
+    )
+    medium = MultiHopMedium(
+        field,
+        RadioLink(field, 180.0, base_loss=0.1, edge_loss=0.3),
+        max_hops=4,
+        rng=DeterministicRNG(seed, label="medium"),
+    )
+    engine = EngineConfig(latency=TransceiverLatency(WLAN_SPECTRUM24))
+    result = protocol.run(members, medium=medium, seed=seed, engine=engine)
+    steps = [_latency_step("establish", result)]
+    state = result.state
+    events = [
+        ("join", lambda s: JoinEvent(joining=newcomer)),
+        ("leave", lambda s: LeaveEvent(leaving=s.members[2])),
+        ("partition", lambda s: PartitionEvent(leaving=(s.members[1], s.members[3]))),
+    ]
+    for position, (kind, build) in enumerate(events, start=1):
+        result = protocol.apply_event(
+            state, build(state), medium=medium, seed=seed * 10 + position, engine=engine
+        )
+        state = result.state
+        steps.append(_latency_step(kind, result))
+    captured = _capture_medium(medium)
+    return {
+        "steps": steps,
+        "medium": {
+            "messages": len(captured["transcript"]),
+            "transcript": _digest(captured["transcript"]),
+            "attempts": _digest(captured["attempts"]),
+            "total_bits": captured["total_bits"],
+            "total_bits_with_retries": captured["total_bits_with_retries"],
+        },
+    }
+
+
 def flat_protocols() -> List[str]:
     """The registry's flat protocols — the ones the golden capture pins.
 
@@ -194,6 +275,9 @@ def run_workloads() -> Dict[str, object]:
             "lossless": _lossless_run(protocol_name),
             "lossy": _lossy_run(protocol_name),
             "events": _event_chain(protocol_name),
+            "latency": {
+                f"seed-{seed:02d}": _latency_run(protocol_name, seed) for seed in LATENCY_SEEDS
+            },
         }
     return capture
 

@@ -10,7 +10,10 @@ per-node energy ledgers, same lossy-retry attempt counts.
 ``equivalence_workloads.py`` against the seed code *before* the refactor; the
 tests here re-run the identical workloads against the current code and
 compare section by section so a regression names the protocol, workload and
-section that diverged.
+section that diverged.  The ``latency`` workload was captured later, from
+the code just before the BD round machines were merged into one; it pins
+latency mode on a lossy multi-hop medium, where Round-2 copies overtake
+Round 1, once per seed.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ with open(_FIXTURE_PATH, encoding="utf-8") as _handle:
     GOLDEN = json.load(_handle)
 
 #: Computed once for the whole module: the workloads cover all nine registry
-#: protocols under lossless, lossy and dynamic-event conditions.
+#: protocols under lossless, lossy, dynamic-event and latency-mode conditions.
 CURRENT = json.loads(json.dumps(run_workloads()))
 
 PROTOCOLS = sorted(GOLDEN)
-WORKLOADS = ("lossless", "lossy", "events")
+WORKLOADS = ("lossless", "lossy", "events", "latency")
 
 
 def test_workloads_cover_all_flat_registry_protocols():
