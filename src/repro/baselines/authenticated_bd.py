@@ -14,10 +14,10 @@ BD rounds are unchanged; authentication is added the intuitive way:
   verification involves pairings and a MapToPoint of the signer's identity,
   which is what makes it the most expensive column of Figure 1.
 
-The run executes as one :class:`~repro.engine.machine.PartyMachine` per
-member, following the plain-BD two-hook shape with signing layered onto the
-Round-2 emission and the ``n - 1`` verifications performed when the Round-2
-view completes.
+The run executes as one :class:`~repro.core.base.BDRoundMachine` per member,
+which runs the BD rounds; this module adds only the authentication layer:
+the certificate in Round 1, the signature in Round 2, and the ``n - 1``
+verifications (one batch) when the Round-2 view completes.
 
 Cost accounting notes: certificate verifications are priced as one signature
 verification of the CA's scheme (that is what they are); the per-user
@@ -30,31 +30,20 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..engine.executor import EngineStats
-from ..engine.machine import MachinePlan, Outbound, PartyMachine
+from ..engine.machine import MachinePlan, Outbound
 from ..exceptions import ParameterError, SignatureError, VerificationError
 from ..groups.pairing import SimulatedPairingGroup
 from ..mathutils.rand import DeterministicRNG
 from ..mathutils.serialization import encode_fields, int_to_bytes
 from ..network.medium import BroadcastMedium
-from ..network.message import Message, MessagePart, group_element_part, identity_part, signature_part
-from ..network.node import Node
+from ..network.message import Message, MessagePart, signature_part
 from ..network.topology import RingTopology
 from ..pki.ca import Certificate, CertificateAuthority
 from ..pki.identity import Identity
 from ..pki.pkg import SOKPrivateKeyGenerator
 from ..signatures.dsa import DSASignatureScheme
 from ..signatures.ecdsa import ECDSASignatureScheme
-from ..signatures.sok import SOKSignatureScheme
-from ..core.base import (
-    GroupState,
-    PartyState,
-    Protocol,
-    ProtocolResult,
-    SystemSetup,
-    compute_bd_key,
-    compute_bd_x_value,
-)
+from ..core.base import BDRoundMachine, PartyState, Protocol, SystemSetup
 from ..core.registry import register_protocol
 
 __all__ = ["AuthenticatedBDProtocol", "SUPPORTED_SCHEMES"]
@@ -62,8 +51,11 @@ __all__ = ["AuthenticatedBDProtocol", "SUPPORTED_SCHEMES"]
 SUPPORTED_SCHEMES = ("sok", "ecdsa", "dsa")
 
 
-class _AuthBDPartyMachine(PartyMachine):
+class _AuthBDPartyMachine(BDRoundMachine):
     """One member's view of sign-all authenticated BD."""
+
+    round1_label = "authbd-round1"
+    round2_label = "authbd-round2"
 
     def __init__(
         self,
@@ -72,73 +64,32 @@ class _AuthBDPartyMachine(PartyMachine):
         ring: RingTopology,
         signing_key: object,
     ) -> None:
-        super().__init__(party.identity, party.node)
+        super().__init__(party, protocol.setup, ring)
         self.protocol = protocol
-        self.party = party
-        self.ring = ring
         self.signing_key = signing_key
-        self._ring_names = [m.name for m in ring.members]
-        self._z_view: Dict[str, int] = {}
         self._certs: Dict[str, Certificate] = {}
         self._round2: Dict[str, Tuple[int, object]] = {}
         self._z_product: Optional[int] = None
-        self._x_table: Dict[str, int] = {}
-        self._round1_complete = False
-        self._round2_buffer: List[Message] = []
 
-    def start(self, now: float) -> List[Outbound]:
-        group = self.protocol.setup.group
-        party = self.party
-        party.r = group.random_exponent(party.rng)
-        party.z = group.exp_g(party.r)
-        party.recorder.record_operation("modexp")
-        self._z_view[self.identity.name] = party.z
-        self.waiting_for = "authbd-round1"
-        parts = [
-            identity_part(self.identity),
-            group_element_part("z", party.z, group.element_bits),
-        ]
+    # --------------------------------------------------------------- round 1
+    def _round1_parts(self) -> List[MessagePart]:
+        if not self.protocol.uses_certificates:
+            return []
+        certificate = self.protocol.certificate_for(self.identity)
+        return [MessagePart("certificate", certificate, certificate.wire_bits)]
+
+    def _take_round1(self, message: Message) -> bool:
         if self.protocol.uses_certificates:
-            certificate = self.protocol.certificate_for(self.identity)
-            parts.append(MessagePart("certificate", certificate, certificate.wire_bits))
-        return [Outbound(Message.broadcast(self.identity, "authbd-round1", parts))]
-
-    def on_message(self, message: Message, now: float) -> List[Outbound]:
-        if message.round_label == "authbd-round1":
             sender: Identity = message.value("identity")  # type: ignore[assignment]
-            self._z_view[sender.name] = int(message.value("z"))
-            if self.protocol.uses_certificates:
-                self._certs[sender.name] = message.value("certificate")  # type: ignore[assignment]
-            if len(self._z_view) != self.ring.size:
-                return []
-            self._round1_complete = True
-            outs = self._emit_round2(now)
-            buffered, self._round2_buffer = self._round2_buffer, []
-            for held in buffered:
-                outs.extend(self.on_message(held, now))
-            return outs
-        if message.round_label == "authbd-round2":
-            if not self._round1_complete:
-                self._round2_buffer.append(message)
-                return []
-            sender = message.value("identity")  # type: ignore[assignment]
-            self._round2[sender.name] = (int(message.value("X")), message.value("signature"))
-            if len(self._round2) == self.ring.size - 1:
-                self._verify_and_derive(now)
-        return []
+            self._certs[sender.name] = message.value("certificate")  # type: ignore[assignment]
+        return super()._take_round1(message)
 
     # --------------------------------------------------------------- round 2
-    def _emit_round2(self, now: float) -> List[Outbound]:
-        group = self.protocol.setup.group
+    def _round2_parts(self, x_value: int) -> List[MessagePart]:
         party = self.party
-        left = self.ring.left_neighbour(self.identity)
-        right = self.ring.right_neighbour(self.identity)
-        x_value = compute_bd_x_value(
-            group, self._z_view[right.name], self._z_view[left.name], party.r
+        self._z_product = self.setup.group.product(
+            self._z_view[name] for name in sorted(self._z_view)
         )
-        party.recorder.record_operation("modexp")
-        self._z_product = group.product(self._z_view[name] for name in sorted(self._z_view))
-        self._x_table[self.identity.name] = x_value
         body = encode_fields(
             [
                 self.identity.to_bytes(),
@@ -149,24 +100,21 @@ class _AuthBDPartyMachine(PartyMachine):
         )
         signature = self.protocol.signature_scheme.sign(self.signing_key, body, party.rng)
         party.recorder.record_signature(self.protocol.scheme_name, "gen")
-        self.waiting_for = "authbd-round2"
-        return [
-            Outbound(
-                Message.broadcast(
-                    self.identity,
-                    "authbd-round2",
-                    [
-                        identity_part(self.identity),
-                        group_element_part("X", x_value, group.element_bits),
-                        signature_part(signature),
-                    ],
-                )
-            )
-        ]
+        return [signature_part(signature)]
+
+    def _on_round2(self, message: Message) -> List[Outbound]:
+        sender: Identity = message.value("identity")  # type: ignore[assignment]
+        self._round2[sender.name] = (int(message.value("X")), message.value("signature"))
+        if len(self._round2) == self.ring.size - 1:
+            self._verify_round2()
+            self._derive_key()
+            self.finished = True
+            self.waiting_for = None
+        return []
 
     # ----------------------------------------------------------- verification
-    def _verify_and_derive(self, now: float) -> None:
-        group = self.protocol.setup.group
+    def _verify_round2(self) -> None:
+        """Check the certificates and signatures, then take the X values."""
         party = self.party
         assert self._z_product is not None
         # Certificates first (per sender), then the n-1 signatures as one
@@ -215,12 +163,6 @@ class _AuthBDPartyMachine(PartyMachine):
                     f"{self.identity.name} rejected {sender_name}'s signature"
                 )
             self._x_table[sender_name] = self._round2[sender_name][0]
-        party.group_key = compute_bd_key(
-            group, self._ring_names, self.identity.name, party.r, self._z_view, self._x_table
-        )
-        party.recorder.record_operation("modexp")
-        self.finished = True
-        self.waiting_for = None
 
 
 class AuthenticatedBDProtocol(Protocol):
@@ -306,46 +248,21 @@ class AuthenticatedBDProtocol(Protocol):
         seed: object = 0,
         **kwargs: object,
     ) -> MachinePlan:
-        """Decompose authenticated BD into per-member machines."""
-        if kwargs:
-            raise ParameterError(f"unknown run options: {sorted(kwargs)}")
-        if len(members) < 2:
-            raise ParameterError("the GKA needs at least two members")
-        ring = RingTopology(members)
-        rng = DeterministicRNG(seed, label=self.name)
-        parties: Dict[str, PartyState] = {}
-        signing_keys: Dict[str, object] = {}
-        for identity in members:
-            signing_keys[identity.name] = self._provision(identity)
-            gq_key = self.setup.enroll(identity)  # identities stay registered with the PKG too
-            node = Node(identity)
-            medium.attach(node)
-            parties[identity.name] = PartyState(
-                identity=identity,
-                private_key=gq_key,
-                rng=rng.fork(f"party/{identity.name}"),
-                node=node,
-            )
-        machines = [
-            _AuthBDPartyMachine(
-                self, parties[identity.name], ring, signing_keys[identity.name]
-            )
-            for identity in ring.members
-        ]
+        """Decompose authenticated BD into per-member machines.
 
-        def finish(stats: EngineStats) -> ProtocolResult:
-            state = GroupState(setup=self.setup, ring=ring, parties=parties)
-            state.group_key = parties[ring.controller().name].group_key
-            return ProtocolResult(
-                protocol=self.name,
-                state=state,
-                medium=medium,
-                rounds=2,
-                sim_latency_s=stats.sim_time_s,
-                timeouts=stats.timeouts,
-            )
-
-        return MachinePlan(machines=machines, finish=finish, rounds=2)
+        Members stay registered with the GQ PKG too, as in every flat
+        establishment; the signing keys come from :meth:`_provision`.
+        """
+        return self._flat_plan(
+            members,
+            medium,
+            seed,
+            kwargs,
+            self.name,
+            lambda party, ring: _AuthBDPartyMachine(
+                self, party, ring, self._provision(party.identity)
+            ),
+        )
 
     # ----------------------------------------------------------------- helper
     def decode_certified_key(self, certificate: Certificate):

@@ -7,134 +7,31 @@ adversary can insert itself — which is exactly why the paper and all four of
 its baselines add signatures on top.  It is included both as the building
 block of the authenticated variants and as the cost floor in the analysis.
 
-Execution is one :class:`~repro.engine.machine.PartyMachine` per member:
+Execution is one :class:`~repro.core.base.BDRoundMachine` per member, as is:
 Round 1 from ``start``, Round 2 on Round-1 completeness, key derivation on
-Round-2 completeness.  This two-hook shape is the template every
-authenticated variant elaborates.
+Round-2 completeness.  That machine is the template every authenticated
+variant elaborates — SSN, the signed baselines, and the proposed GKA and its
+rekey all subclass it — so this module only names the rounds.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
-from ..engine.executor import EngineStats
-from ..engine.machine import MachinePlan, Outbound, PartyMachine
-from ..exceptions import ParameterError
-from ..mathutils.rand import DeterministicRNG
+from ..engine.machine import MachinePlan
 from ..network.medium import BroadcastMedium
-from ..network.message import Message, group_element_part, identity_part
-from ..network.node import Node
-from ..network.topology import RingTopology
 from ..pki.identity import Identity
-from ..core.base import (
-    GroupState,
-    PartyState,
-    Protocol,
-    ProtocolResult,
-    SystemSetup,
-    compute_bd_key,
-    compute_bd_x_value,
-)
+from ..core.base import BDRoundMachine, Protocol
 from ..core.registry import register_protocol
 
 __all__ = ["BurmesterDesmedtProtocol"]
 
 
-class _BDPartyMachine(PartyMachine):
+class _BDPartyMachine(BDRoundMachine):
     """One member's view of plain two-round BD."""
 
-    def __init__(
-        self,
-        party: PartyState,
-        setup: SystemSetup,
-        ring: RingTopology,
-    ) -> None:
-        super().__init__(party.identity, party.node)
-        self.party = party
-        self.setup = setup
-        self.ring = ring
-        self._ring_names = [m.name for m in ring.members]
-        self._z_view: Dict[str, int] = {}
-        self._x_table: Dict[str, int] = {}
-        self._round1_complete = False
-        self._round2_buffer: List[Message] = []
-
-    def start(self, now: float) -> List[Outbound]:
-        group = self.setup.group
-        party = self.party
-        party.r = group.random_exponent(party.rng)
-        party.z = group.exp_g(party.r)
-        party.recorder.record_operation("modexp")
-        self._z_view[self.identity.name] = party.z
-        self.waiting_for = "bd-round1"
-        return [
-            Outbound(
-                Message.broadcast(
-                    self.identity,
-                    "bd-round1",
-                    [
-                        identity_part(self.identity),
-                        group_element_part("z", party.z, group.element_bits),
-                    ],
-                )
-            )
-        ]
-
-    def on_message(self, message: Message, now: float) -> List[Outbound]:
-        if message.round_label == "bd-round1":
-            sender: Identity = message.value("identity")  # type: ignore[assignment]
-            self._z_view[sender.name] = int(message.value("z"))
-            if len(self._z_view) != self.ring.size:
-                return []
-            self._round1_complete = True
-            outs = self._emit_round2(now)
-            buffered, self._round2_buffer = self._round2_buffer, []
-            for held in buffered:
-                outs.extend(self.on_message(held, now))
-            return outs
-        if message.round_label == "bd-round2":
-            if not self._round1_complete:
-                self._round2_buffer.append(message)
-                return []
-            sender = message.value("identity")  # type: ignore[assignment]
-            self._x_table[sender.name] = int(message.value("X"))
-            if len(self._x_table) == self.ring.size:
-                self._derive_key(now)
-        return []
-
-    def _emit_round2(self, now: float) -> List[Outbound]:
-        group = self.setup.group
-        party = self.party
-        left = self.ring.left_neighbour(self.identity)
-        right = self.ring.right_neighbour(self.identity)
-        x_value = compute_bd_x_value(
-            group, self._z_view[right.name], self._z_view[left.name], party.r
-        )
-        party.recorder.record_operation("modexp")
-        self._x_table[self.identity.name] = x_value
-        self.waiting_for = "bd-round2"
-        return [
-            Outbound(
-                Message.broadcast(
-                    self.identity,
-                    "bd-round2",
-                    [
-                        identity_part(self.identity),
-                        group_element_part("X", x_value, group.element_bits),
-                    ],
-                )
-            )
-        ]
-
-    def _derive_key(self, now: float) -> None:
-        group = self.setup.group
-        party = self.party
-        party.group_key = compute_bd_key(
-            group, self._ring_names, self.identity.name, party.r, self._z_view, self._x_table
-        )
-        party.recorder.record_operation("modexp")
-        self.finished = True
-        self.waiting_for = None
+    round1_label = "bd-round1"
+    round2_label = "bd-round2"
 
 
 class BurmesterDesmedtProtocol(Protocol):
@@ -155,41 +52,14 @@ class BurmesterDesmedtProtocol(Protocol):
         **kwargs: object,
     ) -> MachinePlan:
         """Decompose plain BD into per-member machines."""
-        if kwargs:
-            raise ParameterError(f"unknown run options: {sorted(kwargs)}")
-        if len(members) < 2:
-            raise ParameterError("the GKA needs at least two members")
-        ring = RingTopology(members)
-        rng = DeterministicRNG(seed, label="bd")
-        parties: Dict[str, PartyState] = {}
-        for identity in members:
-            key = self.setup.enroll(identity)
-            node = Node(identity)
-            medium.attach(node)
-            parties[identity.name] = PartyState(
-                identity=identity,
-                private_key=key,
-                rng=rng.fork(f"party/{identity.name}"),
-                node=node,
-            )
-        machines = [
-            _BDPartyMachine(parties[identity.name], self.setup, ring)
-            for identity in ring.members
-        ]
-
-        def finish(stats: EngineStats) -> ProtocolResult:
-            state = GroupState(setup=self.setup, ring=ring, parties=parties)
-            state.group_key = parties[ring.controller().name].group_key
-            return ProtocolResult(
-                protocol=self.name,
-                state=state,
-                medium=medium,
-                rounds=2,
-                sim_latency_s=stats.sim_time_s,
-                timeouts=stats.timeouts,
-            )
-
-        return MachinePlan(machines=machines, finish=finish, rounds=2)
+        return self._flat_plan(
+            members,
+            medium,
+            seed,
+            kwargs,
+            "bd",
+            lambda party, ring: _BDPartyMachine(party, self.setup, ring),
+        )
 
 
 register_protocol("bd-unauthenticated", BurmesterDesmedtProtocol, aliases=("bd",))

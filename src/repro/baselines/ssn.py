@@ -20,12 +20,13 @@ functional ID-based variant with the same structure and the same cost profile:
   Table 1 does for this scheme), so the complexity and energy comparison
   reproduce the paper's O(n)-exponentiation behaviour faithfully.
 
-Execution is one :class:`~repro.engine.machine.PartyMachine` per member in
-the plain-BD two-hook shape; the per-member authenticator checks run when the
-Round-1 view completes.  The check is a pure function of the broadcast
-``(sender, z, t, s)`` that every receiver evaluates identically, so its
-*outcome* is memoised per run in a table shared by the machines; each
-receiver still records its own two exponentiations.
+Execution is one :class:`~repro.core.base.BDRoundMachine` per member, which
+runs the BD rounds; this module adds only the authenticators (``t_i``, ``s_i``
+in Round 1) and their check, which runs when the Round-1 view completes.
+The check is a pure function of the broadcast ``(sender, z, t, s)`` that
+every receiver evaluates identically, so its *outcome* is memoised per run
+in a table shared by the machines; each receiver still records its own two
+exponentiations.
 
 This preserves everything the paper evaluates about SSN — linear-in-``n``
 exponentiation count, two broadcast rounds, no certificates or explicit
@@ -34,35 +35,27 @@ signatures — which is the role the baseline plays in Table 1 and Figure 1.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..engine.executor import EngineStats
-from ..engine.machine import MachinePlan, Outbound, PartyMachine
-from ..exceptions import ParameterError, VerificationError
+from ..engine.machine import MachinePlan
+from ..exceptions import VerificationError
 from ..mathutils.modular import modinv
-from ..mathutils.rand import DeterministicRNG
 from ..mathutils.serialization import int_to_bytes
 from ..network.medium import BroadcastMedium
-from ..network.message import Message, group_element_part, identity_part
-from ..network.node import Node
+from ..network.message import Message, MessagePart, group_element_part
 from ..network.topology import RingTopology
 from ..pki.identity import Identity
-from ..core.base import (
-    GroupState,
-    PartyState,
-    Protocol,
-    ProtocolResult,
-    SystemSetup,
-    compute_bd_key,
-    compute_bd_x_value,
-)
+from ..core.base import BDRoundMachine, PartyState, Protocol, SystemSetup
 from ..core.registry import register_protocol
 
 __all__ = ["SSNProtocol"]
 
 
-class _SSNPartyMachine(PartyMachine):
+class _SSNPartyMachine(BDRoundMachine):
     """One member's view of the SSN-style ID-based BD."""
+
+    round1_label = "ssn-round1"
+    round2_label = "ssn-round2"
 
     def __init__(
         self,
@@ -71,79 +64,41 @@ class _SSNPartyMachine(PartyMachine):
         ring: RingTopology,
         check_cache: Dict[tuple, bool],
     ) -> None:
-        super().__init__(party.identity, party.node)
-        self.party = party
-        self.setup = setup
-        self.ring = ring
+        super().__init__(party, setup, ring)
         self.check_cache = check_cache
-        self._ring_names = [m.name for m in ring.members]
-        #: sender -> (z, t, s) from Round 1, in arrival order
+        #: sender -> (identity, z, t, s) from Round 1, in arrival order
         self._round1: Dict[str, Tuple[Identity, int, int, int]] = {}
-        self._z_view: Dict[str, int] = {}
-        self._x_table: Dict[str, int] = {}
-        self._round1_complete = False
-        self._round2_buffer: List[Message] = []
 
-    def start(self, now: float) -> List[Outbound]:
-        group = self.setup.group
+    def _round1_parts(self) -> List[MessagePart]:
         params = self.setup.gq_params
         party = self.party
-        party.r = group.random_exponent(party.rng)
-        party.z = group.exp_g(party.r)
         tau = party.rng.zn_star(params.n)
         t_value = pow(tau, params.e, params.n)
         challenge = params.hash_function.challenge(
             self.identity.to_bytes(), int_to_bytes(party.z), int_to_bytes(t_value)
         )
         s_value = (tau * pow(party.private_key.secret, challenge, params.n)) % params.n
-        party.recorder.record_operation("modexp", 3)  # z_i, t_i, S_ID^c
-        self._z_view[self.identity.name] = party.z
-        self.waiting_for = "ssn-round1"
+        party.recorder.record_operation("modexp", 2)  # t_i, S_ID^c
         return [
-            Outbound(
-                Message.broadcast(
-                    self.identity,
-                    "ssn-round1",
-                    [
-                        identity_part(self.identity),
-                        group_element_part("z", party.z, group.element_bits),
-                        group_element_part("t", t_value, params.modulus_bits),
-                        group_element_part("s", s_value, params.modulus_bits),
-                    ],
-                )
-            )
+            group_element_part("t", t_value, params.modulus_bits),
+            group_element_part("s", s_value, params.modulus_bits),
         ]
 
-    def on_message(self, message: Message, now: float) -> List[Outbound]:
-        if message.round_label == "ssn-round1":
-            sender: Identity = message.value("identity")  # type: ignore[assignment]
-            self._round1[sender.name] = (
-                sender,
-                int(message.value("z")),
-                int(message.value("t")),
-                int(message.value("s")),
-            )
-            if len(self._round1) != self.ring.size - 1:
-                return []
-            self._verify_authenticators(now)
-            self._round1_complete = True
-            outs = self._emit_round2(now)
-            buffered, self._round2_buffer = self._round2_buffer, []
-            for held in buffered:
-                outs.extend(self.on_message(held, now))
-            return outs
-        if message.round_label == "ssn-round2":
-            if not self._round1_complete:
-                self._round2_buffer.append(message)
-                return []
-            sender = message.value("identity")  # type: ignore[assignment]
-            self._x_table[sender.name] = int(message.value("X"))
-            if len(self._x_table) == self.ring.size:
-                self._derive_key(now)
-        return []
+    def _take_round1(self, message: Message) -> bool:
+        sender: Identity = message.value("identity")  # type: ignore[assignment]
+        self._round1[sender.name] = (
+            sender,
+            int(message.value("z")),
+            int(message.value("t")),
+            int(message.value("s")),
+        )
+        if len(self._round1) != self.ring.size - 1:
+            return False
+        self._verify_authenticators()
+        return True
 
     # ------------------------------------------------------- authentication
-    def _verify_authenticators(self, now: float) -> None:
+    def _verify_authenticators(self) -> None:
         params = self.setup.gq_params
         party = self.party
         for sender, z_value, t_value, s_value in self._round1.values():
@@ -166,41 +121,6 @@ class _SSNPartyMachine(PartyMachine):
                 )
             self._z_view[sender.name] = z_value
 
-    # --------------------------------------------------------------- round 2
-    def _emit_round2(self, now: float) -> List[Outbound]:
-        group = self.setup.group
-        party = self.party
-        left = self.ring.left_neighbour(self.identity)
-        right = self.ring.right_neighbour(self.identity)
-        x_value = compute_bd_x_value(
-            group, self._z_view[right.name], self._z_view[left.name], party.r
-        )
-        party.recorder.record_operation("modexp")
-        self._x_table[self.identity.name] = x_value
-        self.waiting_for = "ssn-round2"
-        return [
-            Outbound(
-                Message.broadcast(
-                    self.identity,
-                    "ssn-round2",
-                    [
-                        identity_part(self.identity),
-                        group_element_part("X", x_value, group.element_bits),
-                    ],
-                )
-            )
-        ]
-
-    def _derive_key(self, now: float) -> None:
-        group = self.setup.group
-        party = self.party
-        party.group_key = compute_bd_key(
-            group, self._ring_names, self.identity.name, party.r, self._z_view, self._x_table
-        )
-        party.recorder.record_operation("modexp")
-        self.finished = True
-        self.waiting_for = None
-
 
 class SSNProtocol(Protocol):
     """ID-based BD with per-member implicit authentication (the SSN baseline).
@@ -220,42 +140,15 @@ class SSNProtocol(Protocol):
         **kwargs: object,
     ) -> MachinePlan:
         """Decompose the SSN-style protocol into per-member machines."""
-        if kwargs:
-            raise ParameterError(f"unknown run options: {sorted(kwargs)}")
-        if len(members) < 2:
-            raise ParameterError("the GKA needs at least two members")
-        ring = RingTopology(members)
-        rng = DeterministicRNG(seed, label="ssn")
-        parties: Dict[str, PartyState] = {}
-        for identity in members:
-            key = self.setup.enroll(identity)
-            node = Node(identity)
-            medium.attach(node)
-            parties[identity.name] = PartyState(
-                identity=identity,
-                private_key=key,
-                rng=rng.fork(f"party/{identity.name}"),
-                node=node,
-            )
         check_cache: Dict[tuple, bool] = {}
-        machines = [
-            _SSNPartyMachine(parties[identity.name], self.setup, ring, check_cache)
-            for identity in ring.members
-        ]
-
-        def finish(stats: EngineStats) -> ProtocolResult:
-            state = GroupState(setup=self.setup, ring=ring, parties=parties)
-            state.group_key = parties[ring.controller().name].group_key
-            return ProtocolResult(
-                protocol=self.name,
-                state=state,
-                medium=medium,
-                rounds=2,
-                sim_latency_s=stats.sim_time_s,
-                timeouts=stats.timeouts,
-            )
-
-        return MachinePlan(machines=machines, finish=finish, rounds=2)
+        return self._flat_plan(
+            members,
+            medium,
+            seed,
+            kwargs,
+            "ssn",
+            lambda party, ring: _SSNPartyMachine(party, self.setup, ring, check_cache),
+        )
 
 
 register_protocol("ssn", SSNProtocol)

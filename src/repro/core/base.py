@@ -13,34 +13,46 @@ its four dynamic protocols and the baselines have in common:
   and each member's :class:`PartyState`;
 * :class:`ProtocolResult` — what a protocol run returns (keys per member,
   the new group state, the medium transcript);
+* :class:`Protocol` — the strategy interface, with the enrollment loop of
+  every flat establishment (:meth:`Protocol._flat_plan`) and the two-round
+  plan that keeps the controller's key (:func:`two_round_plan`);
 * the Burmester–Desmedt algebra: computing ``X_i`` values and the group key
-  from them, shared verbatim between the proposed protocol, the plain BD
-  baseline, and the Leave/Partition protocols.
+  from them;
+* the Burmester–Desmedt round machine, :class:`BDRoundMachine`: draw
+  ``r_i``, broadcast ``z_i``, collect the z view, hold Round-2 copies that
+  overtake Round 1 and replay them, broadcast ``X_i``, derive ``K``.  The
+  proposed GKA, its Leave/Partition rekey and every BD baseline run it;
+  each adds only its authentication layer.  :class:`GQRoundMachine` is the
+  layer the proposed GKA and its rekey share: the batch-verified GQ
+  signature over both rounds, with the controller transmitting last.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..energy.accounting import CostRecorder, DeviceProfile
-from ..engine.executor import EngineConfig, drive_plan
-from ..engine.machine import MachinePlan
+from ..engine.executor import EngineConfig, EngineStats, drive_plan
+from ..engine.machine import MachinePlan, Outbound, PartyMachine
 from ..exceptions import KeyConfirmationError, ParameterError, ProtocolError
 from ..groups.params import PAPER_GQ_SET, PAPER_SCHNORR_SET, get_gq_modulus, get_schnorr_group
 from ..groups.schnorr import SchnorrGroup
 from ..hashing.hashfuncs import HashFunction
 from ..backends.registry import active_backend
+from ..mathutils.modular import product_mod
 from ..mathutils.primes import RSAModulus, generate_rsa_modulus, generate_schnorr_parameters
 from ..mathutils.rand import DeterministicRNG
+from ..mathutils.serialization import int_to_bytes
 from ..network.events import MembershipEvent, membership_after
 from ..network.medium import BroadcastMedium
+from ..network.message import Message, MessagePart, group_element_part, identity_part
 from ..network.node import Node
 from ..network.topology import RingTopology
 from ..pki.identity import Identity, IdentityRegistry
 from ..pki.pkg import PrivateKeyGenerator
-from ..signatures.gq import GQParameters, GQPrivateKey
+from ..signatures.gq import GQParameters, GQPrivateKey, gq_commitment, gq_response
 
 __all__ = [
     "SystemSetup",
@@ -48,9 +60,12 @@ __all__ = [
     "GroupState",
     "ProtocolResult",
     "Protocol",
+    "two_round_plan",
     "compute_bd_x_value",
     "compute_bd_key",
     "verify_x_product",
+    "BDRoundMachine",
+    "GQRoundMachine",
 ]
 
 
@@ -336,6 +351,43 @@ class Protocol(abc.ABC):
         assembles the :class:`ProtocolResult` from the engine's statistics.
         """
 
+    def _flat_plan(
+        self,
+        members: Sequence[Identity],
+        medium: BroadcastMedium,
+        seed: object,
+        options: Mapping[str, object],
+        rng_label: str,
+        machine: Callable[[PartyState, RingTopology], PartyMachine],
+    ) -> MachinePlan:
+        """The plan of a flat establishment: one ``machine`` per member.
+
+        Each member is enrolled with the PKG, gets a node on ``medium`` and
+        an RNG stream forked from ``DeterministicRNG(seed, label=rng_label)``;
+        the machines are listed in ring order, the controller first.
+        ``options`` are the caller's unrecognised run options, which are an
+        error.
+        """
+        if options:
+            raise ParameterError(f"unknown run options: {sorted(options)}")
+        if len(members) < 2:
+            raise ParameterError("the GKA needs at least two members")
+        ring = RingTopology(members)
+        rng = DeterministicRNG(seed, label=rng_label)
+        parties: Dict[str, PartyState] = {}
+        for identity in members:
+            key = self.setup.enroll(identity)
+            node = Node(identity)
+            medium.attach(node)
+            parties[identity.name] = PartyState(
+                identity=identity,
+                private_key=key,
+                rng=rng.fork(f"party/{identity.name}"),
+                node=node,
+            )
+        machines = [machine(parties[identity.name], ring) for identity in ring.members]
+        return two_round_plan(self.setup, self.name, ring, parties, medium, machines)
+
     def run(
         self,
         members: Sequence[Identity],
@@ -419,6 +471,35 @@ class Protocol(abc.ABC):
         return f"{self.name} (native dynamic events: {native})"
 
 
+def two_round_plan(
+    setup: SystemSetup,
+    protocol: str,
+    ring: RingTopology,
+    parties: Dict[str, PartyState],
+    medium: BroadcastMedium,
+    machines: List[PartyMachine],
+) -> MachinePlan:
+    """A two-round plan whose result keeps the controller's key as the group key."""
+
+    def finish(stats: EngineStats) -> ProtocolResult:
+        state = GroupState(
+            setup=setup,
+            ring=ring,
+            parties=parties,
+            group_key=parties[ring.controller().name].group_key,
+        )
+        return ProtocolResult(
+            protocol=protocol,
+            state=state,
+            medium=medium,
+            rounds=2,
+            sim_latency_s=stats.sim_time_s,
+            timeouts=stats.timeouts,
+        )
+
+    return MachinePlan(machines=machines, finish=finish, rounds=2)
+
+
 # ---------------------------------------------------------------------------
 # Burmester–Desmedt algebra
 # ---------------------------------------------------------------------------
@@ -486,3 +567,232 @@ def verify_x_product(group: SchnorrGroup, x_values: Sequence[int]) -> bool:
     Round 2 keying material before deriving a key from it.
     """
     return group.product(x_values) == 1
+
+
+# ---------------------------------------------------------------------------
+# Burmester–Desmedt round machines
+# ---------------------------------------------------------------------------
+
+class BDRoundMachine(PartyMachine):
+    """One member's view of a two-round Burmester–Desmedt run.
+
+    Round 1 broadcasts ``U_i || z_i`` with ``z_i = g^{r_i}``.  Once the
+    member's z view is complete, Round 2 broadcasts ``U_i || X_i`` with
+    ``X_i = (z_{i+1}/z_{i-1})^{r_i}``, and once its X view is complete the
+    member derives ``K``.  Latency mode can reorder rounds across multi-hop
+    paths, so a Round-2 copy that arrives before the z view is complete is
+    held, then replayed through :meth:`on_message` when it completes.
+
+    As is, this is plain BD.  An authenticated variant subclasses it, sets
+    :attr:`round1_label` and :attr:`round2_label`, and adds its layer by
+    overriding the steps: :meth:`_round1_parts` and :meth:`_round2_parts`
+    (what follows ``z_i`` and ``X_i`` on the wire), :meth:`_take_round1`
+    (store one Round-1 message; say whether the z view is complete),
+    :meth:`_after_round1` (what a complete z view triggers) and
+    :meth:`_on_round2` (take one Round-2 message).  A subclass may replace a
+    hook (the rekey replaces ``start``) but never chains to the inherited
+    one, so every kernel action runs exactly one hook.
+    """
+
+    #: round labels on the wire (set by every subclass)
+    round1_label: str
+    round2_label: str
+
+    def __init__(self, party: PartyState, setup: SystemSetup, ring: RingTopology) -> None:
+        super().__init__(party.identity, party.node)
+        self.party = party
+        self.setup = setup
+        self.ring = ring
+        self._ring_names = [m.name for m in ring.members]
+        self._z_view: Dict[str, int] = {}
+        self._x_table: Dict[str, int] = {}
+        self._round1_complete = False
+        self._held: List[Message] = []
+
+    # ----------------------------------------------------------------- hooks
+    def start(self, now: float) -> List[Outbound]:
+        self.waiting_for = self.round1_label
+        return [self._broadcast_round1()]
+
+    def on_message(self, message: Message, now: float) -> List[Outbound]:
+        label = message.round_label
+        if label == self.round1_label:
+            return self._complete_round1(now) if self._take_round1(message) else []
+        if label == self.round2_label:
+            if not self._round1_complete:
+                self._held.append(message)
+                return []
+            return self._on_round2(message)
+        return []
+
+    # --------------------------------------------------------------- round 1
+    def _broadcast_round1(self) -> Outbound:
+        group = self.setup.group
+        party = self.party
+        party.r = group.random_exponent(party.rng)
+        party.z = group.exp_g(party.r)
+        party.recorder.record_operation("modexp")  # z_i = g^{r_i}
+        self._z_view[self.identity.name] = party.z
+        parts = [
+            identity_part(self.identity),
+            group_element_part("z", party.z, group.element_bits),
+        ]
+        parts.extend(self._round1_parts())
+        return Outbound(Message.broadcast(self.identity, self.round1_label, parts))
+
+    def _round1_parts(self) -> List[MessagePart]:
+        return []
+
+    def _take_round1(self, message: Message) -> bool:
+        sender: Identity = message.value("identity")  # type: ignore[assignment]
+        self._z_view[sender.name] = int(message.value("z"))
+        return len(self._z_view) == self.ring.size
+
+    def _complete_round1(self, now: float) -> List[Outbound]:
+        self._round1_complete = True
+        outs = self._after_round1()
+        held, self._held = self._held, []
+        for message in held:
+            outs.extend(self.on_message(message, now))
+        return outs
+
+    def _after_round1(self) -> List[Outbound]:
+        return self._emit_round2()
+
+    # --------------------------------------------------------------- round 2
+    def _emit_round2(self) -> List[Outbound]:
+        group = self.setup.group
+        party = self.party
+        left = self.ring.left_neighbour(self.identity)
+        right = self.ring.right_neighbour(self.identity)
+        x_value = compute_bd_x_value(
+            group, self._z_view[right.name], self._z_view[left.name], party.r
+        )
+        party.recorder.record_operation("modexp")  # X_i
+        self._x_table[self.identity.name] = x_value
+        self.waiting_for = self.round2_label
+        parts = [
+            identity_part(self.identity),
+            group_element_part("X", x_value, group.element_bits),
+        ]
+        parts.extend(self._round2_parts(x_value))
+        return [Outbound(Message.broadcast(self.identity, self.round2_label, parts))]
+
+    def _round2_parts(self, x_value: int) -> List[MessagePart]:
+        return []
+
+    def _on_round2(self, message: Message) -> List[Outbound]:
+        sender: Identity = message.value("identity")  # type: ignore[assignment]
+        self._x_table[sender.name] = int(message.value("X"))
+        if len(self._x_table) == self.ring.size:
+            self._derive_key()
+            self.finished = True
+            self.waiting_for = None
+        return []
+
+    def _derive_key(self) -> None:
+        party = self.party
+        party.group_key = compute_bd_key(
+            self.setup.group,
+            self._ring_names,
+            self.identity.name,
+            party.r,
+            self._z_view,
+            self._x_table,
+        )
+        party.recorder.record_operation("modexp")  # K
+
+
+class GQRoundMachine(BDRoundMachine):
+    """BD authenticated by one batch-verified GQ signature over both rounds.
+
+    The proposed GKA (:mod:`repro.core.gka`) and its Leave/Partition rekey
+    (:mod:`repro.core.rekey`) share this layer.  Round 1 adds the GQ
+    commitment ``t_i = tau_i^e mod n``.  Round 2 adds the response
+    ``s_i = tau_i · S_{U_i}^c mod n`` to the common challenge
+    ``c = H(T, Z)``, where ``Z = prod z_j mod p`` and ``T = prod t_j mod n``.
+    The controller ``U_1`` broadcasts its Round 2 last, once it holds
+    everyone else's.  Each subclass writes :meth:`_verify`, because the two
+    protocols act differently on a failed check, and each calls its own
+    module's ``gq_batch_verify``.
+    """
+
+    def __init__(self, party: PartyState, setup: SystemSetup, ring: RingTopology) -> None:
+        super().__init__(party, setup, ring)
+        self.is_controller = ring.controller().name == party.identity.name
+        self._t_view: Dict[str, int] = {}
+        self._s_table: Dict[str, int] = {}
+        self._challenge: Optional[int] = None
+        self._aggregate: Optional[int] = None
+
+    def _round1_parts(self) -> List[MessagePart]:
+        params = self.setup.gq_params
+        party = self.party
+        party.tau, party.t = gq_commitment(params, party.rng)
+        self._t_view[self.identity.name] = party.t
+        return [group_element_part("t", party.t, params.modulus_bits)]
+
+    def _take_round1(self, message: Message) -> bool:
+        sender: Identity = message.value("identity")  # type: ignore[assignment]
+        self._t_view[sender.name] = int(message.value("t"))
+        return super()._take_round1(message)
+
+    def _after_round1(self) -> List[Outbound]:
+        if self.is_controller:
+            # U_1 broadcasts last: arm for the others' Round 2 first.
+            self.waiting_for = self.round2_label
+            return []
+        return self._emit_round2()
+
+    def _round2_parts(self, x_value: int) -> List[MessagePart]:
+        group = self.setup.group
+        params = self.setup.gq_params
+        party = self.party
+        big_z = group.product(self._z_view[name] for name in sorted(self._z_view))
+        big_t = product_mod((self._t_view[name] for name in sorted(self._t_view)), params.n)
+        challenge = params.hash_function.challenge(int_to_bytes(big_t), int_to_bytes(big_z))
+        party.recorder.record_operation("hash")
+        response = gq_response(params, party.private_key, party.tau, challenge)
+        party.recorder.record_signature("gq", "gen")
+        self._challenge = challenge
+        self._aggregate = big_z
+        self._s_table[self.identity.name] = response
+        return [group_element_part("s", response, params.modulus_bits)]
+
+    def _on_round2(self, message: Message) -> List[Outbound]:
+        sender: Identity = message.value("identity")  # type: ignore[assignment]
+        self._x_table[sender.name] = int(message.value("X"))
+        self._s_table[sender.name] = int(message.value("s"))
+        if self.is_controller and self.identity.name not in self._s_table:
+            if len(self._x_table) < self.ring.size - 1:
+                return []
+            # All the others have transmitted: the controller now computes,
+            # broadcasts (last) and verifies its own complete view.
+            outs = self._emit_round2()
+            self._verify()
+            return outs
+        if len(self._s_table) >= self.ring.size:
+            self._verify()
+        return []
+
+    def _batch_inputs(self) -> Tuple[List[bytes], List[int], int, bytes]:
+        """``gq_batch_verify``'s arguments after the parameters.
+
+        The identities and responses in ring order, the challenge, and the
+        encoded aggregate ``Z`` the challenge binds.
+        """
+        assert self._challenge is not None and self._aggregate is not None
+        return (
+            [member.to_bytes() for member in self.ring.members],
+            [self._s_table[name] for name in self._ring_names],
+            self._challenge,
+            int_to_bytes(self._aggregate),
+        )
+
+    def _lemma1_holds(self) -> bool:
+        """Lemma 1 over this member's X view: ``prod X_j = 1 mod p``."""
+        return verify_x_product(self.setup.group, [self._x_table[name] for name in self._ring_names])
+
+    @abc.abstractmethod
+    def _verify(self) -> None:
+        """Check the complete Round-2 view and derive ``K`` from it."""

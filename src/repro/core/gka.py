@@ -17,16 +17,19 @@ of the GQ ID-based signature scheme:
   (``prod X_j = 1 mod p``), and finally derives
   ``K = prod_j g^{r_j r_{j+1}} mod p``.
 
-The protocol executes as one :class:`~repro.engine.machine.PartyMachine` per
-member on the virtual-time event kernel: Round 1 is emitted from ``start``,
-Round 2 fires when a member's Round-1 view completes (the controller
-deliberately withholds its Round-2 broadcast until it has everyone else's,
-reproducing the paper's "U_1 transmits last").  On a failed batch check the
-paper has "all members retransmit again"; a shared round coordinator — the
-machine analogue of the synchronous implementation's shared verdict flag —
-collects every member's verification verdict and triggers a bounded
-retransmission round when any member rejected, so fault injection tests can
-exercise both the failure and the recovery path.
+The protocol executes as one :class:`~repro.core.base.GQRoundMachine` per
+member on the virtual-time event kernel — the BD round machine of
+:mod:`repro.core.base` with the batch-verified GQ layer this protocol shares
+with its Leave/Partition rekey: Round 1 is emitted from ``start``, Round 2
+fires when a member's Round-1 view completes (the controller deliberately
+withholds its Round-2 broadcast until it has everyone else's, reproducing the
+paper's "U_1 transmits last").  What is this module's own is the
+retransmission: on a failed batch check the paper has "all members
+retransmit again"; a shared round coordinator — the machine analogue of the
+synchronous implementation's shared verdict flag — collects every member's
+verification verdict and triggers a bounded retransmission round when any
+member rejected, so fault injection tests can exercise both the failure and
+the recovery path.
 
 Per-member cost accounting follows the paper's Table 1 vocabulary: three
 modular exponentiations (``z_i``, ``X_i`` and the final key derivation), one
@@ -38,12 +41,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..engine.executor import EngineConfig, EngineStats
-from ..engine.machine import MachinePlan, Outbound, PartyMachine
-from ..exceptions import BatchVerificationError, ParameterError, ProtocolError
-from ..mathutils.modular import product_mod
+from ..engine.executor import EngineConfig
+from ..engine.machine import MachinePlan, Outbound
+from ..exceptions import BatchVerificationError, ProtocolError
 from ..mathutils.rand import DeterministicRNG
-from ..mathutils.serialization import int_to_bytes
 from ..network.events import (
     JoinEvent,
     LeaveEvent,
@@ -52,20 +53,17 @@ from ..network.events import (
     PartitionEvent,
 )
 from ..network.medium import BroadcastMedium
-from ..network.message import Message, group_element_part, identity_part
-from ..network.node import Node
+from ..network.message import Message
 from ..network.topology import RingTopology
 from ..pki.identity import Identity
-from ..signatures.gq import gq_batch_verify, gq_commitment, gq_response
+from ..signatures.gq import gq_batch_verify
 from .base import (
+    GQRoundMachine,
     GroupState,
     PartyState,
     Protocol,
     ProtocolResult,
     SystemSetup,
-    compute_bd_key,
-    compute_bd_x_value,
-    verify_x_product,
 )
 from .registry import register_protocol
 
@@ -89,10 +87,10 @@ class _Round2Coordinator:
     retransmission budget is exhausted.
     """
 
-    def __init__(self, ring: RingTopology, max_retransmissions: int) -> None:
-        self.ring = ring
+    def __init__(self, max_retransmissions: int) -> None:
         self.max_retransmissions = max_retransmissions
         self.attempt = 0
+        #: every member's machine, set once the plan is built
         self.machines: List["_GkaPartyMachine"] = []
         self._verdicts: Dict[str, bool] = {}
 
@@ -103,7 +101,7 @@ class _Round2Coordinator:
     def report(self, machine: "_GkaPartyMachine", verdict: bool) -> None:
         """Record one member's verification verdict and resolve if complete."""
         self._verdicts[machine.identity.name] = verdict
-        if len(self._verdicts) < self.ring.size:
+        if len(self._verdicts) < len(self.machines):
             return
         if all(self._verdicts.values()):
             for member in self.machines:
@@ -126,8 +124,10 @@ class _Round2Coordinator:
                 member.context.wake(member, "retransmit-round2")
 
 
-class _GkaPartyMachine(PartyMachine):
+class _GkaPartyMachine(GQRoundMachine):
     """One member's view of the proposed two-round GKA."""
+
+    round1_label = "round1"
 
     def __init__(
         self,
@@ -137,174 +137,34 @@ class _GkaPartyMachine(PartyMachine):
         coordinator: _Round2Coordinator,
         tamper: Optional[TamperFunction],
     ) -> None:
-        super().__init__(party.identity, party.node)
-        self.party = party
-        self.setup = setup
-        self.ring = ring
+        super().__init__(party, setup, ring)
         self.coordinator = coordinator
         self.tamper = tamper
-        self.is_controller = ring.controller().name == party.identity.name
-        self._ring_names = [m.name for m in ring.members]
-        self._z_view: Dict[str, int] = {}
-        self._t_view: Dict[str, int] = {}
-        self._x_table: Dict[str, int] = {}
-        self._s_table: Dict[str, int] = {}
-        self._challenge: Optional[int] = None
-        self._aggregate: Optional[int] = None
-        self._round2_buffer: List[Message] = []
-        self._round1_complete = False
 
-    # ----------------------------------------------------------------- hooks
-    def start(self, now: float) -> List[Outbound]:
-        group = self.setup.group
-        params = self.setup.gq_params
-        party = self.party
-        party.r = group.random_exponent(party.rng)
-        party.z = group.exp_g(party.r)
-        party.recorder.record_operation("modexp")  # z_i = g^{r_i}
-        party.tau, party.t = gq_commitment(params, party.rng)
-        self._z_view[self.identity.name] = party.z
-        self._t_view[self.identity.name] = party.t
-        self.waiting_for = "round1"
-        message = Message.broadcast(
-            self.identity,
-            "round1",
-            [
-                identity_part(self.identity),
-                group_element_part("z", party.z, group.element_bits),
-                group_element_part("t", party.t, params.modulus_bits),
-            ],
-        )
-        return [Outbound(message)]
-
-    def on_message(self, message: Message, now: float) -> List[Outbound]:
-        label = message.round_label
-        if label == "round1":
-            return self._on_round1(message, now)
-        if label == self.coordinator.round2_label():
-            if not self._round1_complete:
-                # Latency mode can reorder rounds across multi-hop paths;
-                # hold Round-2 copies until the Round-1 view is complete.
-                self._round2_buffer.append(message)
-                return []
-            return self._on_round2(message, now)
-        return []  # stale attempt label after a retransmission round
+    @property
+    def round2_label(self) -> str:  # type: ignore[override]
+        """This attempt's label; copies of an earlier attempt are ignored."""
+        return self.coordinator.round2_label()
 
     def on_wake(self, payload: object, now: float) -> List[Outbound]:
         if payload == "retransmit-round2":
-            return self._emit_round2(now)
+            return self._emit_round2()
         return []
 
-    # --------------------------------------------------------------- round 1
-    def _on_round1(self, message: Message, now: float) -> List[Outbound]:
-        sender: Identity = message.value("identity")  # type: ignore[assignment]
-        self._z_view[sender.name] = int(message.value("z"))
-        self._t_view[sender.name] = int(message.value("t"))
-        if len(self._z_view) != self.ring.size:
-            return []
-        self._round1_complete = True
-        outs: List[Outbound] = []
-        if self.is_controller:
-            # U_1 broadcasts last: arm for the others' Round 2 first.
-            self.waiting_for = self.coordinator.round2_label()
-        else:
-            outs.extend(self._emit_round2(now))
-        buffered, self._round2_buffer = self._round2_buffer, []
-        for held in buffered:
-            if held.round_label == self.coordinator.round2_label():
-                outs.extend(self._on_round2(held, now))
-        return outs
-
-    # --------------------------------------------------------------- round 2
-    def _emit_round2(self, now: float) -> List[Outbound]:
-        group = self.setup.group
-        params = self.setup.gq_params
-        party = self.party
-        attempt = self.coordinator.attempt
-        label = self.coordinator.round2_label()
-        left = self.ring.left_neighbour(self.identity)
-        right = self.ring.right_neighbour(self.identity)
-        x_value = compute_bd_x_value(
-            group, self._z_view[right.name], self._z_view[left.name], party.r
-        )
-        party.recorder.record_operation("modexp")  # X_i
-        big_z = group.product(self._z_view[name] for name in sorted(self._z_view))
-        big_t = product_mod((self._t_view[name] for name in sorted(self._t_view)), params.n)
-        challenge = params.hash_function.challenge(int_to_bytes(big_t), int_to_bytes(big_z))
-        party.recorder.record_operation("hash")
-        response = gq_response(params, party.private_key, party.tau, challenge)
-        party.recorder.record_signature("gq", "gen")
-        self._challenge = challenge
-        self._aggregate = big_z
-        self._x_table[self.identity.name] = x_value
-        self._s_table[self.identity.name] = response
-        self.waiting_for = label
-        message = Message.broadcast(
-            self.identity,
-            label,
-            [
-                identity_part(self.identity),
-                group_element_part("X", x_value, group.element_bits),
-                group_element_part("s", response, params.modulus_bits),
-            ],
-        )
-        if self.tamper is not None:
-            message = self.tamper(message, attempt)
-        return [Outbound(message)]
-
-    def _on_round2(self, message: Message, now: float) -> List[Outbound]:
-        sender: Identity = message.value("identity")  # type: ignore[assignment]
-        self._x_table[sender.name] = int(message.value("X"))
-        self._s_table[sender.name] = int(message.value("s"))
-        others = self.ring.size - 1
-        received = len(self._x_table) - (1 if self.identity.name in self._x_table else 0)
-        outs: List[Outbound] = []
-        if self.is_controller and self.identity.name not in self._s_table:
-            if received < others:
-                return []
-            # All the others have transmitted: the controller now computes,
-            # broadcasts (last) and verifies its own complete view.
-            outs.extend(self._emit_round2(now))
-            self._verify(now)
+    def _emit_round2(self) -> List[Outbound]:
+        outs = super()._emit_round2()
+        if self.tamper is None:
             return outs
-        if len(self._s_table) < self.ring.size:
-            return []
-        self._verify(now)
-        return outs
+        return [Outbound(self.tamper(outs[0].message, self.coordinator.attempt))]
 
     # ----------------------------------------------------------- verification
-    def _verify(self, now: float) -> None:
-        group = self.setup.group
-        params = self.setup.gq_params
+    def _verify(self) -> None:
         party = self.party
-        assert self._challenge is not None and self._aggregate is not None
-        ordered_identities = [
-            self.ring.members[i].to_bytes() for i in range(self.ring.size)
-        ]
-        ordered_responses = [self._s_table[name] for name in self._ring_names]
-        batch_ok = gq_batch_verify(
-            params,
-            ordered_identities,
-            ordered_responses,
-            self._challenge,
-            int_to_bytes(self._aggregate),
-        )
+        batch_ok = gq_batch_verify(self.setup.gq_params, *self._batch_inputs())
         party.recorder.record_signature("gq", "ver")
-        verdict = batch_ok
-        if batch_ok:
-            if not verify_x_product(group, [self._x_table[name] for name in self._ring_names]):
-                verdict = False
-            else:
-                key = compute_bd_key(
-                    group,
-                    self._ring_names,
-                    self.identity.name,
-                    party.r,
-                    self._z_view,
-                    self._x_table,
-                )
-                party.recorder.record_operation("modexp")  # (z_{i-1})^{n r_i}
-                party.group_key = key
+        verdict = batch_ok and self._lemma1_holds()
+        if verdict:
+            self._derive_key()
         self.coordinator.report(self, verdict)
 
     # -------------------------------------------------------- retransmission
@@ -314,8 +174,8 @@ class _GkaPartyMachine(PartyMachine):
         self._s_table = {}
         self._challenge = None
         self._aggregate = None
-        self._round2_buffer = []
-        self.waiting_for = self.coordinator.round2_label()
+        self._held = []
+        self.waiting_for = self.round2_label
 
 
 class ProposedGKAProtocol(Protocol):
@@ -330,26 +190,6 @@ class ProposedGKAProtocol(Protocol):
         super().__init__(setup)
         self.max_retransmissions = max_retransmissions
 
-    # ------------------------------------------------------------------ setup
-    def _build_parties(
-        self,
-        members: Sequence[Identity],
-        medium: BroadcastMedium,
-        rng: DeterministicRNG,
-    ) -> Dict[str, PartyState]:
-        parties: Dict[str, PartyState] = {}
-        for identity in members:
-            key = self.setup.enroll(identity)
-            node = Node(identity)
-            medium.attach(node)
-            parties[identity.name] = PartyState(
-                identity=identity,
-                private_key=key,
-                rng=rng.fork(f"party/{identity.name}"),
-                node=node,
-            )
-        return parties
-
     # -------------------------------------------------------------- machines
     def build_machines(
         self,
@@ -361,33 +201,17 @@ class ProposedGKAProtocol(Protocol):
         **kwargs: object,
     ) -> MachinePlan:
         """Decompose the two-round protocol into per-member machines."""
-        if kwargs:
-            raise ParameterError(f"unknown run options: {sorted(kwargs)}")
-        if len(members) < 2:
-            raise ParameterError("the GKA needs at least two members")
-        ring = RingTopology(members)
-        rng = DeterministicRNG(seed, label="proposed-gka")
-        parties = self._build_parties(members, medium, rng)
-        coordinator = _Round2Coordinator(ring, self.max_retransmissions)
-        machines = [
-            _GkaPartyMachine(parties[identity.name], self.setup, ring, coordinator, tamper)
-            for identity in ring.members
-        ]
-        coordinator.machines = machines
-
-        def finish(stats: EngineStats) -> ProtocolResult:
-            state = GroupState(setup=self.setup, ring=ring, parties=parties)
-            state.group_key = parties[ring.controller().name].group_key
-            return ProtocolResult(
-                protocol=self.name,
-                state=state,
-                medium=medium,
-                rounds=2,
-                sim_latency_s=stats.sim_time_s,
-                timeouts=stats.timeouts,
-            )
-
-        return MachinePlan(machines=machines, finish=finish, rounds=2)
+        coordinator = _Round2Coordinator(self.max_retransmissions)
+        plan = self._flat_plan(
+            members,
+            medium,
+            seed,
+            kwargs,
+            "proposed-gka",
+            lambda party, ring: _GkaPartyMachine(party, self.setup, ring, coordinator, tamper),
+        )
+        coordinator.machines = plan.machines  # type: ignore[assignment]
+        return plan
 
     # ---------------------------------------------------------- dynamic events
     def apply_event(

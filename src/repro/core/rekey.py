@@ -17,13 +17,15 @@ so both are implemented here over a common core:
   over the remaining ``X'_i``, then the Burmester–Desmedt key over the new
   ring (equations (11)/(13)).
 
-Execution is one :class:`~repro.engine.machine.PartyMachine` per remaining
-member on the event kernel: refreshers emit Round 1 from ``start``, Round 2
-fires on Round-1 completeness (non-refreshers know exactly how many refreshed
-``z'`` broadcasts to expect), and — as in the initial GKA — the controller
-withholds its Round-2 broadcast until every other member's has arrived.
-Verification failures raise immediately; there is no retransmission loop in
-the paper's Leave/Partition description.
+Execution is one :class:`~repro.core.base.GQRoundMachine` per remaining
+member on the event kernel — the same BD rounds and GQ Round 2 as the
+initial GKA, over the new ring.  What is this module's own is Round 1: only
+the refreshers emit it from ``start``, and Round 2 fires on Round-1
+completeness (non-refreshers know exactly how many refreshed ``z'``
+broadcasts to expect; everyone else's ``z``/``t`` are the stored values).
+As in the initial GKA the controller withholds its Round-2 broadcast until
+every other member's has arrived.  Verification failures raise immediately;
+there is no retransmission loop in the paper's Leave/Partition description.
 
 Because the departed users' exponents no longer appear adjacent in the new
 ring and the odd-indexed users refreshed theirs, the departed users cannot
@@ -34,33 +36,30 @@ departed state alone.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import List, Mapping, Optional, Sequence, Set
 
-from ..engine.executor import EngineConfig, EngineStats, drive_plan
-from ..engine.machine import MachinePlan, Outbound, PartyMachine
+from ..engine.executor import EngineConfig, drive_plan
+from ..engine.machine import MachinePlan, Outbound
 from ..exceptions import BatchVerificationError, KeyConfirmationError, MembershipError, ParameterError
-from ..mathutils.modular import product_mod
 from ..mathutils.rand import DeterministicRNG
-from ..mathutils.serialization import int_to_bytes
 from ..network.medium import BroadcastMedium
-from ..network.message import Message, group_element_part, identity_part
+from ..network.message import Message
 from ..network.topology import RingTopology
 from ..pki.identity import Identity
-from ..signatures.gq import gq_batch_verify, gq_commitment, gq_response
+from ..signatures.gq import gq_batch_verify
 from .base import (
+    GQRoundMachine,
     GroupState,
     PartyState,
     ProtocolResult,
     SystemSetup,
-    compute_bd_key,
-    compute_bd_x_value,
-    verify_x_product,
+    two_round_plan,
 )
 
 __all__ = ["build_departure_rekey", "run_departure_rekey"]
 
 
-class _RekeyPartyMachine(PartyMachine):
+class _RekeyPartyMachine(GQRoundMachine):
     """One remaining member's view of the Leave/Partition re-keying."""
 
     def __init__(
@@ -73,80 +72,32 @@ class _RekeyPartyMachine(PartyMachine):
         round_prefix: str,
         protocol_name: str,
     ) -> None:
-        super().__init__(party.identity, party.node)
-        self.party = party
-        self.setup = setup
-        self.new_ring = new_ring
+        super().__init__(party, setup, new_ring)
         self.parties = parties
-        self.refresher_names = refresher_names
-        self.round_prefix = round_prefix
         self.protocol_name = protocol_name
+        self.round1_label = f"{round_prefix}-round1"
+        self.round2_label = f"{round_prefix}-round2"
         self.is_refresher = party.identity.name in refresher_names
-        self.is_controller = new_ring.controller().name == party.identity.name
-        self._remaining_names = [m.name for m in new_ring.members]
         self._expected_round1 = len(refresher_names) - (1 if self.is_refresher else 0)
         self._received_round1 = 0
-        self._z_view: Dict[str, int] = {}
-        self._t_view: Dict[str, int] = {}
-        self._x_table: Dict[str, int] = {}
-        self._s_table: Dict[str, int] = {}
-        self._challenge: Optional[int] = None
-        self._aggregate: Optional[int] = None
-        self._round1_complete = False
-        self._round2_buffer: List[Message] = []
 
     # ----------------------------------------------------------------- hooks
     def start(self, now: float) -> List[Outbound]:
-        group = self.setup.group
-        params = self.setup.gq_params
-        outs: List[Outbound] = []
-        if self.is_refresher:
-            party = self.party
-            party.r = group.random_exponent(party.rng)
-            party.z = group.exp_g(party.r)
-            party.recorder.record_operation("modexp")  # z'_j = g^{r'_j}
-            party.tau, party.t = gq_commitment(params, party.rng)
-            outs.append(
-                Outbound(
-                    Message.broadcast(
-                        self.identity,
-                        f"{self.round_prefix}-round1",
-                        [
-                            identity_part(self.identity),
-                            group_element_part("z", party.z, group.element_bits),
-                            group_element_part("t", party.t, params.modulus_bits),
-                        ],
-                    )
-                )
-            )
-        self.waiting_for = f"{self.round_prefix}-round1"
+        outs = [self._broadcast_round1()] if self.is_refresher else []
+        self.waiting_for = self.round1_label
         if self._expected_round1 == 0:
             outs.extend(self._complete_round1(now))
         return outs
 
-    def on_message(self, message: Message, now: float) -> List[Outbound]:
-        label = message.round_label
-        if label == f"{self.round_prefix}-round1":
-            sender: Identity = message.value("identity")  # type: ignore[assignment]
-            self._z_view[sender.name] = int(message.value("z"))
-            self._t_view[sender.name] = int(message.value("t"))
-            self._received_round1 += 1
-            if self._received_round1 == self._expected_round1:
-                return self._complete_round1(now)
-            return []
-        if label == f"{self.round_prefix}-round2":
-            if not self._round1_complete:
-                self._round2_buffer.append(message)
-                return []
-            return self._on_round2(message, now)
-        return []
-
     # --------------------------------------------------------------- round 1
+    def _take_round1(self, message: Message) -> bool:
+        super()._take_round1(message)
+        self._received_round1 += 1
+        return self._received_round1 == self._expected_round1
+
     def _complete_round1(self, now: float) -> List[Outbound]:
-        # Fill in the member's own (possibly refreshed) values and the stored
-        # values of members that did not refresh.
-        self._round1_complete = True
-        for other in self.new_ring.members:
+        # Members that did not refresh keep their stored z and t.
+        for other in self.ring.members:
             other_state = self.parties[other.name]
             other_state.require_ephemeral()
             self._z_view.setdefault(other.name, other_state.z)  # type: ignore[arg-type]
@@ -155,105 +106,21 @@ class _RekeyPartyMachine(PartyMachine):
                     f"{other.name} has no stored GQ commitment; cannot re-key"
                 )
             self._t_view.setdefault(other.name, other_state.t)
-        outs: List[Outbound] = []
-        if self.is_controller:
-            # U_1 transmits last, after everyone else's Round 2.
-            self.waiting_for = f"{self.round_prefix}-round2"
-        else:
-            outs.extend(self._emit_round2(now))
-        buffered, self._round2_buffer = self._round2_buffer, []
-        for held in buffered:
-            outs.extend(self._on_round2(held, now))
-        return outs
-
-    # --------------------------------------------------------------- round 2
-    def _emit_round2(self, now: float) -> List[Outbound]:
-        group = self.setup.group
-        params = self.setup.gq_params
-        party = self.party
-        left = self.new_ring.left_neighbour(self.identity)
-        right = self.new_ring.right_neighbour(self.identity)
-        x_value = compute_bd_x_value(
-            group, self._z_view[right.name], self._z_view[left.name], party.r
-        )
-        party.recorder.record_operation("modexp")  # X'_i
-        big_z = group.product(self._z_view[name] for name in sorted(self._z_view))
-        big_t = product_mod((self._t_view[name] for name in sorted(self._t_view)), params.n)
-        challenge = params.hash_function.challenge(int_to_bytes(big_t), int_to_bytes(big_z))
-        party.recorder.record_operation("hash")
-        response = gq_response(params, party.private_key, party.tau, challenge)
-        party.recorder.record_signature("gq", "gen")
-        self._challenge = challenge
-        self._aggregate = big_z
-        self._x_table[self.identity.name] = x_value
-        self._s_table[self.identity.name] = response
-        self.waiting_for = f"{self.round_prefix}-round2"
-        return [
-            Outbound(
-                Message.broadcast(
-                    self.identity,
-                    f"{self.round_prefix}-round2",
-                    [
-                        identity_part(self.identity),
-                        group_element_part("X", x_value, group.element_bits),
-                        group_element_part("s", response, params.modulus_bits),
-                    ],
-                )
-            )
-        ]
-
-    def _on_round2(self, message: Message, now: float) -> List[Outbound]:
-        sender: Identity = message.value("identity")  # type: ignore[assignment]
-        self._x_table[sender.name] = int(message.value("X"))
-        self._s_table[sender.name] = int(message.value("s"))
-        outs: List[Outbound] = []
-        if self.is_controller and self.identity.name not in self._s_table:
-            others = self.new_ring.size - 1
-            if len(self._x_table) < others:
-                return []
-            outs.extend(self._emit_round2(now))
-            self._verify(now)
-            return outs
-        if len(self._s_table) < self.new_ring.size:
-            return []
-        self._verify(now)
-        return outs
+        return super()._complete_round1(now)
 
     # ----------------------------------------------------------- verification
-    def _verify(self, now: float) -> None:
-        group = self.setup.group
-        params = self.setup.gq_params
+    def _verify(self) -> None:
         party = self.party
-        assert self._challenge is not None and self._aggregate is not None
-        ordered_identities = [
-            self.parties[name].identity.to_bytes() for name in self._remaining_names
-        ]
-        ordered_responses = [self._s_table[name] for name in self._remaining_names]
-        if not gq_batch_verify(
-            params,
-            ordered_identities,
-            ordered_responses,
-            self._challenge,
-            int_to_bytes(self._aggregate),
-        ):
+        if not gq_batch_verify(self.setup.gq_params, *self._batch_inputs()):
             raise BatchVerificationError(
                 f"{self.identity.name} failed the batch verification during {self.protocol_name}"
             )
         party.recorder.record_signature("gq", "ver")
-        if not verify_x_product(group, [self._x_table[name] for name in self._remaining_names]):
+        if not self._lemma1_holds():
             raise KeyConfirmationError(
                 f"{self.identity.name} found prod X'_i != 1 during {self.protocol_name}"
             )
-        key = compute_bd_key(
-            group,
-            self._remaining_names,
-            self.identity.name,
-            party.r,
-            self._z_view,
-            self._x_table,
-        )
-        party.recorder.record_operation("modexp")
-        party.group_key = key
+        self._derive_key()
         self.finished = True
         self.waiting_for = None
 
@@ -301,40 +168,22 @@ def build_departure_rekey(
 
     refreshers = old_ring.odd_indexed(exclude=departing)
     refresher_names = {identity.name for identity in refreshers}
-    remaining_parties = {m.name: state.party(m) for m in remaining}
+    parties = {
+        name: party for name, party in state.parties.items() if name not in departing_names
+    }
     machines = [
         _RekeyPartyMachine(
             state.party(member),
             setup,
             new_ring,
-            remaining_parties,
+            parties,
             refresher_names,
             round_prefix,
             protocol_name,
         )
         for member in remaining
     ]
-
-    def finish(stats: EngineStats) -> ProtocolResult:
-        parties = {
-            name: party for name, party in state.parties.items() if name not in departing_names
-        }
-        new_state = GroupState(
-            setup=setup,
-            ring=new_ring,
-            parties=parties,
-            group_key=parties[new_ring.controller().name].group_key,
-        )
-        return ProtocolResult(
-            protocol=protocol_name,
-            state=new_state,
-            medium=medium,
-            rounds=2,
-            sim_latency_s=stats.sim_time_s,
-            timeouts=stats.timeouts,
-        )
-
-    return MachinePlan(machines=machines, finish=finish, rounds=2)
+    return two_round_plan(setup, protocol_name, new_ring, parties, medium, machines)
 
 
 def run_departure_rekey(
