@@ -78,11 +78,11 @@ class _AuthBDPartyMachine(BDRoundMachine):
         certificate = self.protocol.certificate_for(self.identity)
         return [MessagePart("certificate", certificate, certificate.wire_bits)]
 
-    def _take_round1(self, message: Message) -> bool:
+    def _take_round1(self, sender: Identity, message: Message) -> bool:
+        complete = super()._take_round1(sender, message)
         if self.protocol.uses_certificates:
-            sender: Identity = message.value("identity")  # type: ignore[assignment]
             self._certs[sender.name] = message.value("certificate")  # type: ignore[assignment]
-        return super()._take_round1(message)
+        return complete
 
     # --------------------------------------------------------------- round 2
     def _round2_parts(self, x_value: int) -> List[MessagePart]:
@@ -102,8 +102,7 @@ class _AuthBDPartyMachine(BDRoundMachine):
         party.recorder.record_signature(self.protocol.scheme_name, "gen")
         return [signature_part(signature)]
 
-    def _on_round2(self, message: Message) -> List[Outbound]:
-        sender: Identity = message.value("identity")  # type: ignore[assignment]
+    def _on_round2(self, sender: Identity, message: Message) -> List[Outbound]:
         self._round2[sender.name] = (int(message.value("X")), message.value("signature"))
         if len(self._round2) == self.ring.size - 1:
             self._verify_round2()

@@ -84,8 +84,7 @@ class _SSNPartyMachine(BDRoundMachine):
             group_element_part("s", s_value, params.modulus_bits),
         ]
 
-    def _take_round1(self, message: Message) -> bool:
-        sender: Identity = message.value("identity")  # type: ignore[assignment]
+    def _take_round1(self, sender: Identity, message: Message) -> bool:
         self._round1[sender.name] = (
             sender,
             int(message.value("z")),

@@ -587,11 +587,11 @@ class BDRoundMachine(PartyMachine):
     :attr:`round1_label` and :attr:`round2_label`, and adds its layer by
     overriding the steps: :meth:`_round1_parts` and :meth:`_round2_parts`
     (what follows ``z_i`` and ``X_i`` on the wire), :meth:`_take_round1`
-    (store one Round-1 message; say whether the z view is complete),
-    :meth:`_after_round1` (what a complete z view triggers) and
-    :meth:`_on_round2` (take one Round-2 message).  A subclass may replace a
-    hook (the rekey replaces ``start``) but never chains to the inherited
-    one, so every kernel action runs exactly one hook.
+    (store one sender's Round-1 message; say whether the z view is
+    complete), :meth:`_after_round1` (what a complete z view triggers) and
+    :meth:`_on_round2` (take one sender's Round-2 message).  A subclass may
+    replace a hook (the rekey replaces ``start``) but never chains to the
+    inherited one, so every kernel action runs exactly one hook.
     """
 
     #: round labels on the wire (set by every subclass)
@@ -617,12 +617,16 @@ class BDRoundMachine(PartyMachine):
     def on_message(self, message: Message, now: float) -> List[Outbound]:
         label = message.round_label
         if label == self.round1_label:
-            return self._complete_round1(now) if self._take_round1(message) else []
+            sender: Identity = message.value("identity")  # type: ignore[assignment]
+            if not self._take_round1(sender, message):
+                return []
+            return self._complete_round1(now)
         if label == self.round2_label:
             if not self._round1_complete:
                 self._held.append(message)
                 return []
-            return self._on_round2(message)
+            sender = message.value("identity")  # type: ignore[assignment]
+            return self._on_round2(sender, message)
         return []
 
     # --------------------------------------------------------------- round 1
@@ -643,8 +647,7 @@ class BDRoundMachine(PartyMachine):
     def _round1_parts(self) -> List[MessagePart]:
         return []
 
-    def _take_round1(self, message: Message) -> bool:
-        sender: Identity = message.value("identity")  # type: ignore[assignment]
+    def _take_round1(self, sender: Identity, message: Message) -> bool:
         self._z_view[sender.name] = int(message.value("z"))
         return len(self._z_view) == self.ring.size
 
@@ -681,8 +684,7 @@ class BDRoundMachine(PartyMachine):
     def _round2_parts(self, x_value: int) -> List[MessagePart]:
         return []
 
-    def _on_round2(self, message: Message) -> List[Outbound]:
-        sender: Identity = message.value("identity")  # type: ignore[assignment]
+    def _on_round2(self, sender: Identity, message: Message) -> List[Outbound]:
         self._x_table[sender.name] = int(message.value("X"))
         if len(self._x_table) == self.ring.size:
             self._derive_key()
@@ -732,10 +734,10 @@ class GQRoundMachine(BDRoundMachine):
         self._t_view[self.identity.name] = party.t
         return [group_element_part("t", party.t, params.modulus_bits)]
 
-    def _take_round1(self, message: Message) -> bool:
-        sender: Identity = message.value("identity")  # type: ignore[assignment]
+    def _take_round1(self, sender: Identity, message: Message) -> bool:
+        complete = super()._take_round1(sender, message)
         self._t_view[sender.name] = int(message.value("t"))
-        return super()._take_round1(message)
+        return complete
 
     def _after_round1(self) -> List[Outbound]:
         if self.is_controller:
@@ -759,8 +761,7 @@ class GQRoundMachine(BDRoundMachine):
         self._s_table[self.identity.name] = response
         return [group_element_part("s", response, params.modulus_bits)]
 
-    def _on_round2(self, message: Message) -> List[Outbound]:
-        sender: Identity = message.value("identity")  # type: ignore[assignment]
+    def _on_round2(self, sender: Identity, message: Message) -> List[Outbound]:
         self._x_table[sender.name] = int(message.value("X"))
         self._s_table[sender.name] = int(message.value("s"))
         if self.is_controller and self.identity.name not in self._s_table:
@@ -791,7 +792,8 @@ class GQRoundMachine(BDRoundMachine):
 
     def _lemma1_holds(self) -> bool:
         """Lemma 1 over this member's X view: ``prod X_j = 1 mod p``."""
-        return verify_x_product(self.setup.group, [self._x_table[name] for name in self._ring_names])
+        x_values = [self._x_table[name] for name in self._ring_names]
+        return verify_x_product(self.setup.group, x_values)
 
     @abc.abstractmethod
     def _verify(self) -> None:

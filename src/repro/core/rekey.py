@@ -90,8 +90,8 @@ class _RekeyPartyMachine(GQRoundMachine):
         return outs
 
     # --------------------------------------------------------------- round 1
-    def _take_round1(self, message: Message) -> bool:
-        super()._take_round1(message)
+    def _take_round1(self, sender: Identity, message: Message) -> bool:
+        super()._take_round1(sender, message)
         self._received_round1 += 1
         return self._received_round1 == self._expected_round1
 
