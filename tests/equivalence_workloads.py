@@ -20,7 +20,7 @@ The workloads cover, for every registry protocol:
 * latency mode: over 20 seeds, an establishment, a join, a leave and a
   partition under :class:`~repro.engine.latency.TransceiverLatency` on a
   lossy :class:`~repro.mobility.relay.MultiHopMedium` (a jittered 3x3 grid,
-  so floods take up to four hops and reorder rounds; the round machines
+  so floods relay over several hops and reorder rounds; the round machines
   hold Round-2 copies that overtake Round 1 and replay them).  Bulky fields
   of this section (member keys, ledgers, transcript, retry attempts) are
   pinned by digest to keep the fixture small.
@@ -209,8 +209,8 @@ def _latency_run(protocol_name: str, seed: int) -> Dict[str, object]:
     members = _members(8, "eqt")
     newcomer = Identity("eqt-new")
     # Nine nodes on a 3x3 grid 100 m apart with a 180 m range: diagonal
-    # neighbours are in range, the far corners two to four hops apart, and
-    # the group stays connected after the leave and the partition below.
+    # neighbours are in range, opposite corners are two hops apart, and the
+    # group stays connected after the leave and the partition below.
     field = MobilityField(
         [m.name for m in members] + [newcomer.name],
         StaticGrid(jitter=10.0),
