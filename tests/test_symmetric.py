@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,14 @@ from repro.symmetric.modes import (
     encrypt_ctr,
     pkcs7_pad,
     pkcs7_unpad,
+)
+
+# NIST SP 800-38A, F.1: the four ECB plaintext blocks shared by every key size.
+_SP800_38A_PLAINTEXT = (
+    "6bc1bee22e409f96e93d7e117393172a",
+    "ae2d8a571e03ac9c9eb76fac45af8e51",
+    "30c81c46a35ce411e5fbc1191a0a52ef",
+    "f69f2445df4f9b17ad2b417be66c3710",
 )
 
 
@@ -45,6 +55,68 @@ class TestAESBlocks:
 
     def test_zero_key_zero_block(self):
         assert AES(bytes(16)).encrypt_block(bytes(16)).hex() == "66e94bd4ef8a2c3b884cfa59ca342b2e"
+
+    @pytest.mark.parametrize(
+        "key, ciphertexts",
+        [
+            pytest.param(
+                "2b7e151628aed2a6abf7158809cf4f3c",
+                (
+                    "3ad77bb40d7a3660a89ecaf32466ef97",
+                    "f5d3d58503b9699de785895a96fdbaaf",
+                    "43b1cd7f598ece23881b00e3ed030688",
+                    "7b0c785e27e8ad3f8223207104725dd4",
+                ),
+                id="F.1.1-aes128",
+            ),
+            pytest.param(
+                "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+                (
+                    "bd334f1d6e45f25ff712a214571fa5cc",
+                    "974104846d0ad3ad7734ecb3ecee4eef",
+                    "ef7afd2270e2e60adce0ba2face6444e",
+                    "9a4b41ba738d6c72fb16691603c18e0e",
+                ),
+                id="F.1.3-aes192",
+            ),
+            pytest.param(
+                "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+                (
+                    "f3eed1bdb5d2a03c064b5a7e3db181f8",
+                    "591ccb10d410ed26dc5ba74a31362870",
+                    "b6ed21b99ca6f4f9f153e7b1beafed1d",
+                    "23304b7a39f9f3ff067d8d8f9e24ecc7",
+                ),
+                id="F.1.5-aes256",
+            ),
+        ],
+    )
+    def test_sp800_38a_ecb(self, key, ciphertexts):
+        cipher = AES(bytes.fromhex(key))
+        for plaintext, ciphertext in zip(_SP800_38A_PLAINTEXT, ciphertexts):
+            assert cipher.encrypt_block(bytes.fromhex(plaintext)).hex() == ciphertext
+            assert cipher.decrypt_block(bytes.fromhex(ciphertext)).hex() == plaintext
+
+    @pytest.mark.parametrize(
+        "key_len, expected",
+        [
+            (16, "022690d26cf28f0850e19d13c51ced1249a629a2bda77e05ca1b0c9d904ca280"),
+            (24, "b7202b53cdf2ac7b3d13b648cb134e2331edba597d842439811972d1f91d7659"),
+            (32, "5dce45c0655c766ead842385d2d2e553ba6e19351a48c084daf71ac09ad4545f"),
+        ],
+    )
+    def test_seeded_digest_pin(self, key_len, expected):
+        # 512 (key, block) pairs drawn from SHA-512, both directions per pair:
+        # a change to the cipher's internals cannot move one output bit
+        # without moving the digest.
+        digest = hashlib.sha256()
+        for i in range(512):
+            seed = hashlib.sha512(b"aes-pin/%d/%d" % (key_len, i)).digest()
+            cipher = AES(seed[:key_len])
+            block = seed[32:48]
+            digest.update(cipher.encrypt_block(block))
+            digest.update(cipher.decrypt_block(block))
+        assert digest.hexdigest() == expected
 
     def test_invalid_key_and_block_sizes(self):
         with pytest.raises(ParameterError):
@@ -113,6 +185,29 @@ class TestModes:
         ciphertext = encrypt_ctr(key, nonce, message)
         assert len(ciphertext) == len(message)
         assert decrypt_ctr(key, nonce, ciphertext) == message
+
+    def test_ctr_known_answer_multi_block(self):
+        # Seven blocks, the last one partial (100 = 6 * 16 + 4 bytes).
+        key, nonce = bytes(range(16)), bytes(range(100, 112))
+        message = bytes((7 * i + 3) % 256 for i in range(100))
+        ciphertext = encrypt_ctr(key, nonce, message)
+        assert ciphertext.hex() == (
+            "4d484a3fefeafd6e1e255dcb9bca3e8e16f82d8d6fd18c0c8d0f47eed38a9577"
+            "f988bf5d2404b5ee801c7e20b1f46ea063d21997fddfa0de7ffd28371b5c424f"
+            "793683fc54feca65715a2e569a9c612be8a75c3bd2501c4ca8fc78dd4b10f0fc"
+            "c730a3b5"
+        )
+        assert decrypt_ctr(key, nonce, ciphertext) == message
+
+    def test_cbc_known_answer(self):
+        key, iv = bytes(range(200, 224)), bytes(range(16, 32))
+        message = bytes((11 * i + 5) % 256 for i in range(40))
+        ciphertext = encrypt_cbc(key, iv, message)
+        assert ciphertext.hex() == (
+            "eb4d44ba7abb23dcd21c00ff0ea28dd9e0a44398e07c992172fb7292cc57cd54"
+            "202470aafb65a90567dacf77c9e0eef2"
+        )
+        assert decrypt_cbc(key, iv, ciphertext) == message
 
     def test_ctr_nonce_size(self):
         with pytest.raises(ParameterError):
