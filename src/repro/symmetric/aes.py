@@ -7,85 +7,107 @@ choice for 2006-era wireless devices, and Carman et al. (the paper's energy
 reference [3]) measure AES-class symmetric costs as orders of magnitude below
 modular exponentiation — which is exactly how the energy model treats them.
 
-This is a straightforward, readable table-based implementation:
+This is Rijndael's 32-bit table formulation (Daemen & Rijmen, *The Design of
+Rijndael*, 2002, §4.2; FIPS-197 §5.1):
 
-* key expansion for 128/192/256-bit keys,
-* encryption and decryption of single 16-byte blocks,
-* no side-channel hardening (this is a research simulator, not a production
-  cipher) — the docstring says so explicitly.
+* the S-box and its inverse come from GF(2^8) log/antilog tables;
+* SubBytes, ShiftRows and MixColumns fold into four 256-entry round tables,
+  so a round is 16 table lookups and XORs over the state's four column words;
+* decryption is the equivalent inverse cipher (FIPS-197 §5.3.5): four tables
+  of its own, and round keys passed through InvMixColumns;
+* the key schedule runs on 32-bit words for 128-, 192- and 256-bit keys.
+
+There is no side-channel hardening: every table lookup is a memory access at
+a key-dependent index, so cache timing can leak the key.  This is a research
+simulator, not a production cipher.
 
 Block modes (CTR, CBC) and padding live in :mod:`repro.symmetric.modes`.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import cached_property
+from struct import Struct
+from typing import List, Sequence, Tuple
 
 from ..exceptions import ParameterError
 
 __all__ = ["AES"]
 
+Tables = Tuple[List[int], List[int], List[int], List[int]]
+RoundKey = Tuple[int, int, int, int]
 
-def _build_sbox() -> tuple:
-    """Construct the AES S-box from first principles (GF(2^8) inversion + affine map)."""
-    # Multiplicative inverse table in GF(2^8) with the AES polynomial 0x11B.
-    def gf_mul(a: int, b: int) -> int:
-        result = 0
-        for _ in range(8):
-            if b & 1:
-                result ^= a
-            high = a & 0x80
-            a = (a << 1) & 0xFF
-            if high:
-                a ^= 0x1B
-            b >>= 1
-        return result
-
-    inverse = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if gf_mul(x, y) == 1:
-                inverse[x] = y
-                break
-    sbox = [0] * 256
-    for x in range(256):
-        b = inverse[x]
-        res = 0
-        for i in range(8):
-            bit = (
-                ((b >> i) & 1)
-                ^ ((b >> ((i + 4) % 8)) & 1)
-                ^ ((b >> ((i + 5) % 8)) & 1)
-                ^ ((b >> ((i + 6) % 8)) & 1)
-                ^ ((b >> ((i + 7) % 8)) & 1)
-                ^ ((0x63 >> i) & 1)
-            )
-            res |= bit << i
-        sbox[x] = res
-    return tuple(sbox)
+# A block as four big-endian column words: row 0 is each word's top byte.
+_BLOCK = Struct(">4I")
+_RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
-_SBOX = _build_sbox()
-_INV_SBOX = tuple(_SBOX.index(i) for i in range(256))
-_RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB, 0x4D)
+def _build_tables() -> Tuple[List[int], List[int], Tables, Tables]:
+    """S-box, inverse S-box, and the encryption and decryption round tables."""
+    # Successive powers of the generator x + 1 modulo x^8 + x^4 + x^3 + x + 1.
+    exp, log = [0] * 255, [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i], log[x] = x, i
+        x ^= (x << 1) ^ (0x11B if x & 0x80 else 0)
+
+    def mul(a: int, b: int) -> int:
+        return exp[(log[a] + log[b]) % 255] if a and b else 0
+
+    sbox, inv_sbox = [0] * 256, [0] * 256
+    for a in range(256):
+        # Multiplicative inverse, then the affine map b + rotl(b, 1..4) + 0x63.
+        b = exp[-log[a] % 255] if a else 0
+        s = b ^ 0x63
+        for _ in range(4):
+            b = ((b << 1) | (b >> 7)) & 0xFF
+            s ^= b
+        sbox[a], inv_sbox[s] = s, a
+
+    def rotations(column: List[int]) -> Tables:
+        # Table r serves the byte in row r: its MixColumns column rotated r rows.
+        tables = [column]
+        for _ in range(3):
+            tables.append([(w >> 8) | ((w & 0xFF) << 24) for w in tables[-1]])
+        return tables[0], tables[1], tables[2], tables[3]
+
+    enc = rotations([mul(s, 2) << 24 | s << 16 | s << 8 | mul(s, 3) for s in sbox])
+    dec = rotations([mul(s, 14) << 24 | mul(s, 9) << 16 | mul(s, 13) << 8 | mul(s, 11) for s in inv_sbox])
+    return sbox, inv_sbox, enc, dec
 
 
-def _xtime(a: int) -> int:
-    a <<= 1
-    if a & 0x100:
-        a = (a ^ 0x1B) & 0xFF
-    return a
+_SBOX, _INV_SBOX, _ENC, _DEC = _build_tables()
 
 
-def _gmul(a: int, b: int) -> int:
-    """GF(2^8) multiplication used by (Inv)MixColumns."""
-    result = 0
-    for _ in range(8):
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
+def _sub_word(word: int) -> int:
+    return _SBOX[word >> 24] << 24 | _SBOX[word >> 16 & 255] << 16 | _SBOX[word >> 8 & 255] << 8 | _SBOX[word & 255]
+
+
+def _inv_mix_column(word: int) -> int:
+    # The decryption tables fold in the inverse S-box; the S-box cancels it.
+    d0, d1, d2, d3 = _DEC
+    return d0[_SBOX[word >> 24]] ^ d1[_SBOX[word >> 16 & 255]] ^ d2[_SBOX[word >> 8 & 255]] ^ d3[_SBOX[word & 255]]
+
+
+def _rounds(s0: int, s1: int, s2: int, s3: int, keys: Sequence[RoundKey], tables: Tables, box: Sequence[int]) -> RoundKey:
+    """Run the cipher over four column words; row ``r`` of column ``c`` reads column ``c + r``."""
+    t0, t1, t2, t3 = tables
+    k0, k1, k2, k3 = keys[0]
+    s0, s1, s2, s3 = s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3
+    for k0, k1, k2, k3 in keys[1:-1]:
+        s0, s1, s2, s3 = (
+            t0[s0 >> 24] ^ t1[s1 >> 16 & 255] ^ t2[s2 >> 8 & 255] ^ t3[s3 & 255] ^ k0,
+            t0[s1 >> 24] ^ t1[s2 >> 16 & 255] ^ t2[s3 >> 8 & 255] ^ t3[s0 & 255] ^ k1,
+            t0[s2 >> 24] ^ t1[s3 >> 16 & 255] ^ t2[s0 >> 8 & 255] ^ t3[s1 & 255] ^ k2,
+            t0[s3 >> 24] ^ t1[s0 >> 16 & 255] ^ t2[s1 >> 8 & 255] ^ t3[s2 & 255] ^ k3,
+        )
+    k0, k1, k2, k3 = keys[-1]
+    return (
+        (box[s0 >> 24] << 24 | box[s1 >> 16 & 255] << 16 | box[s2 >> 8 & 255] << 8 | box[s3 & 255]) ^ k0,
+        (box[s1 >> 24] << 24 | box[s2 >> 16 & 255] << 16 | box[s3 >> 8 & 255] << 8 | box[s0 & 255]) ^ k1,
+        (box[s2 >> 24] << 24 | box[s3 >> 16 & 255] << 16 | box[s0 >> 8 & 255] << 8 | box[s1 & 255]) ^ k2,
+        (box[s3 >> 24] << 24 | box[s0 >> 16 & 255] << 16 | box[s1 >> 8 & 255] << 8 | box[s2 & 255]) ^ k3,
+    )
 
 
 class AES:
@@ -102,103 +124,38 @@ class AES:
         if len(key) not in (16, 24, 32):
             raise ParameterError("AES key must be 16, 24 or 32 bytes")
         self.key = bytes(key)
-        self._rounds = {16: 10, 24: 12, 32: 14}[len(key)]
-        self._round_keys = self._expand_key(self.key)
-
-    # ---------------------------------------------------------- key schedule
-    def _expand_key(self, key: bytes) -> List[List[int]]:
         nk = len(key) // 4
-        nr = self._rounds
-        words: List[List[int]] = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
-        for i in range(nk, 4 * (nr + 1)):
-            temp = list(words[i - 1])
+        rounds = nk + 6
+        words = [int.from_bytes(self.key[i : i + 4], "big") for i in range(0, len(key), 4)]
+        for i in range(nk, 4 * (rounds + 1)):
+            temp = words[i - 1]
             if i % nk == 0:
-                temp = temp[1:] + temp[:1]
-                temp = [_SBOX[b] for b in temp]
-                temp[0] ^= _RCON[i // nk - 1]
+                temp = _sub_word((temp << 8 & 0xFFFFFFFF) | temp >> 24) ^ _RCON[i // nk - 1] << 24
             elif nk > 6 and i % nk == 4:
-                temp = [_SBOX[b] for b in temp]
-            words.append([a ^ b for a, b in zip(words[i - nk], temp)])
-        return words
+                temp = _sub_word(temp)
+            words.append(words[i - nk] ^ temp)
+        self._enc_keys: List[RoundKey] = [tuple(words[i : i + 4]) for i in range(0, len(words), 4)]
 
-    def _round_key(self, round_index: int) -> List[int]:
-        words = self._round_keys[4 * round_index : 4 * round_index + 4]
-        return [b for word in words for b in word]
-
-    # ---------------------------------------------------------- block cipher
-    @staticmethod
-    def _add_round_key(state: List[int], round_key: Sequence[int]) -> None:
-        for i in range(16):
-            state[i] ^= round_key[i]
-
-    @staticmethod
-    def _sub_bytes(state: List[int], box: Sequence[int]) -> None:
-        for i in range(16):
-            state[i] = box[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: List[int]) -> None:
-        # state is column-major: state[r + 4c]
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[r:] + row[:r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> None:
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[-r:] + row[:-r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = _gmul(col[0], 2) ^ _gmul(col[1], 3) ^ col[2] ^ col[3]
-            state[4 * c + 1] = col[0] ^ _gmul(col[1], 2) ^ _gmul(col[2], 3) ^ col[3]
-            state[4 * c + 2] = col[0] ^ col[1] ^ _gmul(col[2], 2) ^ _gmul(col[3], 3)
-            state[4 * c + 3] = _gmul(col[0], 3) ^ col[1] ^ col[2] ^ _gmul(col[3], 2)
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = _gmul(col[0], 14) ^ _gmul(col[1], 11) ^ _gmul(col[2], 13) ^ _gmul(col[3], 9)
-            state[4 * c + 1] = _gmul(col[0], 9) ^ _gmul(col[1], 14) ^ _gmul(col[2], 11) ^ _gmul(col[3], 13)
-            state[4 * c + 2] = _gmul(col[0], 13) ^ _gmul(col[1], 9) ^ _gmul(col[2], 14) ^ _gmul(col[3], 11)
-            state[4 * c + 3] = _gmul(col[0], 11) ^ _gmul(col[1], 13) ^ _gmul(col[2], 9) ^ _gmul(col[3], 14)
+    @cached_property
+    def _dec_keys(self) -> List[RoundKey]:
+        """Round keys of the equivalent inverse cipher, built on first use (CTR never decrypts)."""
+        enc = self._enc_keys
+        dec = [enc[-1], *(tuple(map(_inv_mix_column, key)) for key in reversed(enc[1:-1])), enc[0]]
+        # InvShiftRows moves row r right where ShiftRows moves it left, so the
+        # decryption keys, input and output list their columns as 0, 3, 2, 1:
+        # read that way, _rounds serves both directions.
+        return [(w0, w3, w2, w1) for w0, w1, w2, w3 in dec]
 
     def encrypt_block(self, plaintext: bytes) -> bytes:
         """Encrypt exactly one 16-byte block."""
         if len(plaintext) != 16:
             raise ParameterError("AES block must be exactly 16 bytes")
-        state = list(plaintext)
-        self._add_round_key(state, self._round_key(0))
-        for round_index in range(1, self._rounds):
-            self._sub_bytes(state, _SBOX)
-            self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self._round_key(round_index))
-        self._sub_bytes(state, _SBOX)
-        self._shift_rows(state)
-        self._add_round_key(state, self._round_key(self._rounds))
-        return bytes(state)
+        return _BLOCK.pack(*_rounds(*_BLOCK.unpack(plaintext), self._enc_keys, _ENC, _SBOX))
 
     def decrypt_block(self, ciphertext: bytes) -> bytes:
         """Decrypt exactly one 16-byte block."""
         if len(ciphertext) != 16:
             raise ParameterError("AES block must be exactly 16 bytes")
-        state = list(ciphertext)
-        self._add_round_key(state, self._round_key(self._rounds))
-        for round_index in range(self._rounds - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._sub_bytes(state, _INV_SBOX)
-            self._add_round_key(state, self._round_key(round_index))
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._sub_bytes(state, _INV_SBOX)
-        self._add_round_key(state, self._round_key(0))
-        return bytes(state)
+        w0, w1, w2, w3 = _BLOCK.unpack(ciphertext)
+        r0, r3, r2, r1 = _rounds(w0, w3, w2, w1, self._dec_keys, _DEC, _INV_SBOX)
+        return _BLOCK.pack(r0, r1, r2, r3)

@@ -1,4 +1,8 @@
-"""Block-cipher modes of operation and padding for the AES substrate."""
+"""Block-cipher modes of operation and padding for the AES substrate.
+
+CTR builds its keystream a block at a time and XORs it onto the message as
+one big-endian integer; CBC chains its blocks through the same XOR.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,11 @@ from ..exceptions import DecryptionError, ParameterError
 from .aes import AES
 
 __all__ = ["pkcs7_pad", "pkcs7_unpad", "encrypt_cbc", "decrypt_cbc", "ctr_keystream", "encrypt_ctr", "decrypt_ctr"]
+
+
+def _xor(data: bytes, mask: bytes) -> bytes:
+    """XOR two equal-length byte strings."""
+    return (int.from_bytes(data, "big") ^ int.from_bytes(mask, "big")).to_bytes(len(data), "big")
 
 
 def pkcs7_pad(data: bytes, block_size: int = 16) -> bytes:
@@ -37,8 +46,7 @@ def encrypt_cbc(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
     out = bytearray()
     previous = iv
     for offset in range(0, len(padded), 16):
-        block = bytes(a ^ b for a, b in zip(padded[offset : offset + 16], previous))
-        encrypted = cipher.encrypt_block(block)
+        encrypted = cipher.encrypt_block(_xor(padded[offset : offset + 16], previous))
         out += encrypted
         previous = encrypted
     return bytes(out)
@@ -55,8 +63,7 @@ def decrypt_cbc(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
     previous = iv
     for offset in range(0, len(ciphertext), 16):
         block = ciphertext[offset : offset + 16]
-        decrypted = cipher.decrypt_block(block)
-        out += bytes(a ^ b for a, b in zip(decrypted, previous))
+        out += _xor(cipher.decrypt_block(block), previous)
         previous = block
     return pkcs7_unpad(bytes(out))
 
@@ -65,20 +72,14 @@ def ctr_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     """Generate ``length`` bytes of AES-CTR keystream for a 12-byte nonce."""
     if len(nonce) != 12:
         raise ParameterError("CTR nonce must be 12 bytes")
-    cipher = AES(key)
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        block = nonce + counter.to_bytes(4, "big")
-        out += cipher.encrypt_block(block)
-        counter += 1
-    return bytes(out[:length])
+    encrypt = AES(key).encrypt_block
+    blocks = (length + 15) // 16
+    return b"".join(encrypt(nonce + counter.to_bytes(4, "big")) for counter in range(blocks))[:length]
 
 
 def encrypt_ctr(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
     """AES-CTR encryption (no padding required)."""
-    keystream = ctr_keystream(key, nonce, len(plaintext))
-    return bytes(a ^ b for a, b in zip(plaintext, keystream))
+    return _xor(plaintext, ctr_keystream(key, nonce, len(plaintext)))
 
 
 def decrypt_ctr(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
