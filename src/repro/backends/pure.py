@@ -2,9 +2,10 @@
 
 This backend *is* the semantics contract — it delegates straight to the
 :mod:`repro.mathutils.modular` primitives (builtin three-argument ``pow``,
-iterative extended gcd, windowed :class:`~repro.mathutils.modular.FixedBaseExp`,
-Straus :func:`~repro.mathutils.modular.multi_exp`) that the library used
-before the backend layer existed, so routing through it changes nothing.
+builtin ``pow(a, -1, n)`` for inverses, windowed
+:class:`~repro.mathutils.modular.FixedBaseExp`, Straus
+:func:`~repro.mathutils.modular.multi_exp`) that the library used before the
+backend layer existed, so routing through it changes nothing.
 Every other backend is pinned bit-identical against it.
 """
 

@@ -9,8 +9,9 @@ without any C extension.
 
 Design notes (per the hpc-parallel guides): keep the functions simple and
 testable first; the only "optimization" applied is using builtin ``pow`` /
-``math.gcd`` which are already C-level, and an iterative extended gcd to avoid
-recursion limits on large inputs.
+``math.gcd`` which are already C-level.  The modular inverse is builtin
+``pow(a, -1, n)``; :func:`egcd` stays iterative, so callers that need the
+Bezout coefficients of large inputs never hit the recursion limit.
 """
 
 from __future__ import annotations
@@ -83,10 +84,10 @@ def modinv(a: int, n: int) -> int:
     if n <= 0:
         raise ParameterError(f"modulus must be positive, got {n}")
     a %= n
-    g, x, _ = egcd(a, n)
-    if g != 1:
-        raise ParameterError(f"{a} has no inverse modulo {n} (gcd={g})")
-    return x % n
+    try:
+        return pow(a, -1, n)
+    except ValueError:
+        raise ParameterError(f"{a} has no inverse modulo {n} (gcd={math.gcd(a, n)})") from None
 
 
 def modexp(base: int, exponent: int, modulus: int) -> int:

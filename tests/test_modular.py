@@ -59,12 +59,23 @@ class TestModinv:
             assert (a * inv) % n == 1
 
     def test_no_inverse_raises(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^6 has no inverse modulo 9 \(gcd=3\)$"):
             modinv(6, 9)
+        with pytest.raises(ParameterError, match=r"^3 has no inverse modulo 9 \(gcd=3\)$"):
+            modinv(-6, 9)
 
     def test_zero_modulus_raises(self):
         with pytest.raises(ParameterError):
             modinv(1, 0)
+
+    @given(st.integers(min_value=-(10**30), max_value=10**30), st.integers(min_value=1, max_value=10**30))
+    def test_matches_extended_gcd(self, a, n):
+        g, x, _ = egcd(a % n, n)
+        if g == 1:
+            assert modinv(a, n) == x % n
+        else:
+            with pytest.raises(ParameterError):
+                modinv(a, n)
 
     @given(st.integers(min_value=1, max_value=10**18))
     def test_inverse_modulo_prime(self, a):
