@@ -80,16 +80,19 @@ _SBOX, _INV_SBOX, _ENC, _DEC = _build_tables()
 
 
 def _sub_word(word: int) -> int:
-    return _SBOX[word >> 24] << 24 | _SBOX[word >> 16 & 255] << 16 | _SBOX[word >> 8 & 255] << 8 | _SBOX[word & 255]
+    box = _SBOX
+    return box[word >> 24] << 24 | box[word >> 16 & 255] << 16 | box[word >> 8 & 255] << 8 | box[word & 255]
 
 
 def _inv_mix_column(word: int) -> int:
     # The decryption tables fold in the inverse S-box; the S-box cancels it.
-    d0, d1, d2, d3 = _DEC
-    return d0[_SBOX[word >> 24]] ^ d1[_SBOX[word >> 16 & 255]] ^ d2[_SBOX[word >> 8 & 255]] ^ d3[_SBOX[word & 255]]
+    (d0, d1, d2, d3), box = _DEC, _SBOX
+    return d0[box[word >> 24]] ^ d1[box[word >> 16 & 255]] ^ d2[box[word >> 8 & 255]] ^ d3[box[word & 255]]
 
 
-def _rounds(s0: int, s1: int, s2: int, s3: int, keys: Sequence[RoundKey], tables: Tables, box: Sequence[int]) -> RoundKey:
+def _rounds(
+    s0: int, s1: int, s2: int, s3: int, keys: Sequence[RoundKey], tables: Tables, box: Sequence[int]
+) -> RoundKey:
     """Run the cipher over four column words; row ``r`` of column ``c`` reads column ``c + r``."""
     t0, t1, t2, t3 = tables
     k0, k1, k2, k3 = keys[0]
