@@ -35,7 +35,7 @@ from ..exceptions import ParameterError
 __all__ = ["AES"]
 
 Tables = Tuple[List[int], List[int], List[int], List[int]]
-RoundKey = Tuple[int, int, int, int]
+Words = Tuple[int, int, int, int]  # four column words: a state or a round key
 
 # A block as four big-endian column words: row 0 is each word's top byte.
 _BLOCK = Struct(">4I")
@@ -91,8 +91,8 @@ def _inv_mix_column(word: int) -> int:
 
 
 def _rounds(
-    s0: int, s1: int, s2: int, s3: int, keys: Sequence[RoundKey], tables: Tables, box: Sequence[int]
-) -> RoundKey:
+    s0: int, s1: int, s2: int, s3: int, keys: Sequence[Words], tables: Tables, box: Sequence[int]
+) -> Words:
     """Run the cipher over four column words; row ``r`` of column ``c`` reads column ``c + r``."""
     t0, t1, t2, t3 = tables
     k0, k1, k2, k3 = keys[0]
@@ -137,10 +137,10 @@ class AES:
             elif nk > 6 and i % nk == 4:
                 temp = _sub_word(temp)
             words.append(words[i - nk] ^ temp)
-        self._enc_keys: List[RoundKey] = [tuple(words[i : i + 4]) for i in range(0, len(words), 4)]
+        self._enc_keys: List[Words] = [tuple(words[i : i + 4]) for i in range(0, len(words), 4)]
 
     @cached_property
-    def _dec_keys(self) -> List[RoundKey]:
+    def _dec_keys(self) -> List[Words]:
         """Round keys of the equivalent inverse cipher, built on first use (CTR never decrypts)."""
         enc = self._enc_keys
         dec = [enc[-1], *(tuple(map(_inv_mix_column, key)) for key in reversed(enc[1:-1])), enc[0]]
