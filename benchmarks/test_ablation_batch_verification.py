@@ -119,11 +119,11 @@ def test_measured_batch_verification_speedup(bench_artifact):
         items.append((keypair, message, scheme.sign(keypair, message, rng)))
 
     def loop_verify():
-        scheme._verify_cache.clear()
+        scheme._verdicts.clear()
         return [scheme.verify(pk, msg, sig) for pk, msg, sig in items]
 
     def batch_verify():
-        scheme._verify_cache.clear()
+        scheme._verdicts.clear()
         return scheme.batch_verify(items, rng.fork("coefficients"))
 
     assert loop_verify() == [True] * k == batch_verify()

@@ -24,9 +24,10 @@ Execution is one :class:`~repro.core.base.BDRoundMachine` per member, which
 runs the BD rounds; this module adds only the authenticators (``t_i``, ``s_i``
 in Round 1) and their check, which runs when the Round-1 view completes.
 The check is a pure function of the broadcast ``(sender, z, t, s)`` that
-every receiver evaluates identically, so its *outcome* is memoised per run
-in a table shared by the machines; each receiver still records its own two
-exponentiations.
+every receiver evaluates identically, so its *outcome* is memoised in a
+:class:`~repro.mathutils.memo.Memo` keyed by all four, which the run's plan
+creates and shares among its machines; each receiver still records its own
+two exponentiations.
 
 This preserves everything the paper evaluates about SSN — linear-in-``n``
 exponentiation count, two broadcast rounds, no certificates or explicit
@@ -39,6 +40,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..engine.machine import MachinePlan
 from ..exceptions import VerificationError
+from ..mathutils.memo import Memo
 from ..mathutils.modular import modinv
 from ..mathutils.serialization import int_to_bytes
 from ..network.medium import BroadcastMedium
@@ -62,10 +64,10 @@ class _SSNPartyMachine(BDRoundMachine):
         party: PartyState,
         setup: SystemSetup,
         ring: RingTopology,
-        check_cache: Dict[tuple, bool],
+        verdicts: Memo,
     ) -> None:
         super().__init__(party, setup, ring)
-        self.check_cache = check_cache
+        self.verdicts = verdicts
         #: sender -> (identity, z, t, s) from Round 1, in arrival order
         self._round1: Dict[str, Tuple[Identity, int, int, int]] = {}
 
@@ -101,8 +103,8 @@ class _SSNPartyMachine(BDRoundMachine):
         params = self.setup.gq_params
         party = self.party
         for sender, z_value, t_value, s_value in self._round1.values():
-            cache_key = (sender.name, z_value, t_value, s_value)
-            accepted = self.check_cache.get(cache_key)
+            key = (sender.name, z_value, t_value, s_value)
+            accepted = self.verdicts.get(key)
             if accepted is None:
                 challenge = params.hash_function.challenge(
                     sender.to_bytes(), int_to_bytes(z_value), int_to_bytes(t_value)
@@ -112,7 +114,7 @@ class _SSNPartyMachine(BDRoundMachine):
                     pow(s_value, params.e, params.n)
                     * pow(modinv(hid, params.n), challenge, params.n)
                 ) % params.n
-                accepted = self.check_cache[cache_key] = check == t_value
+                accepted = self.verdicts.put(key, check == t_value)
             party.recorder.record_operation("modexp", 2)
             if not accepted:
                 raise VerificationError(
@@ -139,14 +141,14 @@ class SSNProtocol(Protocol):
         **kwargs: object,
     ) -> MachinePlan:
         """Decompose the SSN-style protocol into per-member machines."""
-        check_cache: Dict[tuple, bool] = {}
+        verdicts = Memo()
         return self._flat_plan(
             members,
             medium,
             seed,
             kwargs,
             "ssn",
-            lambda party, ring: _SSNPartyMachine(party, self.setup, ring, check_cache),
+            lambda party, ring: _SSNPartyMachine(party, self.setup, ring, verdicts),
         )
 
 

@@ -30,6 +30,8 @@ from typing import Dict, List, Optional, Tuple
 from ..core.base import PartyState, SystemSetup
 from ..engine.machine import Outbound, PartyMachine
 from ..exceptions import KeyConfirmationError, ProtocolError
+from ..mathutils.memo import Memo
+from ..mathutils.serialization import int_to_bytes
 from ..network.message import Message, group_element_part, identity_part
 from ..pki.identity import Identity
 from .tree import ClusterTree
@@ -114,7 +116,16 @@ class ClusterCrew:
 
 
 class TreeRun:
-    """Shared public context of one run's tree phase."""
+    """Shared public context of one run's tree phase.
+
+    It also computes the run's tree values: the leaf secret
+    ``H(label, K_c)``, each node secret ``H(label, BK_sibling^{k_child})``,
+    the root key ``g^{k_root}`` and the confirmation digest.  Each is
+    memoised for the run, keyed by every input that can differ between
+    members (the label, the cluster key, the sibling's blinded key, the child
+    secret), so a member fed a forged blinded key misses the memo and fails
+    on its own.  Callers still charge their own ledgers.
+    """
 
     def __init__(
         self,
@@ -131,18 +142,53 @@ class TreeRun:
         }
         #: labels whose blinded keys must be recomputed and rebroadcast
         self.dirty = frozenset(tree.dirty_labels(self.carried))
+        self._memo = Memo()
+
+    def leaf_secret(self, label: str, cluster_key: int) -> int:
+        """``k_leaf = H(label, K_c)`` in ``Z_q``."""
+        return self._memo.compute(
+            ("leaf", label, cluster_key),
+            lambda: self.setup.hash_function.hash_to_zq(
+                b"cluster-leaf", label.encode(), int_to_bytes(cluster_key), q=self.setup.group.q
+            ),
+        )
+
+    def node_secret(self, label: str, sibling_bk: int, child_secret: int) -> int:
+        """``k_node = H(label, BK_sibling^{k_child})`` in ``Z_q``."""
+
+        def derive() -> int:
+            group = self.setup.group
+            shared = group.power(sibling_bk, child_secret)
+            return self.setup.hash_function.hash_to_zq(
+                b"cluster-node", label.encode(), int_to_bytes(shared), q=group.q
+            )
+
+        return self._memo.compute(("node", label, sibling_bk, child_secret), derive)
+
+    def root_key(self, root_secret: int) -> int:
+        """The group key ``g^{k_root}``."""
+        return self._memo.compute(
+            ("root", root_secret), lambda: self.setup.group.exp_g(root_secret)
+        )
 
     def confirm_digest(self, root_key: int) -> int:
-        hf = self.setup.hash_function
-        return hf.digest_int(
-            b"cluster-confirm",
-            self.tree.root_label.encode(),
-            root_key.to_bytes((root_key.bit_length() + 7) // 8 or 1, "big"),
+        """The key-confirmation digest ``H(root label, K)``."""
+        return self._memo.compute(
+            ("confirm", root_key),
+            lambda: self.setup.hash_function.digest_int(
+                b"cluster-confirm", self.tree.root_label.encode(), int_to_bytes(root_key)
+            ),
         )
 
 
 class ClusterMachine(PartyMachine):
-    """One member's view of a hierarchical cluster-tree run."""
+    """One member's view of a hierarchical cluster-tree run.
+
+    The tree values come from the run's :class:`TreeRun`, which computes each
+    once for all members with the same inputs; this member still records a
+    hash and an exponentiation for every value it derives, as the device
+    would spend them.
+    """
 
     def __init__(
         self,
@@ -255,15 +301,8 @@ class ClusterMachine(PartyMachine):
             raise ProtocolError(
                 f"cluster c{self.crew.uid} entered the tree phase without a cluster key"
             )
-        group = self.setup.group
-        hf = self.setup.hash_function
         leaf = self._path[0]
-        k_leaf = hf.hash_to_zq(
-            b"cluster-leaf",
-            leaf.label.encode(),
-            key.to_bytes((key.bit_length() + 7) // 8 or 1, "big"),
-            q=group.q,
-        )
+        k_leaf = self.run.leaf_secret(leaf.label, key)
         self.party.recorder.record_operation("hash")
         self._secrets[leaf.label] = k_leaf
         outs: List[Outbound] = []
@@ -273,7 +312,7 @@ class ClusterMachine(PartyMachine):
             and leaf.label != self.run.tree.root_label
             and leaf.label not in self.bk
         ):
-            bk = group.exp_g(k_leaf)
+            bk = self.setup.group.exp_g(k_leaf)
             self.party.recorder.record_operation("modexp")
             self.bk[leaf.label] = bk
             outs.append(self._bk_message(leaf.label, bk))
@@ -281,8 +320,6 @@ class ClusterMachine(PartyMachine):
         return outs
 
     def _advance(self, now: float) -> List[Outbound]:
-        group = self.setup.group
-        hf = self.setup.hash_function
         tree = self.run.tree
         outs: List[Outbound] = []
         for child, node in zip(self._path, self._path[1:]):
@@ -292,14 +329,10 @@ class ClusterMachine(PartyMachine):
             if sibling not in self.bk:
                 self.waiting_for = BK_PREFIX + sibling
                 return outs
-            shared = group.power(self.bk[sibling], self._secrets[child.label])
-            self.party.recorder.record_operation("modexp")
-            k_node = hf.hash_to_zq(
-                b"cluster-node",
-                node.label.encode(),
-                shared.to_bytes((shared.bit_length() + 7) // 8 or 1, "big"),
-                q=group.q,
+            k_node = self.run.node_secret(
+                node.label, self.bk[sibling], self._secrets[child.label]
             )
+            self.party.recorder.record_operation("modexp")
             self.party.recorder.record_operation("hash")
             self._secrets[node.label] = k_node
             if (
@@ -308,7 +341,7 @@ class ClusterMachine(PartyMachine):
                 and node.label != tree.root_label
                 and node.label not in self.bk
             ):
-                bk = group.exp_g(k_node)
+                bk = self.setup.group.exp_g(k_node)
                 self.party.recorder.record_operation("modexp")
                 self.bk[node.label] = bk
                 outs.append(self._bk_message(node.label, bk))
@@ -319,8 +352,7 @@ class ClusterMachine(PartyMachine):
         tree = self.run.tree
         root_label = tree.root_label
         if self._root_key is None:
-            group = self.setup.group
-            self._root_key = group.exp_g(self._secrets[root_label])
+            self._root_key = self.run.root_key(self._secrets[root_label])
             self.party.recorder.record_operation("modexp")
             self.party.group_key = self._root_key
         if self._confirm_expected is None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence
 
 from ..energy.accounting import CostRecorder, DeviceProfile
 from ..engine.executor import EngineConfig, EngineStats, drive_plan
@@ -40,7 +40,7 @@ from ..exceptions import KeyConfirmationError, ParameterError, ProtocolError
 from ..groups.params import PAPER_GQ_SET, PAPER_SCHNORR_SET, get_gq_modulus, get_schnorr_group
 from ..groups.schnorr import SchnorrGroup
 from ..hashing.hashfuncs import HashFunction
-from ..backends.registry import active_backend
+from ..mathutils.memo import Memo
 from ..mathutils.modular import product_mod
 from ..mathutils.primes import RSAModulus, generate_rsa_modulus, generate_schnorr_parameters
 from ..mathutils.rand import DeterministicRNG
@@ -526,6 +526,10 @@ def compute_bd_key(
 
     ``K = (z_{i-1})^{n·r_i} · X_i^{n-1} · X_{i+1}^{n-2} ··· X_{i+n-2}`` which
     telescopes to ``prod_j g^{r_j r_{j+1}}`` (the paper's equation (3)).
+    It is evaluated as that telescoping product: with
+    ``A_0 = z_{i-1}^{r_i}`` and ``A_j = A_{j-1} · X_{i+j-1}``, each ``A_j``
+    is ``g^{r_{i+j-1} r_{i+j}}`` and ``K = A_0 · A_1 ··· A_{n-1}`` — one
+    exponentiation plus ``2(n-1)`` multiplications.
 
     Parameters
     ----------
@@ -546,18 +550,12 @@ def compute_bd_key(
         position = ring_names.index(member_name)
     except ValueError:
         raise ParameterError(f"{member_name!r} is not in the ring") from None
-    left_name = ring_names[(position - 1) % n]
-    # One simultaneous multi-exponentiation instead of n independent ones:
-    # the single q-sized exponent n·r_i drives the shared squaring chain and
-    # the n-1 small X exponents ride along, so the work no longer grows with
-    # a full exponentiation per member.
-    bases = [z_table[left_name]]
-    exponents = [n * r_i]
+    p = group.p
+    term = key = group.power(z_table[ring_names[(position - 1) % n]], r_i)
     for offset in range(n - 1):
-        name = ring_names[(position + offset) % n]
-        bases.append(x_table[name])
-        exponents.append(n - 1 - offset)
-    return active_backend().multi_exp(bases, exponents, group.p)
+        term = term * x_table[ring_names[(position + offset) % n]] % p
+        key = key * term % p
+    return key
 
 
 def verify_x_product(group: SchnorrGroup, x_values: Sequence[int]) -> bool:
@@ -715,12 +713,22 @@ class GQRoundMachine(BDRoundMachine):
     ``c = H(T, Z)``, where ``Z = prod z_j mod p`` and ``T = prod t_j mod n``.
     The controller ``U_1`` broadcasts its Round 2 last, once it holds
     everyone else's.  Each subclass writes :meth:`_verify`, because the two
-    protocols act differently on a failed check, and each calls its own
-    module's ``gq_batch_verify``.
+    protocols act differently on a failed check, and each passes its own
+    module's ``gq_batch_verify`` to :meth:`_batch_verdict`.
+
+    Every member checks equation (2) over the same public view, so the
+    verdict is memoised in ``verdicts``, a :class:`~repro.mathutils.memo.Memo`
+    that the run's plan creates and shares among its machines.  It is keyed
+    by the identities, responses, challenge and encoded ``Z``, so a member
+    whose view was tampered with misses it and checks its own view.  Each
+    member still records its own verification.
     """
 
-    def __init__(self, party: PartyState, setup: SystemSetup, ring: RingTopology) -> None:
+    def __init__(
+        self, party: PartyState, setup: SystemSetup, ring: RingTopology, verdicts: Memo
+    ) -> None:
         super().__init__(party, setup, ring)
+        self.verdicts = verdicts
         self.is_controller = ring.controller().name == party.identity.name
         self._t_view: Dict[str, int] = {}
         self._s_table: Dict[str, int] = {}
@@ -776,18 +784,23 @@ class GQRoundMachine(BDRoundMachine):
             self._verify()
         return []
 
-    def _batch_inputs(self) -> Tuple[List[bytes], List[int], int, bytes]:
-        """``gq_batch_verify``'s arguments after the parameters.
+    def _batch_verdict(self, batch_verify: Callable[..., bool]) -> bool:
+        """Equation (2) over this member's view, computed once per run.
 
-        The identities and responses in ring order, the challenge, and the
-        encoded aggregate ``Z`` the challenge binds.
+        ``batch_verify`` is ``gq_batch_verify`` called with the parameters,
+        then the identities and responses in ring order, the challenge, and
+        the encoded aggregate ``Z`` the challenge binds.
         """
         assert self._challenge is not None and self._aggregate is not None
-        return (
-            [member.to_bytes() for member in self.ring.members],
-            [self._s_table[name] for name in self._ring_names],
-            self._challenge,
-            int_to_bytes(self._aggregate),
+        identities = tuple(member.to_bytes() for member in self.ring.members)
+        responses = tuple(self._s_table[name] for name in self._ring_names)
+        challenge = self._challenge
+        bound = int_to_bytes(self._aggregate)
+        return self.verdicts.compute(
+            (identities, responses, challenge, bound),
+            lambda: batch_verify(
+                self.setup.gq_params, identities, responses, challenge, bound
+            ),
         )
 
     def _lemma1_holds(self) -> bool:

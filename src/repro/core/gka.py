@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..engine.executor import EngineConfig
 from ..engine.machine import MachinePlan, Outbound
 from ..exceptions import BatchVerificationError, ProtocolError
+from ..mathutils.memo import Memo
 from ..mathutils.rand import DeterministicRNG
 from ..network.events import (
     JoinEvent,
@@ -136,8 +137,9 @@ class _GkaPartyMachine(GQRoundMachine):
         ring: RingTopology,
         coordinator: _Round2Coordinator,
         tamper: Optional[TamperFunction],
+        verdicts: Memo,
     ) -> None:
-        super().__init__(party, setup, ring)
+        super().__init__(party, setup, ring, verdicts)
         self.coordinator = coordinator
         self.tamper = tamper
 
@@ -160,7 +162,7 @@ class _GkaPartyMachine(GQRoundMachine):
     # ----------------------------------------------------------- verification
     def _verify(self) -> None:
         party = self.party
-        batch_ok = gq_batch_verify(self.setup.gq_params, *self._batch_inputs())
+        batch_ok = self._batch_verdict(gq_batch_verify)
         party.recorder.record_signature("gq", "ver")
         verdict = batch_ok and self._lemma1_holds()
         if verdict:
@@ -202,13 +204,16 @@ class ProposedGKAProtocol(Protocol):
     ) -> MachinePlan:
         """Decompose the two-round protocol into per-member machines."""
         coordinator = _Round2Coordinator(self.max_retransmissions)
+        verdicts = Memo()
         plan = self._flat_plan(
             members,
             medium,
             seed,
             kwargs,
             "proposed-gka",
-            lambda party, ring: _GkaPartyMachine(party, self.setup, ring, coordinator, tamper),
+            lambda party, ring: _GkaPartyMachine(
+                party, self.setup, ring, coordinator, tamper, verdicts
+            ),
         )
         coordinator.machines = plan.machines  # type: ignore[assignment]
         return plan

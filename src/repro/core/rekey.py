@@ -41,6 +41,7 @@ from typing import List, Mapping, Optional, Sequence, Set
 from ..engine.executor import EngineConfig, drive_plan
 from ..engine.machine import MachinePlan, Outbound
 from ..exceptions import BatchVerificationError, KeyConfirmationError, MembershipError, ParameterError
+from ..mathutils.memo import Memo
 from ..mathutils.rand import DeterministicRNG
 from ..network.medium import BroadcastMedium
 from ..network.message import Message
@@ -71,8 +72,9 @@ class _RekeyPartyMachine(GQRoundMachine):
         refresher_names: Set[str],
         round_prefix: str,
         protocol_name: str,
+        verdicts: Memo,
     ) -> None:
-        super().__init__(party, setup, new_ring)
+        super().__init__(party, setup, new_ring, verdicts)
         self.parties = parties
         self.protocol_name = protocol_name
         self.round1_label = f"{round_prefix}-round1"
@@ -111,7 +113,7 @@ class _RekeyPartyMachine(GQRoundMachine):
     # ----------------------------------------------------------- verification
     def _verify(self) -> None:
         party = self.party
-        if not gq_batch_verify(self.setup.gq_params, *self._batch_inputs()):
+        if not self._batch_verdict(gq_batch_verify):
             raise BatchVerificationError(
                 f"{self.identity.name} failed the batch verification during {self.protocol_name}"
             )
@@ -171,6 +173,7 @@ def build_departure_rekey(
     parties = {
         name: party for name, party in state.parties.items() if name not in departing_names
     }
+    verdicts = Memo()
     machines = [
         _RekeyPartyMachine(
             state.party(member),
@@ -180,6 +183,7 @@ def build_departure_rekey(
             refresher_names,
             round_prefix,
             protocol_name,
+            verdicts,
         )
         for member in remaining
     ]

@@ -13,8 +13,12 @@ The controller prints its plan (the ``--dry-run`` grid report) and its bound
 address up front, streams one-line progress snapshots to stderr while rows
 arrive, and exits ``1`` if any cell ended as an error row (worker-loss
 retries exhausted, or a simulation failure inside a cell) — same exit-code
-contract as ``python -m repro.campaign``.  Workers exit ``0`` on a clean
-shutdown handshake and ``1`` when the controller was unreachable.
+contract as ``python -m repro.campaign``.  After the last row it keeps
+telling workers that connect late that the campaign is complete, for one
+worker-silence window (``--heartbeat`` × the controller's heartbeat misses),
+then exits.  Workers exit ``0`` on a clean shutdown handshake (computing no
+cells if they arrived too late for any) and ``1`` when the controller was
+unreachable.
 """
 
 from __future__ import annotations
@@ -159,7 +163,7 @@ def _controller_main(args: argparse.Namespace) -> int:
         with observability(
             trace=args.trace, metrics=args.metrics, process="controller"
         ):
-            result = controller.serve()
+            result = controller.serve(dismiss_late=True)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,10 +12,11 @@ connections, and drives one campaign to completion:
   recorded (and cached) the moment it arrives, so progress is continuous
   rather than wait-for-everything.
 * **Fault tolerance** — a worker is declared lost on socket EOF/error or
-  after :attr:`heartbeat_s` × :attr:`heartbeat_misses` of silence.  Its
-  in-flight cell goes back to the *front* of the queue; after
-  :attr:`max_requeues` losses the cell becomes an ``error`` row instead
-  (bounded retries — a poisoned cell can never wedge the campaign).
+  after :attr:`heartbeat_s` × :attr:`heartbeat_misses` of silence (the
+  *worker-silence window*).  Its in-flight cell goes back to the *front* of
+  the queue; after :attr:`max_requeues` losses the cell becomes an
+  ``error`` row instead (bounded retries — a poisoned cell can never wedge
+  the campaign).
 * **Determinism** — rows are assembled by cell index, and every stochastic
   input lives in the cell's own derived seed, so the assembled
   :class:`~repro.campaign.result.CampaignResult` is bit-identical to
@@ -254,12 +255,19 @@ class CampaignController:
         self._selector.register(listener, selectors.EVENT_READ, "accept")
         return self.address
 
-    def serve(self) -> CampaignResult:
+    def serve(self, *, dismiss_late: bool = False) -> CampaignResult:
         """Run to completion and return the assembled result.
 
         Blocks until every cell has a row (computed, cached, or written off
         as an error after bounded retries), then shuts the workers down and
         closes the listener.
+
+        With ``dismiss_late``, the listener first stays open for one
+        worker-silence window, and every worker that says ``hello`` in it is
+        sent ``shutdown`` (reason ``complete``) in place of ``welcome``.  A
+        worker started alongside the others but connecting after the last
+        row then exits cleanly instead of retrying a closed port.  The CLI
+        controller, whose workers start independently, sets it.
         """
         self.bind()
         assert self._selector is not None
@@ -291,9 +299,30 @@ class CampaignController:
                         )
                 else:
                     idle_since = None
-            return self._assemble()
+            result = self._assemble()
+            if dismiss_late:
+                self._dismiss_late_workers()
+            return result
         finally:
             self.close()
+
+    def _dismiss_late_workers(self) -> None:
+        """Answer every connection with ``shutdown`` for one silence window."""
+        assert self._selector is not None
+        for sock in list(self._workers):
+            self._drop(sock, shutdown=True)
+        deadline = time.perf_counter() + self.heartbeat_s * self.heartbeat_misses
+        while (remaining := deadline - time.perf_counter()) > 0:
+            for key, _ in self._selector.select(timeout=remaining):
+                if key.data == "accept":
+                    self._accept()
+                    continue
+                sock = key.fileobj
+                try:
+                    sock.recv(65536)  # the hello: read, so the close is orderly
+                except OSError:
+                    pass
+                self._drop(sock, shutdown=True)  # type: ignore[arg-type]
 
     def close(self) -> None:
         """Shut down every worker link and the listener."""

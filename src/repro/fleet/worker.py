@@ -9,7 +9,9 @@ raises, so the distributed worker adds only transport:
 * register with a ``hello``, obey the controller's advertised heartbeat,
 * loop: receive a ``cell``, compute it, send the ``row``, repeat,
 * exit cleanly on ``shutdown`` (or on EOF — a vanished controller is not an
-  error worth a traceback on every node of a fleet).
+  error worth a traceback on every node of a fleet), including a
+  ``shutdown`` with reason ``complete`` in place of ``welcome``: the
+  campaign finished before this worker arrived.
 
 Heartbeats come from a daemon thread so they keep flowing while the main
 thread is deep inside a long cell — exactly when the controller most needs
@@ -87,6 +89,12 @@ class FleetWorker:
             self._send({"type": "hello", "version": PROTOCOL_VERSION,
                         "worker": self.name, "pid": os.getpid()})
             welcome = self._next_message()
+            if (
+                welcome is not None
+                and welcome.get("type") == "shutdown"
+                and welcome.get("reason") == "complete"
+            ):
+                return self.cells_done
             if welcome is None or welcome.get("type") != "welcome":
                 raise FleetError(
                     f"controller at {self.connect[0]}:{self.connect[1]} did not "

@@ -1,4 +1,5 @@
-"""Number-theoretic substrate: modular arithmetic, primes, RNG, serialization.
+"""Number-theoretic substrate: modular arithmetic, primes, RNG, serialization,
+and the bounded memo the protocols share computed values through.
 
 This subpackage has no dependency on the rest of the library; everything else
 (groups, signatures, protocols) is built on top of it.
@@ -18,6 +19,7 @@ from .modular import (
     modinv,
     product_mod,
 )
+from .memo import MEMO_LIMIT, Memo
 from .primes import (
     RSAModulus,
     SMALL_PRIMES,
@@ -56,6 +58,9 @@ __all__ = [
     "modexp",
     "modinv",
     "product_mod",
+    # memo
+    "MEMO_LIMIT",
+    "Memo",
     # primes
     "RSAModulus",
     "SMALL_PRIMES",

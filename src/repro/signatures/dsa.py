@@ -15,15 +15,12 @@ from ..backends.registry import active_backend
 from ..exceptions import ParameterError
 from ..groups.schnorr import SchnorrGroup
 from ..hashing.hashfuncs import HashFunction
+from ..mathutils.memo import Memo
 from ..mathutils.modular import modinv
 from ..mathutils.rand import DeterministicRNG
 from .base import BatchItem, KeyPair, OperationCount, Signature, SignatureScheme
 
 __all__ = ["DSASignatureScheme", "DSAKeyPair"]
-
-#: Verification memo bound (see DSASignatureScheme.verify); entries are only
-#: re-hit within one broadcast round, so overflow simply resets the memo.
-_VERIFY_CACHE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -43,7 +40,7 @@ class DSASignatureScheme(SignatureScheme):
         self.group = group
         self.hash_function = hash_function or HashFunction(output_bits=group.q_bits)
         #: (y, message, r, s) -> outcome; see :meth:`verify`.
-        self._verify_cache: dict = {}
+        self._verdicts = Memo()
 
     # -------------------------------------------------------------- key mgmt
     def generate_keypair(self, rng: DeterministicRNG) -> DSAKeyPair:
@@ -93,26 +90,22 @@ class DSASignatureScheme(SignatureScheme):
 
         Verification is a pure function of ``(y, message, r, s)`` and in the
         broadcast protocols every one of the ``n - 1`` receivers verifies the
-        *same* triple, so the outcome is memoised per scheme instance.  Each
+        *same* triple, so the outcome is memoised (a
+        :class:`~repro.mathutils.memo.Memo` keyed by all four) per scheme
+        instance.  The instance lives on the protocol and its CA, so
+        certificate checks are re-hit across the runs of one scenario.  Each
         receiver still records its own verification cost — the memo saves
-        simulation host time, not modelled device energy.
+        simulation host time, not modelled device energy.  The range check
+        runs before the lookup.
         """
         y = public_key.public if isinstance(public_key, DSAKeyPair) else int(public_key)
         q = self.group.q
         r, s = signature.component("r"), signature.component("s")
         if not (0 < r < q and 0 < s < q):
             return False
-        key = (y, message, r, s)
-        cached = self._verify_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._verify_uncached(y, message, r, s)
-        if len(self._verify_cache) >= _VERIFY_CACHE_LIMIT:
-            # Entries are only ever re-hit within one broadcast round; a full
-            # reset on overflow keeps memory bounded over long scenario sweeps.
-            self._verify_cache.clear()
-        self._verify_cache[key] = result
-        return result
+        return self._verdicts.compute(
+            (y, message, r, s), lambda: self._verify_uncached(y, message, r, s)
+        )
 
     def _verify_uncached(self, y: int, message: bytes, r: int, s: int) -> bool:
         q = self.group.q
@@ -125,12 +118,6 @@ class DSASignatureScheme(SignatureScheme):
         u2 = (r * w) % q
         v = (self.group.exp_g(u1) * self.group.power(y, u2)) % self.group.p % q
         return v == r
-
-    def _memoise(self, key: tuple, result: bool) -> bool:
-        if len(self._verify_cache) >= _VERIFY_CACHE_LIMIT:
-            self._verify_cache.clear()
-        self._verify_cache[key] = result
-        return result
 
     # --------------------------------------------------------- batch verify
     has_batch_form = True
@@ -164,7 +151,7 @@ class DSASignatureScheme(SignatureScheme):
             if not (0 < r < q and 0 < s < q):
                 results[index] = False
                 continue
-            cached = self._verify_cache.get((y, message, r, s))
+            cached = self._verdicts.get((y, message, r, s))
             if cached is not None:
                 results[index] = cached
                 continue
@@ -177,7 +164,7 @@ class DSASignatureScheme(SignatureScheme):
             try:
                 w = modinv(s, q)
             except ParameterError:
-                results[index] = self._memoise((y, message, r, s), False)
+                results[index] = self._verdicts.put((y, message, r, s), False)
                 continue
             pending.append((index, y, message, r, s, v, (digest * w) % q, (r * w) % q))
         self._batch_check(pending, results, rng)
@@ -191,7 +178,7 @@ class DSASignatureScheme(SignatureScheme):
             return
         if len(entries) == 1:
             index, y, message, r, s, _, _, _ = entries[0]
-            results[index] = self._memoise(
+            results[index] = self._verdicts.put(
                 (y, message, r, s), self._verify_uncached(y, message, r, s)
             )
             return
@@ -214,7 +201,7 @@ class DSASignatureScheme(SignatureScheme):
         right = (self.group.exp_g(combined_u1) * backend.multi_exp(key_bases, key_exps, p)) % p
         if left == right:
             for index, y, message, r, s, _, _, _ in entries:
-                results[index] = self._memoise((y, message, r, s), True)
+                results[index] = self._verdicts.put((y, message, r, s), True)
             return
         half = len(entries) // 2
         self._batch_check(entries[:half], results, rng)

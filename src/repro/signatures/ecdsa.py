@@ -15,14 +15,12 @@ from ..exceptions import ParameterError
 from ..groups.curves import SECP160R1
 from ..groups.elliptic import ECPoint, EllipticCurve, ec_multi_scalar
 from ..hashing.hashfuncs import HashFunction
+from ..mathutils.memo import Memo
 from ..mathutils.modular import modinv
 from ..mathutils.rand import DeterministicRNG
 from .base import BatchItem, OperationCount, Signature, SignatureScheme
 
 __all__ = ["ECDSASignatureScheme", "ECDSAKeyPair"]
-
-#: Verification memo bound (see ECDSASignatureScheme.verify).
-_VERIFY_CACHE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,7 @@ class ECDSASignatureScheme(SignatureScheme):
         self.curve = curve
         self.hash_function = hash_function or HashFunction(output_bits=curve.n.bit_length())
         #: (Q, message, r, s) -> outcome; see :meth:`verify`.
-        self._verify_cache: dict = {}
+        self._verdicts = Memo()
 
     # -------------------------------------------------------------- key mgmt
     def generate_keypair(self, rng: DeterministicRNG) -> ECDSAKeyPair:
@@ -89,10 +87,12 @@ class ECDSASignatureScheme(SignatureScheme):
     def verify(self, public_key, message: bytes, signature: Signature) -> bool:
         """Standard ECDSA verification via ``u1·G + u2·Q``.
 
-        Memoised per ``(Q, message, r, s)`` like the DSA scheme: in the
+        Memoised per scheme instance in a :class:`~repro.mathutils.memo.Memo`
+        keyed by ``(Q, message, r, s)``, like the DSA scheme: in the
         broadcast protocols every receiver verifies the same triple, and the
         outcome is a pure function of it.  Each receiver still records its
         own verification cost — the memo saves simulation host time only.
+        The range check runs before the lookup.
         """
         q_point = public_key.public if isinstance(public_key, ECDSAKeyPair) else public_key
         if not isinstance(q_point, ECPoint):
@@ -101,16 +101,10 @@ class ECDSASignatureScheme(SignatureScheme):
         r, s = signature.component("r"), signature.component("s")
         if not (0 < r < n and 0 < s < n):
             return False
-        key = ((q_point.x, q_point.y), message, r, s)
-        cached = self._verify_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._verify_uncached(q_point, message, r, s)
-        if len(self._verify_cache) >= _VERIFY_CACHE_LIMIT:
-            # Same bounded-memo policy as the DSA scheme.
-            self._verify_cache.clear()
-        self._verify_cache[key] = result
-        return result
+        return self._verdicts.compute(
+            ((q_point.x, q_point.y), message, r, s),
+            lambda: self._verify_uncached(q_point, message, r, s),
+        )
 
     def _verify_uncached(self, q_point: "ECPoint", message: bytes, r: int, s: int) -> bool:
         n = self.curve.n
@@ -125,12 +119,6 @@ class ECDSASignatureScheme(SignatureScheme):
         if point.is_infinity:
             return False
         return point.x % n == r  # type: ignore[operator]
-
-    def _memoise(self, key: tuple, result: bool) -> bool:
-        if len(self._verify_cache) >= _VERIFY_CACHE_LIMIT:
-            self._verify_cache.clear()
-        self._verify_cache[key] = result
-        return result
 
     def _aux_commitment(self, signature: Signature, r: int) -> Optional[ECPoint]:
         """The signing commitment ``R = k·G`` from aux data, or ``None``.
@@ -186,7 +174,7 @@ class ECDSASignatureScheme(SignatureScheme):
             if not (0 < r < n and 0 < s < n):
                 results[index] = False
                 continue
-            cached = self._verify_cache.get(((q_point.x, q_point.y), message, r, s))
+            cached = self._verdicts.get(((q_point.x, q_point.y), message, r, s))
             if cached is not None:
                 results[index] = cached
                 continue
@@ -198,7 +186,7 @@ class ECDSASignatureScheme(SignatureScheme):
             try:
                 w = modinv(s, n)
             except ParameterError:
-                results[index] = self._memoise(((q_point.x, q_point.y), message, r, s), False)
+                results[index] = self._verdicts.put(((q_point.x, q_point.y), message, r, s), False)
                 continue
             pending.append(
                 (index, q_point, message, r, s, commitment, (digest * w) % n, (r * w) % n)
@@ -214,7 +202,7 @@ class ECDSASignatureScheme(SignatureScheme):
             return
         if len(entries) == 1:
             index, q_point, message, r, s, _, _, _ = entries[0]
-            results[index] = self._memoise(
+            results[index] = self._verdicts.put(
                 ((q_point.x, q_point.y), message, r, s),
                 self._verify_uncached(q_point, message, r, s),
             )
@@ -234,7 +222,7 @@ class ECDSASignatureScheme(SignatureScheme):
         scalars[0] = -combined_u1
         if ec_multi_scalar(points, scalars).is_infinity:
             for index, q_point, message, r, s, _, _, _ in entries:
-                results[index] = self._memoise(((q_point.x, q_point.y), message, r, s), True)
+                results[index] = self._verdicts.put(((q_point.x, q_point.y), message, r, s), True)
             return
         half = len(entries) // 2
         self._batch_check(entries[:half], results, rng)

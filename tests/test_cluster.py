@@ -18,7 +18,7 @@ Covers the cluster subsystem's contract end to end:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -35,7 +35,8 @@ from repro.cluster import (
 )
 from repro.core.registry import create_protocol, protocol_tags
 from repro.engine import EngineConfig, FixedLatency
-from repro.exceptions import ParameterError
+from repro.engine.executor import drive_plan
+from repro.exceptions import KeyConfirmationError, ParameterError
 from repro.network.events import JoinEvent, LeaveEvent, MergeEvent, PartitionEvent
 from repro.network.medium import BroadcastMedium
 from repro.pki import Identity
@@ -252,6 +253,50 @@ class TestClusterEstablishment:
         _, _, other = _establish(small_setup, protocol, 8, seed=8)
         assert first.group_key == again.group_key
         assert first.group_key != other.group_key
+
+    def test_forged_blinded_key_fails_only_its_receiver(self, small_setup, protocol):
+        # Cluster-mates share their path secrets, which the run computes once;
+        # a member fed a forged sibling key must miss that and fail alone.
+        _, _, honest = _establish(small_setup, protocol, 12, seed=5, cluster_size=3)
+        medium = BroadcastMedium()
+        plan = create_protocol(protocol, small_setup).build_machines(
+            _members("cl", 12), medium=medium, seed=5, cluster_size=3
+        )
+        victim = plan.machines[1]  # not a leader, so it broadcasts no blinded key
+        sibling = victim.run.tree.sibling(leaf_label(victim.crew.uid, victim.crew.epoch))
+        aborted = []
+
+        def guard(hook):
+            def guarded(*args):
+                try:
+                    return hook(*args)
+                except KeyConfirmationError as exc:
+                    aborted.append(exc)
+                    victim.finished = True
+                    return []
+
+            return guarded
+
+        def forge(hook):
+            def forging(message, now):
+                if message.round_label == f"ct-bk/{sibling}":
+                    parts = tuple(
+                        replace(part, value=part.value + 1) if part.name == "bk" else part
+                        for part in message.parts
+                    )
+                    message = replace(message, parts=parts)
+                return hook(message, now)
+
+            return forging
+
+        victim.start = guard(victim.start)
+        victim.on_wake = guard(victim.on_wake)
+        victim.on_message = guard(forge(victim.on_message))
+        drive_plan(plan, medium)
+        assert len(aborted) == 1
+        keys = {m.identity.name: m.party.group_key for m in plan.machines}
+        assert keys.pop(victim.identity.name) != honest.group_key
+        assert set(keys.values()) == {honest.group_key}
 
     def test_cluster_size_override(self, small_setup, protocol):
         _, _, result = _establish(small_setup, protocol, 12, cluster_size=3)

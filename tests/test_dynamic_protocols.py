@@ -14,8 +14,13 @@ from repro.core import (
     PartitionProtocol,
     ProposedGKAProtocol,
 )
-from repro.exceptions import MembershipError, ParameterError, ProtocolError
+from repro.core import gka as gka_module
+from repro.core import rekey as rekey_module
+from repro.core.rekey import build_departure_rekey
+from repro.engine.executor import drive_plan
+from repro.exceptions import BatchVerificationError, MembershipError, ParameterError, ProtocolError
 from repro.network.events import JoinEvent, LeaveEvent, MergeEvent, PartitionEvent
+from repro.network.medium import BroadcastMedium
 from repro.pki import Identity
 
 
@@ -210,6 +215,62 @@ class TestPartitionProtocol:
     def test_partition_cannot_empty_group(self, small_setup, established):
         with pytest.raises(MembershipError):
             PartitionProtocol(small_setup).run(established.state, established.state.ring.members[1:])
+
+
+class TestSharedBatchVerdict:
+    """A run checks equation (2) once per distinct view, for every member."""
+
+    def test_forged_response_view_fails_only_its_holder(self, small_setup, established):
+        state = established.state
+        old_key = established.group_key
+        medium = BroadcastMedium()
+        plan = build_departure_rekey(
+            small_setup,
+            state,
+            [state.ring.members[2]],
+            protocol_name="leave",
+            round_prefix="leave",
+            medium=medium,
+            seed=3,
+        )
+        victim = plan.machines[-1]  # verifies after the controller has
+        honest_verify = victim._verify
+        raised = []
+
+        def forged_verify():
+            assert len(victim.verdicts) == 1  # the honest verdict is memoised
+            victim._s_table[state.ring.controller().name] += 1
+            try:
+                honest_verify()
+            except BatchVerificationError as exc:
+                raised.append(exc)
+                victim.finished = True
+
+        victim._verify = forged_verify
+        result = drive_plan(plan, medium)
+        assert len(raised) == 1
+        others = {
+            party.group_key
+            for name, party in result.state.parties.items()
+            if name != victim.identity.name
+        }
+        assert len(others) == 1 and None not in others
+        assert victim.party.group_key == old_key
+
+    def test_each_run_computes_its_own_verdicts(self, small_setup, monkeypatch):
+        calls = {"gka": 0, "rekey": 0}
+        for name, module in (("gka", gka_module), ("rekey", rekey_module)):
+
+            def counting(*args, _name=name, _verify=module.gq_batch_verify):
+                calls[_name] += 1
+                return _verify(*args)
+
+            monkeypatch.setattr(module, "gq_batch_verify", counting)
+        members = [Identity(f"scope-{i}") for i in range(5)]
+        for _ in range(2):  # identical inputs, back to back
+            base = ProposedGKAProtocol(small_setup).run(members, seed="scope")
+            LeaveProtocol(small_setup).run(base.state, members[2], seed="scope")
+        assert calls == {"gka": 2, "rekey": 2}
 
 
 class TestMergeProtocol:

@@ -120,25 +120,32 @@ class TestMultiExp:
             multi_exp([2], [1], 0)
 
     def test_compute_bd_key_identical_to_naive(self, small_group, rng):
-        """The multi-exp BD key equals the textbook per-term computation."""
+        """The telescoped BD key equals the textbook per-term computation.
+
+        Also on forged X tables (arbitrary values, some beyond ``p``), where
+        the telescoping identity no longer yields a shared key.
+        """
         group = small_group
-        n = 6
-        names = [f"u{i}" for i in range(n)]
-        r = {name: group.random_exponent(rng) for name in names}
-        z = {name: group.exp_g(r[name]) for name in names}
-        x = {}
-        for i, name in enumerate(names):
-            right, left = names[(i + 1) % n], names[(i - 1) % n]
-            x[name] = group.power(group.div(z[right], z[left]), r[name])
-        expected_keys = set()
-        for i, name in enumerate(names):
-            # Naive reference: one pow per term, multiplied together.
-            left = names[(i - 1) % n]
-            naive = group.power(z[left], n * r[name])
-            for offset in range(n - 1):
-                other = names[(i + offset) % n]
-                naive = (naive * group.power(x[other], n - 1 - offset)) % group.p
-            key = compute_bd_key(group, names, name, r[name], z, x)
-            assert key == naive
-            expected_keys.add(key)
-        assert len(expected_keys) == 1  # everyone agrees
+        for n in (2, 3, 6, 24):
+            names = [f"u{i}" for i in range(n)]
+            r = {name: group.random_exponent(rng) for name in names}
+            z = {name: group.exp_g(r[name]) for name in names}
+            honest = {}
+            for i, name in enumerate(names):
+                right, left = names[(i + 1) % n], names[(i - 1) % n]
+                honest[name] = group.power(group.div(z[right], z[left]), r[name])
+            forged = {name: rng.randbelow(2 * group.p) for name in names}
+            for x in (honest, forged):
+                keys = set()
+                for i, name in enumerate(names):
+                    # Naive reference: one pow per term, multiplied together.
+                    left = names[(i - 1) % n]
+                    naive = group.power(z[left], n * r[name])
+                    for offset in range(n - 1):
+                        other = names[(i + offset) % n]
+                        naive = (naive * group.power(x[other], n - 1 - offset)) % group.p
+                    key = compute_bd_key(group, names, name, r[name], z, x)
+                    assert key == naive
+                    keys.add(key)
+                if x is honest:
+                    assert len(keys) == 1  # everyone agrees

@@ -402,6 +402,27 @@ class TestWorkerLossRecovery:
         assert rejected.is_set()
 
 
+class TestLateWorker:
+    def test_worker_arriving_after_the_last_row_exits_cleanly(self):
+        # The CLI's race, made deterministic: the first worker computes every
+        # cell and is shut down only once the result is assembled; the second
+        # connects after that and is told the campaign is complete.
+        controller = CampaignController(small_spec(), heartbeat_s=0.2)
+        address = controller.bind()
+        outcome = {}
+        server = threading.Thread(
+            target=lambda: outcome.update(result=controller.serve(dismiss_late=True))
+        )
+        server.start()
+        try:
+            assert FleetWorker(address, name="early").run() == 2
+            assert FleetWorker(address, name="late", connect_timeout_s=2.0).run() == 0
+        finally:
+            server.join(timeout=30.0)
+        assert not server.is_alive()
+        assert len(outcome["result"].rows) == 2 and not outcome["result"].failures()
+
+
 # ---------------------------------------------------------------------------
 # Parameter validation
 # ---------------------------------------------------------------------------

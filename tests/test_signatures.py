@@ -287,9 +287,9 @@ class TestBatchVerification:
 
     @staticmethod
     def _agrees(scheme, items, rng):
-        scheme._verify_cache.clear()
+        scheme._verdicts.clear()
         loop = [scheme.verify(pk, msg, sig) for pk, msg, sig in items]
-        scheme._verify_cache.clear()
+        scheme._verdicts.clear()
         batch = scheme.batch_verify(items, rng.fork("coefficients"))
         assert batch == loop
         return loop
@@ -410,9 +410,9 @@ class TestBatchVerification:
         scheme = self._dsa(small_group)
         items = self._items(scheme, rng, 5)
         items[3] = (items[3][0], items[3][1] + b"!", items[3][2])
-        scheme._verify_cache.clear()
+        scheme._verdicts.clear()
         first = scheme.batch_verify(items, DeterministicRNG("stream-a"))
-        scheme._verify_cache.clear()
+        scheme._verdicts.clear()
         second = scheme.batch_verify(items, DeterministicRNG("stream-b"))
         assert first == second == [True, True, True, False, True]
 
