@@ -398,9 +398,9 @@ class Scenario:
 
     def _mobility_expansion(self) -> Tuple[List[Identity], List[ScheduledEvent]]:
         """(initial group, emergent events), computed once and cached."""
-        cache = self.__dict__.setdefault("_mobility_cache", {})
-        if "expansion" in cache:
-            return cache["expansion"]
+        cached = self.__dict__.get("_mobility_cache")
+        if cached is not None:
+            return cached
         assert self.mobility is not None
         field_ = self.build_mobility_field()
         monitor = ConnectivityMonitor(
@@ -415,25 +415,19 @@ class Scenario:
             ScheduledEvent(time=when, event=event)
             for when, event in monitor.emergent_events(self.mobility.duration)
         ]
+        expansion = (initial, events)
         # Frozen dataclass: cache via __dict__ (not a field, so replace()d
         # copies — e.g. with_seed — start with a cold cache).
-        cache["expansion"] = (initial, events)
-        return cache["expansion"]
+        self.__dict__["_mobility_cache"] = expansion
+        return expansion
 
     def with_seed(self, seed: object) -> "Scenario":
         """A copy of this scenario under a different seed (for replications)."""
         return replace(self, seed=seed)
 
     def with_adversary(self, adversary: Optional[AdversaryConfig]) -> "Scenario":
-        """A copy of this scenario under a different attacker (or none).
-
-        The copy shares one mobility expansion with this scenario, computed
-        by whichever runs first: who is connected when does not depend on the
-        attacker.
-        """
-        staged = replace(self, adversary=adversary)
-        staged.__dict__["_mobility_cache"] = self.__dict__.setdefault("_mobility_cache", {})
-        return staged
+        """A copy of this scenario under a different attacker (or none)."""
+        return replace(self, adversary=adversary)
 
     def build_adversary(self) -> Optional[AdversarySuite]:
         """A fresh attacker suite on the scenario's named ``adversary`` stream.
