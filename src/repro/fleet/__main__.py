@@ -13,12 +13,12 @@ The controller prints its plan (the ``--dry-run`` grid report) and its bound
 address up front, streams one-line progress snapshots to stderr while rows
 arrive, and exits ``1`` if any cell ended as an error row (worker-loss
 retries exhausted, or a simulation failure inside a cell) — same exit-code
-contract as ``python -m repro.campaign``.  After the last row it keeps
-telling workers that connect late that the campaign is complete, for one
-worker-silence window (``--heartbeat`` × the controller's heartbeat misses),
-then exits.  Workers exit ``0`` on a clean shutdown handshake (computing no
-cells if they arrived too late for any) and ``1`` when the controller was
-unreachable.
+contract as ``python -m repro.campaign``.  After writing its outputs it
+keeps telling workers that connect late that the campaign is complete, for
+one worker-silence window (``--heartbeat`` × the controller's heartbeat
+misses), then exits.  Workers exit ``0`` on a clean shutdown handshake
+(computing no cells if they arrived too late for any) and ``1`` when the
+controller was unreachable.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def _controller_main(args: argparse.Namespace) -> int:
         with observability(
             trace=args.trace, metrics=args.metrics, process="controller"
         ):
-            result = controller.serve(dismiss_late=True)
+            result = controller.serve()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -171,15 +171,20 @@ def _controller_main(args: argparse.Namespace) -> int:
         if progress_json is not None and progress_json is not sys.stderr:
             progress_json.close()
 
-    if args.csv:
-        result.to_csv(args.csv)
-    if args.json:
-        result.to_json(args.json)
-    if not args.quiet:
-        print(result.summary())
-        if pivot is not None:
-            print()
-            print(result.pivot_table(*pivot))
+    try:
+        if args.csv:
+            result.to_csv(args.csv)
+        if args.json:
+            result.to_json(args.json)
+        if not args.quiet:
+            print(result.summary())
+            if pivot is not None:
+                print()
+                print(result.pivot_table(*pivot))
+        sys.stdout.flush()
+        controller.dismiss_late_workers()
+    finally:
+        controller.close()
     return 1 if result.failures() else 0
 
 

@@ -255,19 +255,15 @@ class CampaignController:
         self._selector.register(listener, selectors.EVENT_READ, "accept")
         return self.address
 
-    def serve(self, *, dismiss_late: bool = False) -> CampaignResult:
+    def serve(self) -> CampaignResult:
         """Run to completion and return the assembled result.
 
         Blocks until every cell has a row (computed, cached, or written off
-        as an error after bounded retries), then shuts the workers down and
-        closes the listener.
-
-        With ``dismiss_late``, the listener first stays open for one
-        worker-silence window, and every worker that says ``hello`` in it is
-        sent ``shutdown`` (reason ``complete``) in place of ``welcome``.  A
-        worker started alongside the others but connecting after the last
-        row then exits cleanly instead of retrying a closed port.  The CLI
-        controller, whose workers start independently, sets it.
+        as an error after bounded retries), then shuts the registered
+        workers down.  The listener stays open until :meth:`close`, so a
+        caller can still turn late workers away with
+        :meth:`dismiss_late_workers`; if serving fails, everything is closed
+        before the error propagates.
         """
         self.bind()
         assert self._selector is not None
@@ -300,17 +296,24 @@ class CampaignController:
                 else:
                     idle_since = None
             result = self._assemble()
-            if dismiss_late:
-                self._dismiss_late_workers()
-            return result
-        finally:
+        except BaseException:
             self.close()
+            raise
+        for sock, worker in list(self._workers.items()):
+            if worker.registered:
+                self._drop(sock, shutdown=True)
+        return result
 
-    def _dismiss_late_workers(self) -> None:
-        """Answer every connection with ``shutdown`` for one silence window."""
-        assert self._selector is not None
-        for sock in list(self._workers):
-            self._drop(sock, shutdown=True)
+    def dismiss_late_workers(self) -> None:
+        """Answer late workers with ``shutdown`` for one worker-silence window.
+
+        Call it after :meth:`serve`.  Every connection still unanswered, or
+        accepted within the window, has its ``hello`` read and gets a
+        ``shutdown`` (reason ``complete``) in place of ``welcome``.  A worker
+        started alongside the others but connecting after the last row then
+        exits cleanly instead of retrying a closed port.
+        """
+        assert self._selector is not None, "call serve() first"
         deadline = time.perf_counter() + self.heartbeat_s * self.heartbeat_misses
         while (remaining := deadline - time.perf_counter()) > 0:
             for key, _ in self._selector.select(timeout=remaining):

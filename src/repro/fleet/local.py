@@ -90,6 +90,7 @@ def run_fleet_campaign(
                 processes.append(process)
         return controller.serve()
     finally:
+        controller.close()
         for process in processes:
             process.join(timeout=5.0)
         for process in processes:

@@ -171,6 +171,7 @@ class TestFleetCache:
 
         controller = CampaignController(spec, cache_dir=str(tmp_path))
         warm = controller.serve()  # completes with zero workers
+        controller.close()
         assert controller.dispatched_units == 0
         assert (warm.cache_hits, warm.cache_misses) == (2, 0)
         assert warm.deterministic_rows() == cold.deterministic_rows()
@@ -188,6 +189,7 @@ class TestFleetCache:
         try:
             result = controller.serve()
         finally:
+            controller.close()
             process.join(timeout=10.0)
         assert controller.dispatched_units == 2  # only the loss=0.1 cells
         assert (result.cache_hits, result.cache_misses) == (2, 2)
@@ -210,6 +212,7 @@ class TestFleetCache:
         try:
             result = controller.serve()
         finally:
+            controller.close()
             process.join(timeout=10.0)
         assert controller.dispatched_units == 1
         assert len(result.rows) == 2
@@ -296,6 +299,7 @@ class TestWorkerLossRecovery:
         try:
             result = controller.serve()
         finally:
+            controller.close()
             for process in processes:
                 process.join(timeout=10.0)
                 if process.is_alive():
@@ -328,6 +332,7 @@ class TestWorkerLossRecovery:
         try:
             result = controller.serve()
         finally:
+            controller.close()
             hung.terminate()
             good.join(timeout=10.0)
             if good.is_alive():
@@ -355,6 +360,7 @@ class TestWorkerLossRecovery:
         second = context.Process(target=_suicidal_worker, args=(address,), daemon=True)
         second.start()
         result = controller.serve()
+        controller.close()
         first.join(timeout=10.0)
         second.join(timeout=10.0)
         assert len(result.rows) == 1
@@ -410,16 +416,26 @@ class TestLateWorker:
         controller = CampaignController(small_spec(), heartbeat_s=0.2)
         address = controller.bind()
         outcome = {}
-        server = threading.Thread(
-            target=lambda: outcome.update(result=controller.serve(dismiss_late=True))
-        )
+
+        def serve_then_dismiss():
+            outcome["result"] = controller.serve()
+            controller.dismiss_late_workers()
+
+        def late_worker():
+            outcome["late"] = FleetWorker(address, name="late", connect_timeout_s=2.0).run()
+
+        server = threading.Thread(target=serve_then_dismiss)
         server.start()
+        late = threading.Thread(target=late_worker)
         try:
             assert FleetWorker(address, name="early").run() == 2
-            assert FleetWorker(address, name="late", connect_timeout_s=2.0).run() == 0
-        finally:
+            late.start()
             server.join(timeout=30.0)
-        assert not server.is_alive()
+        finally:
+            controller.close()  # also ends a late worker nobody answered
+        late.join(timeout=10.0)
+        assert not server.is_alive() and not late.is_alive()
+        assert outcome.get("late") == 0
         assert len(outcome["result"].rows) == 2 and not outcome["result"].failures()
 
 
