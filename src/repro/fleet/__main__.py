@@ -171,20 +171,18 @@ def _controller_main(args: argparse.Namespace) -> int:
         if progress_json is not None and progress_json is not sys.stderr:
             progress_json.close()
 
-    try:
-        if args.csv:
-            result.to_csv(args.csv)
-        if args.json:
-            result.to_json(args.json)
-        if not args.quiet:
-            print(result.summary())
-            if pivot is not None:
-                print()
-                print(result.pivot_table(*pivot))
-        sys.stdout.flush()
-        controller.dismiss_late_workers()
-    finally:
-        controller.close()
+    if args.csv:
+        result.to_csv(args.csv)
+    if args.json:
+        result.to_json(args.json)
+    if not args.quiet:
+        print(result.summary())
+        if pivot is not None:
+            print()
+            print(result.pivot_table(*pivot))
+    sys.stdout.flush()
+    controller.dismiss_late_workers()
+    controller.close()
     return 1 if result.failures() else 0
 
 
