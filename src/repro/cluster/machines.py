@@ -7,13 +7,15 @@ One :class:`_ClusterMachine` per member drives two phases on the event kernel:
    prefixed with the cluster scope (``ct/<uid>.e<epoch>/``) and broadcasts are
    narrowed to the cluster's members, so concurrent sub-runs in different
    clusters never collide and only cluster members are charged for the
-   traffic.  Inbound scoped messages are unwrapped and delegated.
+   traffic.  Inbound scoped messages are unwrapped and delegated; an inner
+   machine's ``Early`` propagates, and the executor holds the scoped message.
 2. **Tree phase** (every member): starting from the cluster key, walk the
    leaf-to-root path of :mod:`repro.cluster.tree`, combining the sibling
    blinded keys; representatives broadcast the blinded key of every *dirty*
    node they cover (``ct-bk/<label>``), and the root representative closes the
-   run with a key-confirmation digest (``ct-confirm/<label>``).  A member
-   whose computed root key contradicts the confirmation aborts with
+   run with a key-confirmation digest (``ct-confirm/<label>``); a member
+   raises ``Early`` for one that arrives before it has its root key.  A
+   member whose computed root key contradicts the confirmation aborts with
    :class:`~repro.exceptions.KeyConfirmationError` — under an active
    adversary that abort is scored as *detection*.
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.base import PartyState, SystemSetup
-from ..engine.machine import Outbound, PartyMachine
+from ..engine.machine import Early, Outbound, PartyMachine
 from ..exceptions import KeyConfirmationError, ProtocolError
 from ..mathutils.memo import Memo
 from ..mathutils.serialization import int_to_bytes
@@ -212,7 +214,6 @@ class ClusterMachine(PartyMachine):
         self._in_tree = False
         self._root_key: Optional[int] = None
         self._confirm_expected: Optional[int] = None
-        self._pending_confirm: Optional[int] = None
         crew.adopt(self)
 
     # ----------------------------------------------------------------- hooks
@@ -238,9 +239,10 @@ class ClusterMachine(PartyMachine):
             return []
         if label.startswith(CONFIRM_PREFIX):
             if label[len(CONFIRM_PREFIX):] == self.run.tree.root_label:
-                self._pending_confirm = int(message.value("confirm"))
-                if self._root_key is not None and not self.finished:
-                    self._check_confirm()
+                if self._root_key is None:
+                    raise Early
+                if not self.finished:
+                    self._check_confirm(int(message.value("confirm")))
             return []
         return []
 
@@ -355,7 +357,6 @@ class ClusterMachine(PartyMachine):
             self._root_key = self.run.root_key(self._secrets[root_label])
             self.party.recorder.record_operation("modexp")
             self.party.group_key = self._root_key
-        if self._confirm_expected is None:
             self._confirm_expected = self.run.confirm_digest(self._root_key)
             self.party.recorder.record_operation("hash")
         digest = self._confirm_expected
@@ -373,18 +374,11 @@ class ClusterMachine(PartyMachine):
             self.finished = True
             self.waiting_for = None
             return [Outbound(message)]
-        if self._pending_confirm is not None:
-            self._check_confirm()
-        else:
-            self.waiting_for = CONFIRM_PREFIX + root_label
+        self.waiting_for = CONFIRM_PREFIX + root_label
         return []
 
-    def _check_confirm(self) -> None:
-        expected = self._confirm_expected
-        if expected is None:
-            expected = self._confirm_expected = self.run.confirm_digest(self._root_key)
-            self.party.recorder.record_operation("hash")
-        if self._pending_confirm != expected:
+    def _check_confirm(self, digest: int) -> None:
+        if digest != self._confirm_expected:
             raise KeyConfirmationError(
                 f"{self.identity.name}: cluster-tree key confirmation failed "
                 f"(root {self.run.tree.root_label})"

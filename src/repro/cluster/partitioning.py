@@ -81,7 +81,7 @@ def geographic_clusters(
         # Deterministic anchor: lexicographically smallest (x, y, name).
         anchor = min(
             remaining,
-            key=lambda m: (field.position(m.name).x, field.position(m.name).y, m.name),
+            key=lambda m: (*field.position(m.name), m.name),
         )
         by_distance = sorted(
             remaining,

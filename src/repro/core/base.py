@@ -19,8 +19,8 @@ its four dynamic protocols and the baselines have in common:
 * the Burmester–Desmedt algebra: computing ``X_i`` values and the group key
   from them;
 * the Burmester–Desmedt round machine, :class:`BDRoundMachine`: draw
-  ``r_i``, broadcast ``z_i``, collect the z view, hold Round-2 copies that
-  overtake Round 1 and replay them, broadcast ``X_i``, derive ``K``.  The
+  ``r_i``, broadcast ``z_i``, collect the z view (raising ``Early`` for a
+  Round-2 copy that overtakes Round 1), broadcast ``X_i``, derive ``K``.  The
   proposed GKA, its Leave/Partition rekey and every BD baseline run it;
   each adds only its authentication layer.  :class:`GQRoundMachine` is the
   layer the proposed GKA and its rekey share: the batch-verified GQ
@@ -35,7 +35,7 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence
 
 from ..energy.accounting import CostRecorder, DeviceProfile
 from ..engine.executor import EngineConfig, EngineStats, drive_plan
-from ..engine.machine import MachinePlan, Outbound, PartyMachine
+from ..engine.machine import Early, MachinePlan, Outbound, PartyMachine
 from ..exceptions import KeyConfirmationError, ParameterError, ProtocolError
 from ..groups.params import PAPER_GQ_SET, PAPER_SCHNORR_SET, get_gq_modulus, get_schnorr_group
 from ..groups.schnorr import SchnorrGroup
@@ -578,8 +578,8 @@ class BDRoundMachine(PartyMachine):
     member's z view is complete, Round 2 broadcasts ``U_i || X_i`` with
     ``X_i = (z_{i+1}/z_{i-1})^{r_i}``, and once its X view is complete the
     member derives ``K``.  Latency mode can reorder rounds across multi-hop
-    paths, so a Round-2 copy that arrives before the z view is complete is
-    held, then replayed through :meth:`on_message` when it completes.
+    paths, so a Round-2 copy that arrives before the z view is complete
+    raises ``Early``, and the executor holds it until the view completes.
 
     As is, this is plain BD.  An authenticated variant subclasses it, sets
     :attr:`round1_label` and :attr:`round2_label`, and adds its layer by
@@ -605,7 +605,6 @@ class BDRoundMachine(PartyMachine):
         self._z_view: Dict[str, int] = {}
         self._x_table: Dict[str, int] = {}
         self._round1_complete = False
-        self._held: List[Message] = []
 
     # ----------------------------------------------------------------- hooks
     def start(self, now: float) -> List[Outbound]:
@@ -618,11 +617,10 @@ class BDRoundMachine(PartyMachine):
             sender: Identity = message.value("identity")  # type: ignore[assignment]
             if not self._take_round1(sender, message):
                 return []
-            return self._complete_round1(now)
+            return self._complete_round1()
         if label == self.round2_label:
             if not self._round1_complete:
-                self._held.append(message)
-                return []
+                raise Early
             sender = message.value("identity")  # type: ignore[assignment]
             return self._on_round2(sender, message)
         return []
@@ -649,13 +647,9 @@ class BDRoundMachine(PartyMachine):
         self._z_view[sender.name] = int(message.value("z"))
         return len(self._z_view) == self.ring.size
 
-    def _complete_round1(self, now: float) -> List[Outbound]:
+    def _complete_round1(self) -> List[Outbound]:
         self._round1_complete = True
-        outs = self._after_round1()
-        held, self._held = self._held, []
-        for message in held:
-            outs.extend(self.on_message(message, now))
-        return outs
+        return self._after_round1()
 
     def _after_round1(self) -> List[Outbound]:
         return self._emit_round2()

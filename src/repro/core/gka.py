@@ -176,7 +176,6 @@ class _GkaPartyMachine(GQRoundMachine):
         self._s_table = {}
         self._challenge = None
         self._aggregate = None
-        self._held = []
         self.waiting_for = self.round2_label
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..engine.executor import EngineConfig, EngineStats, drive_plan
-from ..engine.machine import MachinePlan, Outbound, PartyMachine
+from ..engine.machine import Early, MachinePlan, Outbound, PartyMachine
 from ..exceptions import MembershipError, ParameterError, SignatureError
 from ..mathutils.rand import DeterministicRNG
 from ..mathutils.serialization import encode_fields, int_to_bytes
@@ -72,7 +72,6 @@ class _NewcomerMachine(PartyMachine):
         super().__init__(run.joining, run.new_party.node)
         self.run = run
         self._dh_key: Optional[int] = None
-        self._held: List[Message] = []
 
     def start(self, now: float) -> List[Outbound]:
         group = self.run.setup.group
@@ -125,17 +124,12 @@ class _NewcomerMachine(PartyMachine):
             self._dh_key = group.power(zn, party.r)
             party.recorder.record_operation("modexp")
             self.waiting_for = "join-round3-un"
-            held, self._held = self._held, []
-            outs: List[Outbound] = []
-            for pending in held:
-                outs.extend(self.on_message(pending, now))
-            return outs
+            return []
         if message.round_label == "join-round3-un":
             if self._dh_key is None:
                 # Multi-hop latency can deliver the unicast before U_n's
-                # broadcast; hold it until the DH key exists.
-                self._held.append(message)
-                return []
+                # broadcast; it is taken once the DH key exists.
+                raise Early
             envelope = SymmetricEnvelope(self._dh_key)
             k_star = envelope.open_group_element(
                 message.value("E_DH(K*)"), self.run.last.to_bytes()
@@ -157,7 +151,6 @@ class _ControllerMachine(PartyMachine):
         self._k_star: Optional[int] = None
         self._new_r1: Optional[int] = None
         self._group_envelope: Optional[SymmetricEnvelope] = None
-        self._held: List[Message] = []
 
     def start(self, now: float) -> List[Outbound]:
         self.waiting_for = "join-round1"
@@ -167,8 +160,7 @@ class _ControllerMachine(PartyMachine):
         group = self.run.setup.group
         party = self.party
         if message.round_label == "join-round2-un" and self._group_envelope is None:
-            self._held.append(message)  # overtook the newcomer's round 1
-            return []
+            raise Early  # overtook the newcomer's round 1
         if message.round_label == "join-round1":
             body = encode_fields(
                 [
@@ -201,7 +193,7 @@ class _ControllerMachine(PartyMachine):
             )
             party.recorder.record_operation("symmetric")
             self.waiting_for = "join-round2-un"
-            outs = [
+            return [
                 Outbound(
                     Message.broadcast(
                         self.identity,
@@ -210,10 +202,6 @@ class _ControllerMachine(PartyMachine):
                     )
                 )
             ]
-            held, self._held = self._held, []
-            for pending in held:
-                outs.extend(self.on_message(pending, now))
-            return outs
         if message.round_label == "join-round2-un":
             assert self._group_envelope is not None and self._k_star is not None
             dh_key = self._group_envelope.open_group_element(
@@ -237,7 +225,6 @@ class _LastMemberMachine(PartyMachine):
         self.party = party
         self._dh_key: Optional[int] = None
         self._group_envelope: Optional[SymmetricEnvelope] = None
-        self._held: List[Message] = []
 
     def start(self, now: float) -> List[Outbound]:
         self.waiting_for = "join-round1"
@@ -247,8 +234,7 @@ class _LastMemberMachine(PartyMachine):
         group = self.run.setup.group
         party = self.party
         if message.round_label == "join-round2-u1" and self._group_envelope is None:
-            self._held.append(message)  # overtook the newcomer's round 1
-            return []
+            raise Early  # overtook the newcomer's round 1
         if message.round_label == "join-round1":
             body = encode_fields(
                 [
@@ -277,7 +263,7 @@ class _LastMemberMachine(PartyMachine):
             signature = self.run.scheme.sign(party.private_key, body, party.rng)
             party.recorder.record_signature("gq", "gen")
             self.waiting_for = "join-round2-u1"
-            outs = [
+            return [
                 Outbound(
                     Message.broadcast(
                         self.identity,
@@ -291,10 +277,6 @@ class _LastMemberMachine(PartyMachine):
                     )
                 )
             ]
-            held, self._held = self._held, []
-            for pending in held:
-                outs.extend(self.on_message(pending, now))
-            return outs
         if message.round_label == "join-round2-u1":
             assert self._group_envelope is not None and self._dh_key is not None
             k_star = self._group_envelope.open_group_element(

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..engine.executor import EngineConfig, EngineStats, drive_plan
-from ..engine.machine import MachinePlan, Outbound, PartyMachine
+from ..engine.machine import Early, MachinePlan, Outbound, PartyMachine
 from ..exceptions import MembershipError, ParameterError, SignatureError
 from ..mathutils.serialization import encode_fields, int_to_bytes
 from ..network.medium import BroadcastMedium
@@ -74,7 +74,6 @@ class _MergeControllerMachine(PartyMachine):
         self._k_star: Optional[int] = None
         self._dh_envelope: Optional[SymmetricEnvelope] = None
         self._own_envelope: Optional[SymmetricEnvelope] = None
-        self._held: List[Message] = []
 
     # ----------------------------------------------------------------- hooks
     def start(self, now: float) -> List[Outbound]:
@@ -109,16 +108,15 @@ class _MergeControllerMachine(PartyMachine):
     def on_message(self, message: Message, now: float) -> List[Outbound]:
         label = message.round_label
         if label == f"merge-round1-{self.peer_tag}":
-            return self._on_peer_round1(message, now)
+            return self._on_peer_round1(message)
         if label == f"merge-round2-{self.peer_tag}":
             if self._dh_envelope is None:
-                self._held.append(message)  # overtook the peer's round 1
-                return []
-            return self._on_peer_round2(message, now)
+                raise Early  # overtook the peer's round 1
+            return self._on_peer_round2(message)
         return []
 
     # ------------------------------------------------------- peer reactions
-    def _on_peer_round1(self, message: Message, now: float) -> List[Outbound]:
+    def _on_peer_round1(self, message: Message) -> List[Outbound]:
         group = self.setup.group
         party = self.party
         peer_new_z = int(message.value("z_tilde"))
@@ -175,7 +173,7 @@ class _MergeControllerMachine(PartyMachine):
         )
         party.recorder.record_operation("symmetric", 2)
         self.waiting_for = f"merge-round2-{self.peer_tag}"
-        outs = [
+        return [
             Outbound(
                 Message.broadcast(
                     self.identity,
@@ -188,12 +186,8 @@ class _MergeControllerMachine(PartyMachine):
                 )
             )
         ]
-        held, self._held = self._held, []
-        for pending in held:
-            outs.extend(self.on_message(pending, now))
-        return outs
 
-    def _on_peer_round2(self, message: Message, now: float) -> List[Outbound]:
+    def _on_peer_round2(self, message: Message) -> List[Outbound]:
         group = self.setup.group
         party = self.party
         assert self._dh_envelope is not None and self._own_envelope is not None

@@ -88,7 +88,7 @@ class _RekeyPartyMachine(GQRoundMachine):
         outs = [self._broadcast_round1()] if self.is_refresher else []
         self.waiting_for = self.round1_label
         if self._expected_round1 == 0:
-            outs.extend(self._complete_round1(now))
+            outs.extend(self._complete_round1())
         return outs
 
     # --------------------------------------------------------------- round 1
@@ -97,7 +97,7 @@ class _RekeyPartyMachine(GQRoundMachine):
         self._received_round1 += 1
         return self._received_round1 == self._expected_round1
 
-    def _complete_round1(self, now: float) -> List[Outbound]:
+    def _complete_round1(self) -> List[Outbound]:
         # Members that did not refresh keep their stored z and t.
         for other in self.ring.members:
             other_state = self.parties[other.name]
@@ -108,7 +108,7 @@ class _RekeyPartyMachine(GQRoundMachine):
                     f"{other.name} has no stored GQ commitment; cannot re-key"
                 )
             self._t_view.setdefault(other.name, other_state.t)
-        return super()._complete_round1(now)
+        return super()._complete_round1()
 
     # ----------------------------------------------------------- verification
     def _verify(self) -> None:

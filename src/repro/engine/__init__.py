@@ -35,9 +35,10 @@ Two execution modes share the same machines:
 from .executor import EngineConfig, EngineStats, MachineExecutor, run_machines
 from .kernel import EventKernel
 from .latency import FixedLatency, LatencyModel, TieredLatency, TransceiverLatency
-from .machine import MachinePlan, Outbound, PartyMachine
+from .machine import Early, MachinePlan, Outbound, PartyMachine
 
 __all__ = [
+    "Early",
     "EngineConfig",
     "EngineStats",
     "EventKernel",

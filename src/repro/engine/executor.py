@@ -9,6 +9,9 @@ and the :class:`~repro.engine.kernel.EventKernel`:
 * every emitted message goes through the medium (charging senders, receivers
   and relays through the existing energy accounting) and each delivered copy
   becomes a scheduled ``on_message`` kernel event;
+* a message whose ``on_message`` raises :class:`~repro.engine.machine.Early`
+  is held per machine, in arrival order, and passed to ``on_message`` again
+  after each later hook of that machine, joining that hook's batch;
 * in **instant mode** (no latency model) delivery is same-instant and the
   medium's legacy :meth:`~repro.network.medium.BroadcastMedium.send` — with
   its immediate-retry loss semantics — is used unchanged, which keeps
@@ -43,7 +46,7 @@ from ..network.medium import BroadcastMedium
 from ..network.message import Message
 from .kernel import EventKernel
 from .latency import LatencyModel
-from .machine import MachinePlan, Outbound, PartyMachine
+from .machine import Early, MachinePlan, Outbound, PartyMachine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adversary.actors import AdversarySuite
@@ -153,6 +156,8 @@ class MachineExecutor:
         self._seen: Dict[str, Set[Tuple[str, str]]] = {
             m.identity.name: set() for m in self.machines
         }
+        #: messages each machine raised Early for, in arrival order
+        self._held: Dict[str, List[Message]] = {}
         self._busy_until = 0.0
 
     # --------------------------------------------------------------- context
@@ -263,12 +268,22 @@ class MachineExecutor:
     # ----------------------------------------------------------------- hooks
     def _hook(self, machine: PartyMachine, action: Callable[[float], List[Outbound]]) -> None:
         tracer = self._tracer
-        if tracer is None:
-            outbounds = action(self.kernel.now)
-        else:
+        if tracer is not None:
             label = machine.waiting_for or "start"
             started = tracer.now()
-            outbounds = action(self.kernel.now)
+        now = self.kernel.now
+        outbounds = action(now)
+        held = self._held.get(machine.identity.name)
+        if held:
+            # Retry the held messages in arrival order; those still early stay.
+            outbounds = list(outbounds)
+            self._held[machine.identity.name] = waiting = []
+            for message in held:
+                try:
+                    outbounds.extend(machine.on_message(message, now))
+                except Early:
+                    waiting.append(message)
+        if tracer is not None:
             tracer.complete(
                 f"party:{label}",
                 category="party",
@@ -369,7 +384,10 @@ class MachineExecutor:
             return  # duplicate copy from a retransmission wave
         seen.add(key)
         self.stats.deliveries += 1
-        self._hook(machine, partial(machine.on_message, message))
+        try:
+            self._hook(machine, partial(machine.on_message, message))
+        except Early:
+            self._held.setdefault(machine.identity.name, []).append(message)
 
 
 def run_machines(

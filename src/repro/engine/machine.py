@@ -14,7 +14,9 @@ Lifecycle
 ``on_message(message, now)``
     Called for every delivered message (duplicates from retransmission waves
     are filtered by the executor).  Machines accumulate their round views
-    here and emit the next round once a view is complete.
+    here and emit the next round once a view is complete.  For a message that
+    overtook the one it answers, raise :class:`Early` before changing any
+    state: the executor holds it and retries it after each later hook.
 ``on_wake(payload, now)``
     Called when another machine's coordinator requests an action via
     :meth:`MachineContext.wake` — e.g. the proposed GKA's "all members
@@ -41,7 +43,11 @@ from ..network.message import Message
 from ..network.node import Node
 from ..pki.identity import Identity
 
-__all__ = ["Outbound", "PartyMachine", "MachineContext", "MachinePlan"]
+__all__ = ["Early", "Outbound", "PartyMachine", "MachineContext", "MachinePlan"]
+
+
+class Early(Exception):
+    """Raised by :meth:`PartyMachine.on_message` for a message it cannot take yet."""
 
 
 @dataclass(frozen=True)

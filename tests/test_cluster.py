@@ -33,10 +33,14 @@ from repro.cluster import (
     geographic_clusters,
     leaf_label,
 )
+from repro.cluster.machines import CONFIRM_PREFIX, ClusterMachine
 from repro.core.registry import create_protocol, protocol_tags
-from repro.engine import EngineConfig, FixedLatency
+from repro.energy import WLAN_SPECTRUM24
+from repro.engine import Early, EngineConfig, FixedLatency, TransceiverLatency
 from repro.engine.executor import drive_plan
 from repro.exceptions import KeyConfirmationError, ParameterError
+from repro.mathutils.rand import DeterministicRNG
+from repro.mobility import Area, MobilityField, MultiHopMedium, RadioLink, StaticGrid
 from repro.network.events import JoinEvent, LeaveEvent, MergeEvent, PartitionEvent
 from repro.network.medium import BroadcastMedium
 from repro.pki import Identity
@@ -124,17 +128,15 @@ class TestClusterTree:
 # Partitioning strategies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Point:
-    x: float
-    y: float
-
-
 class _FakeField:
-    """The slice of the mobility-field API the partitioner consumes."""
+    """The slice of the mobility-field API the partitioner consumes.
+
+    Positions are plain ``(x, y)`` tuples, as ``MobilityField.position``
+    returns them.
+    """
 
     def __init__(self, positions):
-        self._positions = {name: _Point(*xy) for name, xy in positions.items()}
+        self._positions = dict(positions)
 
     def __contains__(self, name):
         return name in self._positions
@@ -143,8 +145,7 @@ class _FakeField:
         return self._positions[name]
 
     def distance(self, a, b):
-        pa, pb = self._positions[a], self._positions[b]
-        return math.hypot(pa.x - pb.x, pa.y - pb.y)
+        return math.dist(self._positions[a], self._positions[b])
 
 
 class TestPartitioning:
@@ -498,6 +499,67 @@ class TestClusterEvents:
                 PartitionEvent(leaving=tuple(result.state.members[1:])),
                 medium=medium,
             )
+
+
+# ---------------------------------------------------------------------------
+# Latency mode on a lossy multi-hop grid
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "sub_protocol", ["bd-unauthenticated", "proposed-gka"], ids=CLUSTER_PROTOCOLS
+)
+def test_establish_join_leave_on_multihop_latency_medium(small_setup, monkeypatch, sub_protocol):
+    """Nine nodes on the golden latency grid (3x3, 100 m apart, 180 m range).
+
+    Seed 1 reorders both kinds of message a cluster member cannot take yet:
+    an inner Round-2 copy that overtakes Round 1, and a ``ct-confirm`` that
+    arrives before the member has its root key.  Both raise ``Early`` out of
+    the wrapper, and the executor replays them.
+    """
+    early = {"inner": 0, "confirm": 0}
+    on_message = ClusterMachine.on_message
+
+    def counting(machine, message, now):
+        try:
+            return on_message(machine, message, now)
+        except Early:
+            early["confirm" if message.round_label.startswith(CONFIRM_PREFIX) else "inner"] += 1
+            raise
+
+    monkeypatch.setattr(ClusterMachine, "on_message", counting)
+    members = _members("mh", 8)
+    newcomer = Identity("mh-new")
+    field = MobilityField(
+        [m.name for m in members] + [newcomer.name],
+        StaticGrid(jitter=10.0),
+        Area(300.0, 300.0),
+        1.0,
+        DeterministicRNG(1, label="field"),
+    )
+    medium = MultiHopMedium(
+        field,
+        RadioLink(field, 180.0, base_loss=0.1, edge_loss=0.3),
+        max_hops=4,
+        rng=DeterministicRNG(1, label="medium"),
+    )
+    engine = EngineConfig(latency=TransceiverLatency(WLAN_SPECTRUM24))
+    proto = ClusterTreeProtocol(small_setup, sub_protocol=sub_protocol, cluster_size=3)
+    result = proto.run(members, medium=medium, seed=1, engine=engine)
+    assert result.all_agree()
+    result = proto.apply_event(
+        result.state, JoinEvent(joining=newcomer), medium=medium, seed=11, engine=engine
+    )
+    assert result.all_agree()
+    result = proto.apply_event(
+        result.state,
+        LeaveEvent(leaving=result.state.members[2]),
+        medium=medium,
+        seed=12,
+        engine=engine,
+    )
+    assert result.all_agree()
+    assert result.state.size == 8
+    assert early["inner"] > 0 and early["confirm"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,53 @@ class TestMergeProtocol:
         with pytest.raises((MembershipError, ParameterError)):
             MergeProtocol(small_setup).run(established.state, established.state)
 
+    def test_merge_completes_on_multihop_latency_medium(self, small_setup, monkeypatch):
+        """Latency mode on a multi-hop grid: seed 13 of this grid delivers a
+        peer controller's round 2 before its round 1, so the executor holds
+        it until the controller has the DH key."""
+        from repro.core.merge import _MergeControllerMachine
+        from repro.energy import WLAN_SPECTRUM24
+        from repro.engine import Early, EngineConfig, TransceiverLatency
+        from repro.mathutils.rand import DeterministicRNG
+        from repro.mobility import Area, MobilityField, MultiHopMedium, RadioLink, StaticGrid
+
+        early = []
+        on_message = _MergeControllerMachine.on_message
+
+        def counting(machine, message, now):
+            try:
+                return on_message(machine, message, now)
+            except Early:
+                early.append(message.round_label)
+                raise
+
+        monkeypatch.setattr(_MergeControllerMachine, "on_message", counting)
+        group_a = [Identity(f"mga-{i}") for i in range(5)]
+        group_b = [Identity(f"mgb-{i}") for i in range(4)]
+        field = MobilityField(
+            [m.name for m in group_a + group_b],
+            StaticGrid(jitter=10.0),
+            Area(300.0, 300.0),
+            1.0,
+            DeterministicRNG(13, label="field"),
+        )
+        medium = MultiHopMedium(
+            field,
+            RadioLink(field, 180.0, base_loss=0.1, edge_loss=0.3),
+            max_hops=4,
+            rng=DeterministicRNG(13, label="medium"),
+        )
+        engine = EngineConfig(latency=TransceiverLatency(WLAN_SPECTRUM24))
+        protocol = ProposedGKAProtocol(small_setup)
+        state_a = protocol.run(group_a, medium=medium, seed=13, engine=engine).state
+        state_b = protocol.run(group_b, medium=medium, seed=1013, engine=engine).state
+        result = MergeProtocol(small_setup).run(
+            state_a, state_b, medium=medium, seed=13, engine=engine
+        )
+        assert result.all_agree()
+        assert result.state.size == 9
+        assert early and set(early) <= {"merge-round2-a", "merge-round2-b"}
+
 
 class TestChainedDynamics:
     def test_long_event_sequence_keeps_agreement(self, small_setup):

@@ -9,9 +9,13 @@ from repro.core import SystemSetup
 from repro.core.registry import available_protocols, create_protocol
 from repro.energy import RADIO_100KBPS, WLAN_SPECTRUM24
 from repro.engine import (
+    Early,
     EngineConfig,
     EventKernel,
     FixedLatency,
+    MachineExecutor,
+    Outbound,
+    PartyMachine,
     TransceiverLatency,
 )
 from repro.exceptions import ParameterError, ProtocolError
@@ -127,6 +131,106 @@ class TestMediumTransmit:
         assert receipt.delivered_to == []
         # The receiver was listening and is charged the reception anyway.
         assert receiver.recorder.rx_bits == 800
+
+
+# ---------------------------------------------------------------------------
+# Holding early messages
+# ---------------------------------------------------------------------------
+
+def _toy_message(sender, label, payload=b"x"):
+    return Message.broadcast(sender, label, [MessagePart("payload", payload, 8)])
+
+
+class _Script(PartyMachine):
+    """Broadcasts its scripted (label, payload) pairs from ``start``, in order."""
+
+    def __init__(self, identity, script):
+        super().__init__(identity, Node(identity))
+        self.script = script
+
+    def start(self, now):
+        self.finished = True
+        return [Outbound(_toy_message(self.identity, *step)) for step in self.script]
+
+
+class _NeedsR1(PartyMachine):
+    """Takes ``r2`` only once it has ``r1``; answers every message it takes."""
+
+    def __init__(self, identity):
+        super().__init__(identity, Node(identity))
+        self.taken = []
+        self.early = 0
+
+    def start(self, now):
+        self.waiting_for = "r1"
+        return []
+
+    def on_message(self, message, now):
+        label = message.round_label
+        if label == "r2" and self.waiting_for == "r1":
+            self.early += 1
+            raise Early
+        self.taken.append((label, message.value("payload")))
+        if label == "r1":
+            self.waiting_for = "r2"
+        elif label == "r2":
+            self.finished = True
+            self.waiting_for = None
+        return [Outbound(_toy_message(self.identity, f"ack-{label}"))]
+
+
+class TestEarlyMessages:
+    """Instant mode on a lossless medium: ``alice`` sends, ``bob`` may hold."""
+
+    def _run(self, script):
+        alice, bob = Identity("alice"), Identity("bob")
+        sender, receiver = _Script(alice, script), _NeedsR1(bob)
+        medium = BroadcastMedium()
+        for machine in (sender, receiver):
+            medium.attach(machine.node)
+        executor = MachineExecutor([sender, receiver], medium)
+        batches = []
+        emit = executor._emit
+
+        def recording(machine, outbounds):
+            batches.append((machine.identity.name, [o.message.round_label for o in outbounds]))
+            emit(machine, outbounds)
+
+        executor._emit = recording
+        return receiver, batches, executor
+
+    def test_replay_follows_the_hook_that_makes_it_acceptable(self):
+        receiver, batches, executor = self._run([("r2", b"2"), ("r1", b"1")])
+        stats = executor.run()
+        assert receiver.finished
+        assert receiver.taken == [("r1", b"1"), ("r2", b"2")]
+        # The held r2 is taken inside r1's hook: its answer rides r1's batch.
+        assert ("bob", ["ack-r1", "ack-r2"]) in batches
+        assert receiver.early == 1
+        # r2 and r1 at bob, then bob's two answers at alice: a held message
+        # counts as one delivery.
+        assert stats.deliveries == 4
+
+    def test_still_early_message_stays_held_across_hooks(self):
+        receiver, _, executor = self._run([("r2", b"2"), ("r0", b"0"), ("r1", b"1")])
+        executor.run()
+        assert receiver.taken == [("r0", b"0"), ("r1", b"1"), ("r2", b"2")]
+        # Raised at delivery, then again when retried after r0's hook.
+        assert receiver.early == 2
+
+    def test_second_copy_of_a_held_message_is_dropped(self):
+        receiver, _, executor = self._run([("r2", b"first"), ("r2", b"second"), ("r1", b"1")])
+        stats = executor.run()
+        assert receiver.taken == [("r1", b"1"), ("r2", b"first")]
+        assert receiver.early == 1
+        assert stats.deliveries == 4
+
+    def test_message_that_never_becomes_acceptable_stalls_the_run(self):
+        receiver, _, executor = self._run([("r2", b"2")])
+        with pytest.raises(ProtocolError, match=r"bob \(waiting on 'r1'\)"):
+            executor.run()
+        assert not receiver.finished
+        assert receiver.taken == []
 
 
 # ---------------------------------------------------------------------------
