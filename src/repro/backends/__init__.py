@@ -1,23 +1,15 @@
-"""Pluggable crypto backends for the big-int hot paths.
+"""Crypto backends for the big-int hot paths.
 
-See :mod:`repro.backends.base` for the primitive contract and
-:mod:`repro.backends.registry` for registration and per-run selection.
+See :mod:`repro.backends.base` for the primitive contract.  Two backends
+implement it, ``pure`` and ``native``, and :func:`active_backend` serves
+``native`` exactly when gmpy2 is importable (see
+:mod:`repro.backends.registry`).
 """
 
 from .base import CryptoBackend, FixedBaseTable
 from .native import HAVE_GMPY2, NativeBackend
 from .pure import PureBackend
-from .registry import (
-    BACKEND_ENV_VAR,
-    active_backend,
-    available_backends,
-    create_backend,
-    native_available,
-    register_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
+from .registry import active_backend
 
 __all__ = [
     "CryptoBackend",
@@ -25,13 +17,5 @@ __all__ = [
     "PureBackend",
     "NativeBackend",
     "HAVE_GMPY2",
-    "BACKEND_ENV_VAR",
     "active_backend",
-    "available_backends",
-    "create_backend",
-    "native_available",
-    "register_backend",
-    "resolve_backend",
-    "set_default_backend",
-    "use_backend",
 ]

@@ -16,10 +16,9 @@ those primitives.  The contract is strict:
   deterministic RNG streams never route through them, so switching backends
   cannot perturb a protocol transcript.
 
-Call sites never hold a backend directly — they ask
-:func:`repro.backends.registry.active_backend` at each operation, so the
-per-run selection made by :class:`~repro.engine.executor.EngineConfig` /
-``REPRO_CRYPTO_BACKEND`` applies to every cached table and code path.
+Call sites never hold a backend or its bound methods: they call
+:func:`repro.backends.registry.active_backend` at each operation, so a
+wrapper installed on a backend class's methods sees every call.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ class FixedBaseTable(abc.ABC):
 class CryptoBackend(abc.ABC):
     """One interchangeable implementation of the big-int hot-path primitives."""
 
-    #: short registry identifier (``"pure"``, ``"native"``)
+    #: short identifier (``"pure"``, ``"native"``)
     name: str = "abstract"
 
     @abc.abstractmethod
@@ -80,8 +79,8 @@ class CryptoBackend(abc.ABC):
         """A reusable fixed-base object for ``base ** e mod modulus``.
 
         ``max_bits`` bounds the exponent widths worth precomputing for (wider
-        exponents still work).  Callers cache the returned object per
-        ``(group, backend)``; see :attr:`repro.groups.schnorr.SchnorrGroup.fixed_base_g`.
+        exponents still work).  Callers cache the returned object per group;
+        see :attr:`repro.groups.schnorr.SchnorrGroup.fixed_base_g`.
         """
 
     def ec_scalar_mul(self, point: "ECPoint", scalar: int) -> "ECPoint":
@@ -102,7 +101,3 @@ class CryptoBackend(abc.ABC):
             if bit == "1":
                 result = result.add(point)
         return result
-
-    def describe(self) -> str:
-        """One-line summary for reports and bench artifacts."""
-        return self.name

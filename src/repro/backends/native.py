@@ -6,11 +6,11 @@ operand sizes.  The results are mathematically identical — both compute the
 canonical least non-negative residue — so this backend is bit-identical to
 ``pure`` by construction; the equivalence tests assert it anyway.
 
-gmpy2 is an *optional* dependency.  When it is not importable,
-:data:`HAVE_GMPY2` is ``False`` and the registry silently serves the ``pure``
-backend for the ``"native"`` name (see
-:func:`repro.backends.registry.create_backend`), so specs and campaign grids
-written on a gmpy2-equipped machine run unchanged — just slower — anywhere.
+gmpy2 is an *optional* dependency.  When it is importable,
+:func:`repro.backends.registry.active_backend` serves this backend; when it
+is not, :data:`HAVE_GMPY2` is ``False``, the ``pure`` backend runs instead
+and constructing :class:`NativeBackend` raises
+:class:`~repro.exceptions.ParameterError`.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ class NativeBackend(CryptoBackend):
     def __init__(self) -> None:
         if not HAVE_GMPY2:
             raise ParameterError(
-                "gmpy2 is not installed; install it (pip install gmpy2) or use "
-                "the 'pure' backend"
+                "gmpy2 is not installed; the native backend needs it (pip install gmpy2)"
             )
 
     def modexp(self, base: int, exponent: int, modulus: int) -> int:

@@ -1,202 +1,22 @@
-"""Name-based crypto-backend registry and per-run selection.
+"""The crypto backend every big-int hot path runs on, picked by one rule.
 
-Mirrors :mod:`repro.core.registry`: backends register a factory under a
-canonical name (plus aliases), lookups canonicalise through
-:func:`resolve_backend`, and unknown names fail with a "did you mean"
-suggestion.  On top of the registry sit the *selection* primitives:
-
->>> from repro.backends import active_backend, use_backend
->>> active_backend().name
-'pure'
->>> with use_backend("native"):          # doctest: +SKIP
-...     run_protocol()                   # all big-int hot paths now use GMP
-
-Selection surface, outermost first:
-
-* :func:`use_backend` — a re-entrant context manager; the engine executor
-  wraps every kernel run in it, so ``EngineConfig(crypto_backend=...)`` and
-  the campaign's ``backend`` field scope the choice to exactly one run;
-* :func:`set_default_backend` — process-wide default (the CLIs'
-  ``--backend`` flag);
-* the ``REPRO_CRYPTO_BACKEND`` environment variable — the initial default,
-  read once on first use;
-* ``pure`` — the fallback when none of the above is set.
-
-Requesting ``"native"`` without gmpy2 installed is *not* an error: the
-registry serves the ``pure`` backend instead (pass ``strict=True`` to get the
-:class:`~repro.exceptions.ParameterError`).  This keeps campaign specs and
-engine configs portable across machines; the actually-used backend name is
-what reports and bench artifacts record.
+``native`` (gmpy2/GMP) when gmpy2 is importable, ``pure`` (CPython)
+otherwise, fixed at import.  Backends are bit-identical, so the rule changes
+host time only, never a result; reports and bench artifacts record
+``active_backend().name``.
 """
 
 from __future__ import annotations
 
-import difflib
-import os
-from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Sequence
-
-from ..exceptions import ParameterError
 from .base import CryptoBackend
+from .native import HAVE_GMPY2, NativeBackend
+from .pure import PureBackend
 
-__all__ = [
-    "register_backend",
-    "create_backend",
-    "available_backends",
-    "resolve_backend",
-    "native_available",
-    "active_backend",
-    "use_backend",
-    "set_default_backend",
-    "BACKEND_ENV_VAR",
-]
+__all__ = ["active_backend"]
 
-#: environment variable consulted for the initial process-wide default
-BACKEND_ENV_VAR = "REPRO_CRYPTO_BACKEND"
-
-#: canonical name -> factory() -> CryptoBackend
-_FACTORIES: Dict[str, Callable[[], CryptoBackend]] = {}
-#: alias -> canonical name
-_ALIASES: Dict[str, str] = {}
-#: canonical name -> instantiated backend (backends are stateless; share them)
-_INSTANCES: Dict[str, CryptoBackend] = {}
-#: innermost-first stack of use_backend() overrides
-_STACK: List[CryptoBackend] = []
-#: process-wide default (None until first resolved from the env var)
-_DEFAULT: Optional[CryptoBackend] = None
-
-
-def register_backend(
-    name: str,
-    factory: Optional[Callable[[], CryptoBackend]] = None,
-    *,
-    aliases: Sequence[str] = (),
-    replace: bool = False,
-):
-    """Register a backend factory under ``name`` (plus ``aliases``).
-
-    ``factory`` is any zero-argument callable returning a
-    :class:`~repro.backends.base.CryptoBackend`; backend classes with a
-    no-argument constructor can be registered directly.  Called without a
-    factory, returns a decorator (the :func:`repro.core.registry.register_protocol`
-    idiom).
-    """
-    if factory is None:
-        def decorator(cls: Callable[[], CryptoBackend]):
-            register_backend(name, cls, aliases=aliases, replace=replace)
-            return cls
-
-        return decorator
-    if not name:
-        raise ParameterError("backend name cannot be empty")
-    if not replace and (name in _FACTORIES or name in _ALIASES):
-        raise ParameterError(f"backend {name!r} is already registered")
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-    for alias in aliases:
-        if not replace and (alias in _FACTORIES or alias in _ALIASES):
-            raise ParameterError(f"backend alias {alias!r} is already registered")
-        _ALIASES[alias] = name
-    return factory
-
-
-def _register_builtins() -> None:
-    """Register pure/native once (import-time; kept tiny and cycle-free)."""
-    if "pure" in _FACTORIES:
-        return
-    from .native import NativeBackend
-    from .pure import PureBackend
-
-    register_backend("pure", PureBackend, aliases=("python", "reference"))
-    register_backend("native", NativeBackend, aliases=("gmpy2", "gmp"))
-
-
-def resolve_backend(name: str) -> str:
-    """Canonicalise a backend name or alias, raising on unknown names."""
-    _register_builtins()
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _FACTORIES:
-        candidates = available_backends(include_aliases=True)
-        close = difflib.get_close_matches(name, candidates, n=1, cutoff=0.5)
-        hint = f" — did you mean {close[0]!r}?" if close else ""
-        raise ParameterError(
-            f"unknown crypto backend {name!r}{hint}; "
-            f"available: {', '.join(available_backends())}"
-        )
-    return canonical
-
-
-def available_backends(*, include_aliases: bool = False) -> List[str]:
-    """Sorted registered backend names (``native`` listed even without gmpy2)."""
-    _register_builtins()
-    names = set(_FACTORIES)
-    if include_aliases:
-        names |= set(_ALIASES)
-    return sorted(names)
-
-
-def native_available() -> bool:
-    """Whether the ``native`` backend's gmpy2 dependency is importable."""
-    from .native import HAVE_GMPY2
-
-    return HAVE_GMPY2
-
-
-def create_backend(name: str, *, strict: bool = False) -> CryptoBackend:
-    """Instantiate (or return the shared instance of) a backend by name.
-
-    An unavailable-but-registered backend — ``"native"`` without gmpy2 —
-    falls back to ``pure`` unless ``strict=True``; the returned instance's
-    ``.name`` always tells the truth about what will actually run.
-    """
-    canonical = resolve_backend(name)
-    instance = _INSTANCES.get(canonical)
-    if instance is None:
-        try:
-            instance = _FACTORIES[canonical]()
-        except ParameterError:
-            if strict or canonical == "pure":
-                raise
-            instance = create_backend("pure")
-        _INSTANCES[canonical] = instance
-    return instance
-
-
-# --------------------------------------------------------------- selection
-def _default_backend() -> CryptoBackend:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = create_backend(os.environ.get(BACKEND_ENV_VAR, "") or "pure")
-    return _DEFAULT
-
-
-def set_default_backend(name: Optional[str]) -> CryptoBackend:
-    """Set the process-wide default backend (``None`` re-reads the env var)."""
-    global _DEFAULT
-    _DEFAULT = None if name is None else create_backend(name)
-    return _default_backend()
+_ACTIVE: CryptoBackend = NativeBackend() if HAVE_GMPY2 else PureBackend()
 
 
 def active_backend() -> CryptoBackend:
-    """The backend every big-int hot path must route through *right now*."""
-    if _STACK:
-        return _STACK[-1]
-    return _default_backend()
-
-
-@contextmanager
-def use_backend(name: Optional[str]):
-    """Scope the active backend to a ``with`` block (re-entrant).
-
-    ``None`` is a no-op pass-through so callers can write
-    ``with use_backend(config.crypto_backend):`` unconditionally.
-    """
-    if name is None:
-        yield active_backend()
-        return
-    backend = create_backend(name)
-    _STACK.append(backend)
-    try:
-        yield backend
-    finally:
-        _STACK.pop()
+    """The backend every big-int hot path routes through."""
+    return _ACTIVE

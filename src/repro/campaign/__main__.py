@@ -29,7 +29,6 @@ import json
 import sys
 from typing import List, Optional
 
-from ..backends.registry import available_backends
 from ..core.registry import describe_registry
 from ..exceptions import ReproError
 from ..profiling import observability
@@ -83,12 +82,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "value: any metric column, e.g. energy_j)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        help="crypto backend for every cell "
-        f"({', '.join(available_backends())}; overrides the spec's own 'backend')",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="cProfile the campaign run and print the top cumulative hotspots "
@@ -125,8 +118,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             with open(args.spec, encoding="utf-8") as handle:
                 payload = json.load(handle)
-        if args.backend is not None:
-            payload = {**payload, "backend": args.backend}
         spec = CampaignSpec.from_dict(payload)
         pivot = None
         if args.pivot is not None:

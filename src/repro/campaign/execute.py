@@ -100,7 +100,6 @@ def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
 def _run_cell(payload: Dict[str, object]) -> Dict[str, object]:
     """The fallible core of :func:`execute_cell` (imports stay in-worker)."""
     from ..adversary.matrix import classify_report
-    from ..backends.registry import use_backend
     from ..sim.runner import ScenarioRunner
     from ..sim.specio import build_engine, build_scenario
 
@@ -108,12 +107,7 @@ def _run_cell(payload: Dict[str, object]) -> Dict[str, object]:
     scenario = build_scenario(dict(payload["scenario"]))
     engine = build_engine(payload.get("engine"))
     runner = ScenarioRunner(setup, engine=engine, check_agreement=False)
-    backend = payload.get("backend")
-    # Backends are bit-identical, so the cached-row contract survives a
-    # backend switch: the content hash covers the payload, and a ``backend``
-    # key only changes which arithmetic computes the very same row.
-    with use_backend(str(backend) if backend is not None else None):
-        report = runner.run(str(payload["protocol"]), scenario)
+    report = runner.run(str(payload["protocol"]), scenario)
     verdict, detail = classify_report(report)
 
     metrics: Dict[str, object] = {

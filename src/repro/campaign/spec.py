@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..backends.registry import resolve_backend
 from ..exceptions import ParameterError
 from ..mathutils.rand import DeterministicRNG
 
@@ -147,14 +146,6 @@ class CampaignSpec:
     params:
         Parameter sizes for the worker's :class:`~repro.core.base.SystemSetup`:
         ``"test"`` (256-bit, fast) or ``"paper"`` (the paper's 1024-bit).
-    backend:
-        Crypto backend every cell runs under (``None`` = process default).
-        Backends are bit-identical, so this is not an axis — it never appears
-        in cell keys or result rows, and switching it never changes what a
-        campaign produces, only how fast the workers' arithmetic goes.  To
-        *compare* backends within one campaign, put spec dicts like
-        ``{"latency": "instant", "crypto_backend": "native"}`` on the
-        ``engines`` axis instead.
     replications:
         Independent repetitions of every grid point (distinct child seeds).
     max_retries / min_group_size:
@@ -172,7 +163,6 @@ class CampaignSpec:
     adversaries: Tuple[Tuple[str, object], ...] = (("none", None),)
     seed: object = 0
     params: str = "test"
-    backend: Optional[str] = None
     replications: int = 1
     max_retries: int = 10
     min_group_size: int = 3
@@ -214,9 +204,6 @@ class CampaignSpec:
         )
         if self.params not in ("test", "paper"):
             raise ParameterError(f"params must be 'test' or 'paper', got {self.params!r}")
-        if self.backend is not None:
-            # Fail when the spec is built, not inside a worker process.
-            resolve_backend(self.backend)
         if self.replications < 1:
             raise ParameterError("replications must be at least 1")
         if self.schedule is not None and any(
@@ -266,7 +253,6 @@ class CampaignSpec:
             "adversaries": {name: spec for name, spec in self.adversaries},
             "seed": seed_to_spec(self.seed),
             "params": self.params,
-            "backend": self.backend,
             "replications": self.replications,
             "max_retries": self.max_retries,
             "min_group_size": self.min_group_size,
@@ -437,6 +423,4 @@ class CampaignSpec:
             "engine": engine,
             "scenario": scenario,
         }
-        if self.backend is not None:
-            payload["backend"] = self.backend
         return CampaignCell(index=index, key=key, axes=axes, payload=payload)

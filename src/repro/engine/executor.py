@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set,
 
 from .. import telemetry
 from ..exceptions import ParameterError, ProtocolError
-from ..backends.registry import resolve_backend, use_backend
 from ..network.medium import BroadcastMedium
 from ..network.message import Message
 from .kernel import EventKernel
@@ -69,23 +68,15 @@ class EngineConfig:
     round_timeout_s: float = 2.0
     #: retransmission waves before the run is declared failed
     max_timeout_waves: int = 25
-    #: queue same-instant transmissions behind each other on the shared channel
-    serialize_channel: bool = True
     #: attacker suite consulted on every transmission (None = honest runs;
     #: a suite whose actors are all passive leaves runs bit-identical)
     adversary: Optional["AdversarySuite"] = None
-    #: crypto backend name for the run (None = process default; every backend
-    #: is bit-identical, this only changes host-side arithmetic speed)
-    crypto_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.round_timeout_s <= 0:
             raise ParameterError("round_timeout_s must be positive")
         if self.max_timeout_waves < 1:
             raise ParameterError("max_timeout_waves must be at least 1")
-        if self.crypto_backend is not None:
-            # Fail at configuration time, not mid-run.
-            resolve_backend(self.crypto_backend)
 
     def describe(self) -> str:
         """One-line summary used in reports."""
@@ -95,8 +86,6 @@ class EngineConfig:
             summary = f"{self.latency.describe()}, timeout={self.round_timeout_s:g}s"
         if self.adversary is not None:
             summary += f", adversary[{self.adversary.describe()}]"
-        if self.crypto_backend is not None:
-            summary += f", backend={self.crypto_backend}"
         return summary
 
 
@@ -171,38 +160,31 @@ class MachineExecutor:
 
     # ------------------------------------------------------------------- run
     def run(self) -> EngineStats:
-        """Execute to quiescence; raises whatever the machines raise.
-
-        Runs under the config's crypto backend (a no-op when
-        ``crypto_backend`` is ``None``); backends are bit-identical, so the
-        selection never changes what a run produces, only how fast the
-        host-side arithmetic goes.
-        """
-        with use_backend(self.config.crypto_backend):
-            if self._tracer is None and self._metrics is None:
-                return self._run()
-            with telemetry.span(
-                "engine.run",
-                category="engine",
-                track="kernel",
-                sim_start=self.kernel.now,
-                args={"parties": len(self.machines)},
-            ) as span:
-                stats = self._run()
-                if span is not None:
-                    span.finish_sim(stats.sim_time_s)
-                    span.arg("messages_sent", stats.messages_sent)
-                    span.arg("timeout_waves", stats.timeout_waves)
-            metrics = self._metrics
-            if metrics is not None:
-                metrics.count("engine.runs")
-                metrics.count("engine.messages_sent", stats.messages_sent)
-                metrics.count("engine.deliveries", stats.deliveries)
-                metrics.count("engine.timeouts", stats.timeouts)
-                metrics.count("engine.retransmission_waves", stats.timeout_waves)
-                metrics.count("engine.events", stats.events)
-                metrics.observe("engine.sim_time_s", stats.sim_time_s)
-            return stats
+        """Execute to quiescence; raises whatever the machines raise."""
+        if self._tracer is None and self._metrics is None:
+            return self._run()
+        with telemetry.span(
+            "engine.run",
+            category="engine",
+            track="kernel",
+            sim_start=self.kernel.now,
+            args={"parties": len(self.machines)},
+        ) as span:
+            stats = self._run()
+            if span is not None:
+                span.finish_sim(stats.sim_time_s)
+                span.arg("messages_sent", stats.messages_sent)
+                span.arg("timeout_waves", stats.timeout_waves)
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.count("engine.runs")
+            metrics.count("engine.messages_sent", stats.messages_sent)
+            metrics.count("engine.deliveries", stats.deliveries)
+            metrics.count("engine.timeouts", stats.timeouts)
+            metrics.count("engine.retransmission_waves", stats.timeout_waves)
+            metrics.count("engine.events", stats.events)
+            metrics.observe("engine.sim_time_s", stats.sim_time_s)
+        return stats
 
     def _run(self) -> EngineStats:
         for index, machine in enumerate(self.machines):
@@ -313,7 +295,7 @@ class MachineExecutor:
         else:
             receipt = self.medium.transmit(message)
             tx_time = self.latency.tx_time_for(message.wire_bits, message.sender.name)
-            tx_start = max(now, self._busy_until) if self.config.serialize_channel else now
+            tx_start = max(now, self._busy_until)
             self._busy_until = tx_start + tx_time
             channel_wait = tx_start - now
         self.stats.messages_sent += 1

@@ -104,34 +104,22 @@ class SchnorrGroup:
 
         Every protocol's Round 1 exponentiates the *same* base ``g``, so this
         routes through a per-group fixed-base precomputation object (built
-        lazily on first use, cached per crypto backend for the group's
-        lifetime).  Because ``g`` has order ``q``, the exponent is first
-        reduced modulo ``q`` — which also canonicalises negative exponents —
-        and the result is bit-identical to ``pow(g, exponent, p)``.
+        lazily on first use and cached for the group's lifetime).  Because
+        ``g`` has order ``q``, the exponent is first reduced modulo ``q`` —
+        which also canonicalises negative exponents — and the result is
+        bit-identical to ``pow(g, exponent, p)``.
         """
         return self.fixed_base_g.pow(exponent % self.q)
 
     @property
     def fixed_base_g(self):
-        """The cached fixed-base exponentiation object for ``g`` (lazy).
-
-        Keyed by the active backend's name: a run that switches backends
-        mid-process (campaign cells, ``use_backend`` blocks) must not reuse
-        another backend's table, or the selection would silently not apply
-        to the hottest operation in the library.
-        """
-        backend = active_backend()
-        tables = self.__dict__.get("_fixed_base_tables")
-        if tables is None:
-            tables = {}
+        """The cached fixed-base exponentiation object for ``g`` (lazy)."""
+        table = self.__dict__.get("_fixed_base_table")
+        if table is None:
+            table = active_backend().fixed_base(self.g, self.p, self.q.bit_length())
             # The dataclass is frozen; the cache is not a field, so set it
             # through object.__setattr__.
-            object.__setattr__(self, "_fixed_base_tables", tables)
-        table = tables.get(backend.name)
-        if table is None:
-            table = tables[backend.name] = backend.fixed_base(
-                self.g, self.p, self.q.bit_length()
-            )
+            object.__setattr__(self, "_fixed_base_table", table)
         return table
 
     def mul(self, *elements: int) -> int:

@@ -262,42 +262,33 @@ def multi_exp(bases: Sequence[int], exponents: Sequence[int], modulus: int) -> i
     """Simultaneous multi-exponentiation ``prod bases[i]**exponents[i] mod modulus``.
 
     Uses Straus's interleaved square-and-multiply: one shared squaring chain
-    over the widest exponent, multiplying in each base at its set bits.  For
-    the Burmester–Desmedt key — one ``q``-sized exponent plus ``n - 1`` tiny
-    exponents ``n-1, n-2, ..., 1`` — this replaces ``n`` independent
-    exponentiations with a single pass, cutting the squaring work to that of
-    the one wide exponent.
+    over the widest exponent, multiplying in each base at its set bits.  Its
+    callers are DSA's batch check (many bases, 64-bit or ``q``-sized
+    exponents), where the one chain beats a builtin ``pow`` per base, and GQ
+    verification and GQ batch verification (two bases, a 17-bit ``e`` and a
+    challenge-sized exponent).
 
-    Negative exponents are supported by inverting the base first (the
-    protocols need this for ``(z_{i-1})^{-r_i}``-style terms).
+    Negative exponents are supported by inverting the base first.
     """
     if modulus <= 0:
         raise ParameterError(f"modulus must be positive, got {modulus}")
     if len(bases) != len(exponents):
         raise ParameterError("bases and exponents must have the same length")
-    # Bucket pairs by exponent width (log-scale) so the many narrow exponents
-    # of a BD key don't ride the single wide exponent's full squaring chain:
-    # the buckets' chains are independent and their results simply multiply.
-    buckets: dict = {}
+    pairs = []
     for base, exponent in zip(bases, exponents):
         if exponent < 0:
             base = modinv(base, modulus)
             exponent = -exponent
-        if exponent == 0:
-            continue
-        width = exponent.bit_length()
-        buckets.setdefault(width.bit_length(), []).append((base % modulus, exponent))
-    result = 1 % modulus
-    for pairs in buckets.values():
-        acc = 1
-        top = max(exponent.bit_length() for _, exponent in pairs)
-        for bit in range(top - 1, -1, -1):
-            acc = (acc * acc) % modulus
-            for base, exponent in pairs:
-                if (exponent >> bit) & 1:
-                    acc = (acc * base) % modulus
-        result = (result * acc) % modulus
-    return result
+        if exponent:
+            pairs.append((base % modulus, exponent))
+    acc = 1 % modulus
+    top = max((exponent.bit_length() for _, exponent in pairs), default=0)
+    for bit in range(top - 1, -1, -1):
+        acc = (acc * acc) % modulus
+        for base, exponent in pairs:
+            if (exponent >> bit) & 1:
+                acc = (acc * base) % modulus
+    return acc
 
 
 def int_nth_root(x: int, n: int) -> int:

@@ -44,7 +44,6 @@ import sys
 from typing import List, Optional
 
 from ..adversary.config import ATTACKER_PRESETS
-from ..backends.registry import available_backends, set_default_backend
 from ..core.base import SystemSetup
 from ..core.registry import available_protocols, describe_registry
 from ..exceptions import ReproError
@@ -96,12 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="parameter sizes: fast 256-bit test sets (default) or the paper's 1024-bit",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        help="crypto backend for the whole run "
-        f"({', '.join(available_backends())}; default: $REPRO_CRYPTO_BACKEND or pure)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="cProfile the run phase and print the top cumulative hotspots to stderr",
@@ -140,8 +133,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 spec = json.load(handle)
         scenario = build_scenario(spec, adversary_override=args.adversary)
         engine = build_engine(args.engine)
-        if args.backend is not None:
-            set_default_backend(args.backend)
     except (ReproError, OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         # TypeError/ValueError cover mistyped spec keys reaching a dataclass
         # constructor — a one-character typo should print, not traceback.

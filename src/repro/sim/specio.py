@@ -288,19 +288,28 @@ def tiers_to_spec(tiers: Optional[TierConfig]) -> Optional[Dict[str, object]]:
 
 
 # -------------------------------------------------------------------- engine
+#: The :class:`EngineConfig` fields an engine spec dict may set beside ``latency``.
+_ENGINE_EXTRAS = ("round_timeout_s", "max_timeout_waves")
+
+
 def build_engine(spec: Union[str, Mapping, None]) -> Optional[EngineConfig]:
     """An :class:`EngineConfig` from a profile string or spec dict.
 
     Profile strings: ``instant`` (or ``None``) for the synchronous-equivalent
     driver, ``radio`` / ``wlan`` for :class:`TransceiverLatency` over the
     named transceivers, ``fixed:<seconds>`` for :class:`FixedLatency`.  The
-    dict form carries a ``latency`` profile string plus any of the remaining
-    :class:`EngineConfig` fields (``round_timeout_s`` etc.).
+    dict form carries a ``latency`` profile string plus ``round_timeout_s``
+    and ``max_timeout_waves`` — exactly the keys :func:`engine_to_spec`
+    emits; any other key raises :class:`~repro.exceptions.ParameterError`
+    (an adversary goes on the scenario, never on the engine).
     """
     if spec is None:
         return None
     if isinstance(spec, Mapping):
         spec = dict(spec)
+        unknown = set(spec) - {"latency", *_ENGINE_EXTRAS}
+        if unknown:
+            raise ParameterError(f"unknown engine spec keys: {sorted(unknown)}")
         latency_spec = spec.pop("latency", None)
         latency = None
         if latency_spec is not None:
@@ -388,12 +397,7 @@ def engine_to_spec(engine: Optional[EngineConfig]) -> Union[str, Dict[str, objec
     defaults = EngineConfig()
     extras = {
         name: getattr(engine, name)
-        for name in (
-            "round_timeout_s",
-            "max_timeout_waves",
-            "serialize_channel",
-            "crypto_backend",
-        )
+        for name in _ENGINE_EXTRAS
         if getattr(engine, name) != getattr(defaults, name)
     }
     if not extras:

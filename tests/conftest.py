@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import available_backends, native_available, use_backend
+from repro.backends import HAVE_GMPY2, NativeBackend, PureBackend, registry
 from repro.core import SystemSetup
 from repro.energy import DeviceProfile, RADIO_100KBPS, WLAN_SPECTRUM24
 from repro.groups.params import get_gq_modulus, get_schnorr_group
@@ -42,19 +42,25 @@ def small_modulus():
     return get_gq_modulus("gq-test-256")
 
 
-@pytest.fixture(params=available_backends())
-def backend(request) -> str:
-    """Run the requesting test once per registered crypto backend.
+@pytest.fixture(params=["pure", "native"])
+def backend(request, monkeypatch, small_group) -> str:
+    """Run the requesting test once per crypto backend.
 
-    Backends are bit-identical, so backend-parametrized tests assert the
-    same values under every one; the ``native`` parameter skips cleanly on
-    interpreters without gmpy2 rather than silently testing pure twice.
+    The library picks its backend once, at import (``native`` exactly when
+    gmpy2 is importable); this fixture swaps that module-level choice for
+    the test.  Backends are bit-identical, so backend-parametrized tests
+    assert the same values under every one; the ``native`` parameter skips
+    cleanly on interpreters without gmpy2 rather than silently testing pure
+    twice.  The session group's cached fixed-base table is dropped on the
+    way in and out, so no leg reuses a table another backend built.
     """
     name = request.param
-    if name == "native" and not native_available():
+    if name == "native" and not HAVE_GMPY2:
         pytest.skip("gmpy2 not installed — native backend unavailable")
-    with use_backend(name):
-        yield name
+    monkeypatch.setattr(registry, "_ACTIVE", NativeBackend() if name == "native" else PureBackend())
+    small_group.__dict__.pop("_fixed_base_table", None)
+    yield name
+    small_group.__dict__.pop("_fixed_base_table", None)
 
 
 @pytest.fixture()

@@ -1,119 +1,40 @@
-"""Crypto-backend registry, selection plumbing and primitive parity."""
+"""The one backend rule, the test seam that swaps it, and primitive parity."""
 
 from __future__ import annotations
+
+import importlib.util
 
 import pytest
 
 from repro.backends import (
-    BACKEND_ENV_VAR,
     CryptoBackend,
+    NativeBackend,
     PureBackend,
     active_backend,
-    available_backends,
-    create_backend,
-    native_available,
-    register_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
+    native,
+    registry,
 )
-from repro.backends import registry as backend_registry
-from repro.campaign import CampaignSpec
-from repro.engine import EngineConfig
 from repro.exceptions import ParameterError
 from repro.mathutils.rand import DeterministicRNG
 from repro.sim.specio import build_engine, engine_to_spec
 
 
-@pytest.fixture(autouse=True)
-def _reset_default():
-    """Keep the process-wide default untouched by these tests."""
-    yield
-    backend_registry._DEFAULT = None
-
-
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert available_backends() == ["native", "pure"]
-        assert {"python", "reference", "gmpy2", "gmp"} <= set(
-            available_backends(include_aliases=True)
-        )
-
-    def test_aliases_resolve_to_canonical(self):
-        assert resolve_backend("python") == "pure"
-        assert resolve_backend("reference") == "pure"
-        assert resolve_backend("gmpy2") == "native"
-
-    def test_unknown_name_suggests(self):
-        with pytest.raises(ParameterError, match="did you mean 'native'"):
-            resolve_backend("nativ")
-        with pytest.raises(ParameterError, match="available"):
-            resolve_backend("openssl")
-
-    def test_instances_are_shared(self):
-        assert create_backend("pure") is create_backend("python")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ParameterError):
-            register_backend("pure", PureBackend)
-
-    def test_native_fallback_vs_strict(self):
-        backend = create_backend("native")
-        if native_available():
-            assert backend.name == "native"
-        else:
-            # Graceful degradation: the instance tells the truth.
-            assert backend.name == "pure"
-            with pytest.raises(ParameterError):
-                backend_registry._INSTANCES.pop("native", None)
-                try:
-                    create_backend("native", strict=True)
-                finally:
-                    backend_registry._INSTANCES.pop("native", None)
-
-
-class TestSelection:
-    def test_default_is_pure(self):
-        backend_registry._DEFAULT = None
-        assert active_backend().name in {"pure", "native"}
+class TestOneRule:
+    def test_native_exactly_when_gmpy2_is_importable(self):
+        expected = "native" if importlib.util.find_spec("gmpy2") is not None else "pure"
+        assert active_backend().name == expected
         assert isinstance(active_backend(), CryptoBackend)
 
-    def test_env_var_sets_initial_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "pure")
-        backend_registry._DEFAULT = None
-        assert active_backend() is create_backend("pure")
+    def test_native_backend_needs_gmpy2(self, monkeypatch):
+        monkeypatch.setattr(native, "HAVE_GMPY2", False)
+        with pytest.raises(ParameterError, match="gmpy2"):
+            NativeBackend()
 
-    def test_env_var_with_alias(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        backend_registry._DEFAULT = None
-        assert active_backend() is create_backend("pure")
-
-    def test_set_default_backend(self):
-        assert set_default_backend("pure") is create_backend("pure")
-        assert active_backend() is create_backend("pure")
-        set_default_backend(None)
-
-    def test_use_backend_nests_and_restores(self):
-        outer = active_backend()
-        with use_backend("pure") as first:
-            assert active_backend() is first
-            with use_backend("native") as second:
-                assert active_backend() is second
-            assert active_backend() is first
-        assert active_backend() is outer
-
-    def test_use_backend_none_is_passthrough(self):
-        before = active_backend()
-        with use_backend(None) as inside:
-            assert inside is before
-            assert active_backend() is before
-
-    def test_use_backend_restores_on_error(self):
-        before = active_backend()
-        with pytest.raises(RuntimeError):
-            with use_backend("pure"):
-                raise RuntimeError("boom")
-        assert active_backend() is before
+    def test_fixture_drops_the_cached_fixed_base_table(self, backend, small_group):
+        assert "_fixed_base_table" not in small_group.__dict__
+        assert small_group.exp_g(5) == pow(small_group.g, 5, small_group.p)
+        fresh = active_backend().fixed_base(small_group.g, small_group.p, small_group.q_bits)
+        assert type(small_group.fixed_base_g) is type(fresh)
 
 
 class TestPrimitiveParity:
@@ -126,7 +47,7 @@ class TestPrimitiveParity:
         return active_backend()
 
     def test_modexp(self, impl):
-        pure = create_backend("pure")
+        pure = PureBackend()
         rng = DeterministicRNG("modexp-parity")
         for _ in range(20):
             base = rng.randbelow(self.MOD)
@@ -149,7 +70,7 @@ class TestPrimitiveParity:
             impl.modinv(6, 9)  # gcd 3
 
     def test_multi_exp(self, impl):
-        pure = create_backend("pure")
+        pure = PureBackend()
         rng = DeterministicRNG("multiexp-parity")
         bases = [rng.randbelow(self.MOD) for _ in range(5)]
         exponents = [rng.randbelow(1 << 64) - (1 << 63) for _ in range(5)]
@@ -169,67 +90,39 @@ class TestPrimitiveParity:
 
 
 class TestEnginePlumbing:
-    def test_engine_config_validates_backend(self):
-        with pytest.raises(ParameterError):
-            EngineConfig(crypto_backend="no-such-backend")
-        config = EngineConfig(crypto_backend="pure")
-        assert "backend=pure" in config.describe()
-
     def test_engine_spec_round_trip(self):
-        spec = {"latency": "instant", "crypto_backend": "pure"}
+        spec = {"latency": "instant", "round_timeout_s": 0.5}
         config = build_engine(spec)
-        assert config is not None and config.crypto_backend == "pure"
+        assert config is not None and config.round_timeout_s == 0.5
         assert engine_to_spec(config) == spec
 
     def test_engine_spec_without_backend_unchanged(self):
         assert build_engine("instant") is None
         assert engine_to_spec(None) == "instant"
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("adversary", "inject"), ("crypto_backend", "native"), ("round_timeout", 0.5)],
+    )
+    def test_engine_spec_rejects_other_keys(self, key, value):
+        with pytest.raises(ParameterError, match=f"unknown engine spec keys: \\['{key}'\\]"):
+            build_engine({"latency": "instant", key: value})
+
 
 class TestRunEquivalence:
-    def test_scenario_bit_identical_across_backends(self, small_setup):
-        """Same protocol run, every backend: identical keys and ledgers.
+    def test_scenario_bit_identical_across_backends(self, small_setup, backend, monkeypatch):
+        """The same protocol run under the fixture's backend and under ``pure``.
 
-        On machines without gmpy2 the ``native`` leg degrades to pure (and so
-        trivially agrees); with gmpy2 installed this pins the bit-identity
-        guarantee the golden equivalence fixtures rely on.
+        The ``pure`` leg agrees trivially; with gmpy2 installed the ``native``
+        leg pins the bit-identity the golden equivalence fixtures rely on.
         """
         from repro.sim import Scenario, ScenarioRunner
 
         runner = ScenarioRunner(small_setup, check_agreement=False)
         scenario = Scenario(name="backend-eq", initial_size=5, seed="beq")
-        reports = []
-        for name in available_backends():
-            with use_backend(name):
-                reports.append(runner.run("bd-dsa", scenario))
-        assert len({report.key_fingerprint for report in reports}) == 1
-        assert len({report.total_energy_j for report in reports}) == 1
-
-    def test_engine_config_backend_scopes_the_run(self, small_setup):
-        from repro.sim import Scenario, ScenarioRunner
-
-        scenario = Scenario(name="backend-eq-cfg", initial_size=4, seed="beq2")
-        plain = ScenarioRunner(small_setup, check_agreement=False).run("bd-dsa", scenario)
-        scoped = ScenarioRunner(
-            small_setup, engine=EngineConfig(crypto_backend="native"), check_agreement=False
-        ).run("bd-dsa", scenario)
-        assert scoped.key_fingerprint == plain.key_fingerprint
-
-
-class TestCampaignPlumbing:
-    def test_spec_accepts_backend(self):
-        spec = CampaignSpec(name="b", protocols=("bd",), backend="pure")
-        cells = spec.cells()
-        assert all(cell.payload["backend"] == "pure" for cell in cells)
-        assert spec.to_dict()["backend"] == "pure"
-        assert CampaignSpec.from_dict(spec.to_dict()).backend == "pure"
-
-    def test_spec_rejects_unknown_backend(self):
-        with pytest.raises(ParameterError):
-            CampaignSpec(name="b", protocols=("bd",), backend="no-such")
-
-    def test_backend_is_not_an_axis(self):
-        with_backend = CampaignSpec(name="b", protocols=("bd",), backend="pure")
-        without = CampaignSpec(name="b", protocols=("bd",))
-        assert [c.key for c in with_backend.cells()] == [c.key for c in without.cells()]
-        assert [c.axes for c in with_backend.cells()] == [c.axes for c in without.cells()]
+        under_fixture = runner.run("bd-dsa", scenario)
+        monkeypatch.setattr(registry, "_ACTIVE", PureBackend())
+        small_setup.group.__dict__.pop("_fixed_base_table", None)
+        under_pure = runner.run("bd-dsa", scenario)
+        assert under_fixture.key_fingerprint == under_pure.key_fingerprint
+        assert under_fixture.total_energy_j == under_pure.total_energy_j

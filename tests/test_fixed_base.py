@@ -57,11 +57,11 @@ class TestFixedBaseExp:
     def test_exp_g_routes_through_cache_and_matches_pow(self, small_group, rng):
         # A fresh, uncached group instance: the table must appear lazily.
         group = SchnorrGroup(p=small_group.p, q=small_group.q, g=small_group.g)
-        assert "_fixed_base_tables" not in group.__dict__
+        assert "_fixed_base_table" not in group.__dict__
         exponents = [rng.randbelow(group.q * 3) for _ in range(50)] + [0, 1, group.q - 1]
         for e in exponents:
             assert group.exp_g(e) == pow(group.g, e, group.p)
-        assert "_fixed_base_tables" in group.__dict__
+        assert "_fixed_base_table" in group.__dict__
 
     def test_exp_g_negative_exponent_unchanged(self, small_group, rng):
         group = small_group
@@ -83,7 +83,7 @@ class TestFixedBaseExp:
             [Identity(f"fb-{i}") for i in range(4)], seed=99
         )
         assert result.all_agree()
-        assert "_fixed_base_tables" in group.__dict__  # Round 1 built and used it
+        assert "_fixed_base_table" in group.__dict__  # Round 1 built and used it
 
 
 class TestMultiExp:
