@@ -192,6 +192,13 @@ class CampaignSpec:
         object.__setattr__(self, "engines", tuple(self.engines))
         if not self.engines:
             raise ParameterError("a campaign needs at least one engine profile")
+        from ..sim.specio import build_engine
+
+        for engine in self.engines:
+            # Build each profile now, so a bad entry fails the spec rather
+            # than every cell that runs it.
+            self.engine_label(engine)
+            build_engine(engine)
         object.__setattr__(
             self,
             "adversaries",

@@ -36,7 +36,7 @@ from ..mathutils.memo import Memo
 from ..mathutils.serialization import int_to_bytes
 from ..network.message import Message, group_element_part, identity_part
 from ..pki.identity import Identity
-from .tree import ClusterTree
+from .tree import ClusterTree, leaf_label
 
 __all__ = ["ClusterCrew", "TreeRun", "ClusterMachine"]
 
@@ -123,10 +123,12 @@ class TreeRun:
     It also computes the run's tree values: the leaf secret
     ``H(label, K_c)``, each node secret ``H(label, BK_sibling^{k_child})``,
     the root key ``g^{k_root}`` and the confirmation digest.  Each is
-    memoised for the run, keyed by every input that can differ between
-    members (the label, the cluster key, the sibling's blinded key, the child
+    memoised, keyed by the node label and every input that can differ
+    between members (the cluster key, the sibling's blinded key, the child
     secret), so a member fed a forged blinded key misses the memo and fails
-    on its own.  Callers still charge their own ledgers.
+    on its own.  The memo comes from the previous run, pruned to the labels
+    still in this tree, so a clean node's secret is not derived again.
+    Callers still charge their own ledgers.
     """
 
     def __init__(
@@ -134,6 +136,7 @@ class TreeRun:
         tree: ClusterTree,
         prior_bk: Dict[str, int],
         setup: SystemSetup,
+        prior_memo: Memo,
     ) -> None:
         self.tree = tree
         self.setup = setup
@@ -144,11 +147,12 @@ class TreeRun:
         }
         #: labels whose blinded keys must be recomputed and rebroadcast
         self.dirty = frozenset(tree.dirty_labels(self.carried))
-        self._memo = Memo()
+        #: tree values by (kind, node label, inputs...), handed to the next run
+        self.memo = prior_memo.where(lambda key: key[1] in tree.nodes)
 
     def leaf_secret(self, label: str, cluster_key: int) -> int:
         """``k_leaf = H(label, K_c)`` in ``Z_q``."""
-        return self._memo.compute(
+        return self.memo.compute(
             ("leaf", label, cluster_key),
             lambda: self.setup.hash_function.hash_to_zq(
                 b"cluster-leaf", label.encode(), int_to_bytes(cluster_key), q=self.setup.group.q
@@ -165,20 +169,22 @@ class TreeRun:
                 b"cluster-node", label.encode(), int_to_bytes(shared), q=group.q
             )
 
-        return self._memo.compute(("node", label, sibling_bk, child_secret), derive)
+        return self.memo.compute(("node", label, sibling_bk, child_secret), derive)
 
     def root_key(self, root_secret: int) -> int:
         """The group key ``g^{k_root}``."""
-        return self._memo.compute(
-            ("root", root_secret), lambda: self.setup.group.exp_g(root_secret)
+        return self.memo.compute(
+            ("root", self.tree.root_label, root_secret),
+            lambda: self.setup.group.exp_g(root_secret),
         )
 
     def confirm_digest(self, root_key: int) -> int:
         """The key-confirmation digest ``H(root label, K)``."""
-        return self._memo.compute(
-            ("confirm", root_key),
+        root_label = self.tree.root_label
+        return self.memo.compute(
+            ("confirm", root_label, root_key),
             lambda: self.setup.hash_function.digest_int(
-                b"cluster-confirm", self.tree.root_label.encode(), int_to_bytes(root_key)
+                b"cluster-confirm", root_label.encode(), int_to_bytes(root_key)
             ),
         )
 
@@ -234,7 +240,9 @@ class ClusterMachine(PartyMachine):
             node_label = label[len(BK_PREFIX):]
             if node_label in self.run.tree.nodes and node_label not in self.bk:
                 self.bk[node_label] = int(message.value("bk"))
-                if self._in_tree and not self.finished:
+                # Only the sibling key the path walk stopped at moves it on;
+                # any other is stored for when the walk reaches it.
+                if label == self.waiting_for:
                     return self._advance(now)
             return []
         if label.startswith(CONFIRM_PREFIX):
@@ -290,8 +298,6 @@ class ClusterMachine(PartyMachine):
 
     # ------------------------------------------------------------ tree phase
     def _leaf_label(self) -> str:
-        from .tree import leaf_label
-
         return leaf_label(self.crew.uid, self.crew.epoch)
 
     def _enter_tree(self, now: float) -> List[Outbound]:

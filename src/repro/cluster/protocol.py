@@ -33,6 +33,7 @@ from ..core.registry import create_protocol, register_protocol, resolve_protocol
 from ..engine.executor import EngineConfig, EngineStats, drive_plan
 from ..engine.machine import MachinePlan
 from ..exceptions import ParameterError, ProtocolError
+from ..mathutils.memo import Memo
 from ..network.events import MembershipEvent, MergeEvent, membership_after
 from ..network.medium import BroadcastMedium
 from ..network.topology import RingTopology
@@ -126,6 +127,7 @@ class ClusterTreeProtocol(Protocol):
             medium=medium,
             seed=seed,
             prior_bk={},
+            prior_memo=Memo(),
             prior_parties={},
             next_uid=len(drafts),
         )
@@ -138,6 +140,7 @@ class ClusterTreeProtocol(Protocol):
         medium: BroadcastMedium,
         seed: object,
         prior_bk: Dict[str, int],
+        prior_memo: Memo,
         prior_parties: Dict[str, PartyState],
         next_uid: int,
     ) -> MachinePlan:
@@ -145,7 +148,7 @@ class ClusterTreeProtocol(Protocol):
 
         rng = DeterministicRNG(seed, label="cluster-tree")
         tree = build_tree([(d.uid, d.epoch, d.leader.name) for d in drafts])
-        run = TreeRun(tree, prior_bk, self.setup)
+        run = TreeRun(tree, prior_bk, self.setup, prior_memo)
 
         machines: List[ClusterMachine] = []
         crews: List[ClusterCrew] = []
@@ -228,6 +231,7 @@ class ClusterTreeProtocol(Protocol):
                 clusters,
                 parties,
                 bk_cache=bk_cache,
+                tree_memo=run.memo,
                 tree=tree,
                 sub_protocol=self.sub_protocol,
                 next_uid=next_uid,
@@ -276,6 +280,7 @@ class ClusterTreeProtocol(Protocol):
             medium=medium,
             seed=seed,
             prior_bk=state.bk_cache,
+            prior_memo=state.tree_memo,
             prior_parties=state.parties,
             next_uid=next_uid,
         )

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.base import GroupState, PartyState, SystemSetup
+from ..mathutils.memo import Memo
 from ..network.topology import RingTopology
 from ..pki.identity import Identity
 from .tree import ClusterTree, leaf_label
@@ -63,6 +64,9 @@ class ClusterState(GroupState):
     #: public blinded keys by tree-node label, carried across events — the
     #: cache that makes "dirty" (label missing) mean "must rebroadcast"
     bk_cache: Dict[str, int] = field(default_factory=dict)
+    #: tree secrets by node label, carried across events like ``bk_cache``
+    #: (see :class:`~repro.cluster.machines.TreeRun`)
+    tree_memo: Memo = field(default_factory=Memo, compare=False, repr=False)
     #: the current key tree's public shape
     tree: Optional[ClusterTree] = None
     #: registry name of the intra-cluster sub-protocol
@@ -78,6 +82,7 @@ class ClusterState(GroupState):
         parties: Dict[str, PartyState],
         *,
         bk_cache: Dict[str, int],
+        tree_memo: Memo,
         tree: ClusterTree,
         sub_protocol: str,
         next_uid: int,
@@ -89,6 +94,7 @@ class ClusterState(GroupState):
             parties={m.name: parties[m.name] for m in flat},
             clusters=clusters,
             bk_cache=bk_cache,
+            tree_memo=tree_memo,
             tree=tree,
             sub_protocol=sub_protocol,
             next_uid=next_uid,

@@ -7,8 +7,9 @@ and the :class:`~repro.engine.kernel.EventKernel`:
   machine's ring index, so same-instant emissions leave the medium in ring
   order — exactly the order the synchronous protocol bodies used to send in;
 * every emitted message goes through the medium (charging senders, receivers
-  and relays through the existing energy accounting) and each delivered copy
-  becomes a scheduled ``on_message`` kernel event;
+  and relays through the existing energy accounting) and its delivered copies
+  reach the receivers' ``on_message`` through scheduled kernel events: one
+  per transmission in instant mode, one per receiver in latency mode;
 * a message whose ``on_message`` raises :class:`~repro.engine.machine.Early`
   is held per machine, in arrival order, and passed to ``on_message`` again
   after each later hook of that machine, joining that hook's batch;
@@ -194,19 +195,26 @@ class MachineExecutor:
                 rank=EventKernel.RANK_HOOK,
                 order=index,
             )
-        while True:
-            self.kernel.run()
-            unfinished = [m for m in self.machines if not m.finished]
-            if not unfinished:
-                break
-            if self.latency is None:
-                stalled = ", ".join(
-                    f"{m.identity.name} (waiting on {m.waiting_for!r})" for m in unfinished
-                )
-                raise ProtocolError(
-                    f"kernel went quiescent with unfinished parties: {stalled}"
-                )
-            self._timeout_wave(unfinished)
+        try:
+            while True:
+                self.kernel.run()
+                unfinished = [m for m in self.machines if not m.finished]
+                if not unfinished:
+                    break
+                if self.latency is None:
+                    stalled = ", ".join(
+                        f"{m.identity.name} (waiting on {m.waiting_for!r})" for m in unfinished
+                    )
+                    raise ProtocolError(
+                        f"kernel went quiescent with unfinished parties: {stalled}"
+                    )
+                self._timeout_wave(unfinished)
+        finally:
+            # Unbound machines leave the executor in no reference cycle, so it
+            # (with its `_seen` sets and held messages) goes with its last
+            # reference instead of waiting for the cyclic collector.
+            for machine in self.machines:
+                machine.context = None
         self.stats.sim_time_s = self.kernel.now
         self.stats.events = self.kernel.events_processed
         return self.stats
@@ -315,13 +323,24 @@ class MachineExecutor:
                 attack_delay = interception.delay_s
                 if interception.replacement is not None:
                     decoded = interception.replacement
-        field_ = getattr(self.medium, "field", None)
-        for identity in receipt.delivered_to:
-            receiver = self._by_name.get(identity.name)
-            if receiver is None or suppress:
-                continue
-            delay = 0.0
-            if self.latency is not None:
+        delivered = () if suppress else receipt.delivered_to
+        if self.latency is None:
+            # Every receiver decodes at the same instant: one kernel event
+            # hands the message to all of them, in receipt order.
+            by_name = self._by_name
+            receivers = [by_name[i.name] for i in delivered if i.name in by_name]
+            if receivers:
+                self.kernel.schedule(
+                    partial(self._deliver_all, receivers, decoded),
+                    delay=attack_delay,
+                    rank=EventKernel.RANK_DELIVERY,
+                )
+        else:
+            field_ = getattr(self.medium, "field", None)
+            for identity in delivered:
+                receiver = self._by_name.get(identity.name)
+                if receiver is None:
+                    continue
                 hops = receipt.hop_by_receiver.get(identity.name, receipt.hops)
                 distance = 0.0
                 if field_ is not None and message.sender.name in field_ and identity.name in field_:
@@ -329,11 +348,11 @@ class MachineExecutor:
                 delay = channel_wait + tx_time + self.latency.delivery_delay_for(
                     message.wire_bits, hops, distance, message.sender.name, identity.name
                 )
-            self.kernel.schedule(
-                partial(self._deliver, receiver, decoded),
-                delay=delay + attack_delay,
-                rank=EventKernel.RANK_DELIVERY,
-            )
+                self.kernel.schedule(
+                    partial(self._deliver, receiver, decoded),
+                    delay=delay + attack_delay,
+                    rank=EventKernel.RANK_DELIVERY,
+                )
         if self.adversary is not None:
             for forged in self.adversary.drain_injections(now):
                 self._inject(forged)
@@ -358,6 +377,10 @@ class MachineExecutor:
                 rank=EventKernel.RANK_DELIVERY,
                 order=-1,
             )
+
+    def _deliver_all(self, machines: List[PartyMachine], message: Message) -> None:
+        for machine in machines:
+            self._deliver(machine, message)
 
     def _deliver(self, machine: PartyMachine, message: Message) -> None:
         key = (message.sender.name, message.round_label)

@@ -11,9 +11,11 @@ operations, but the host need only compute each value once.
 * the key holds **every** input the value depends on that can differ between
   callers, so a party fed a forged value misses the memo and fails on its
   own, as it would without the memo;
-* an object with a stated lifetime owns it (one protocol run, or one
-  signature scheme instance), never a module, so nothing leaks across runs
-  or campaign cells.
+* an object with a stated lifetime owns it (one protocol run, one cluster
+  state, or one signature scheme instance), never a module, so nothing leaks
+  across scenarios or campaign cells.  A cluster state hands its next
+  epoch's run a copy limited to the tree nodes still present, and the state
+  that run produces owns the copy.
 
 The memo empties when it reaches :data:`MEMO_LIMIT` entries, which bounds its
 memory over long sweeps.  It never records a value whose computation raised.
@@ -50,6 +52,12 @@ class Memo:
     def clear(self) -> None:
         """Forget every value, so the next lookups compute afresh."""
         self._values.clear()
+
+    def where(self, keep: Callable[[Hashable], bool]) -> "Memo":
+        """A new memo holding the entries whose key ``keep`` accepts."""
+        kept = Memo()
+        kept._values = {key: value for key, value in self._values.items() if keep(key)}
+        return kept
 
     def put(self, key: Hashable, value: T) -> T:
         """Store ``value`` under ``key`` (emptying a full memo first); return it."""

@@ -195,6 +195,23 @@ class TestSpecExpansion:
         with pytest.raises(ParameterError, match=r"\(name, spec\) pairs"):
             small_spec(schedule=None, mobilities=("random-waypoint",))
 
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            {"latency": "wlan", "crypto_backend": "pure"},
+            {"latency": "wlan", "adversary": "inject"},
+            "warp-drive",
+            {"latency": "radio", "round_timeout_s": 0},
+        ],
+        ids=["old-backend-key", "adversary-key", "unknown-profile", "bad-timeout"],
+    )
+    def test_bad_engine_entry_fails_the_spec_not_its_cells(self, engine):
+        # Each entry is built when the spec is, before any cell or worker runs.
+        with pytest.raises(ParameterError):
+            small_spec(engines=("instant", engine))
+        with pytest.raises(ParameterError):
+            CampaignSpec.from_dict({"name": "x", "protocols": ["bd"], "engines": [engine]})
+
 
 # ---------------------------------------------------------------------------
 # The determinism harness (tentpole acceptance)

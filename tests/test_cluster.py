@@ -33,6 +33,7 @@ from repro.cluster import (
     geographic_clusters,
     leaf_label,
 )
+from repro.cluster import protocol as cluster_protocol
 from repro.cluster.machines import CONFIRM_PREFIX, ClusterMachine
 from repro.core.registry import create_protocol, protocol_tags
 from repro.energy import WLAN_SPECTRUM24
@@ -255,16 +256,9 @@ class TestClusterEstablishment:
         assert first.group_key == again.group_key
         assert first.group_key != other.group_key
 
-    def test_forged_blinded_key_fails_only_its_receiver(self, small_setup, protocol):
-        # Cluster-mates share their path secrets, which the run computes once;
-        # a member fed a forged sibling key must miss that and fail alone.
-        _, _, honest = _establish(small_setup, protocol, 12, seed=5, cluster_size=3)
-        medium = BroadcastMedium()
-        plan = create_protocol(protocol, small_setup).build_machines(
-            _members("cl", 12), medium=medium, seed=5, cluster_size=3
-        )
-        victim = plan.machines[1]  # not a leader, so it broadcasts no blinded key
-        sibling = victim.run.tree.sibling(leaf_label(victim.crew.uid, victim.crew.epoch))
+    @staticmethod
+    def _forge(victim, sibling):
+        """Feed ``victim`` a forged blinded key for ``sibling``; list its aborts."""
         aborted = []
 
         def guard(hook):
@@ -293,7 +287,64 @@ class TestClusterEstablishment:
         victim.start = guard(victim.start)
         victim.on_wake = guard(victim.on_wake)
         victim.on_message = guard(forge(victim.on_message))
+        return aborted
+
+    def test_forged_blinded_key_fails_only_its_receiver(self, small_setup, protocol):
+        # Cluster-mates share their path secrets, which the run computes once;
+        # a member fed a forged sibling key must miss that and fail alone.
+        _, _, honest = _establish(small_setup, protocol, 12, seed=5, cluster_size=3)
+        medium = BroadcastMedium()
+        plan = create_protocol(protocol, small_setup).build_machines(
+            _members("cl", 12), medium=medium, seed=5, cluster_size=3
+        )
+        victim = plan.machines[1]  # not a leader, so it broadcasts no blinded key
+        sibling = victim.run.tree.sibling(leaf_label(victim.crew.uid, victim.crew.epoch))
+        aborted = self._forge(victim, sibling)
         drive_plan(plan, medium)
+        assert len(aborted) == 1
+        keys = {m.identity.name: m.party.group_key for m in plan.machines}
+        assert keys.pop(victim.identity.name) != honest.group_key
+        assert set(keys.values()) == {honest.group_key}
+
+    def test_forged_dirty_key_after_join_fails_only_its_receiver(
+        self, small_setup, protocol, monkeypatch
+    ):
+        # After a Join the run starts from the secrets carried over from
+        # establishment; a member of an untouched cluster fed a forged dirty
+        # sibling key must still miss them and fail alone.
+        joiner = Identity("cl-new")
+
+        def join():
+            proto, medium, established = _establish(
+                small_setup, protocol, 12, seed=5, cluster_size=3
+            )
+            event = JoinEvent(joining=joiner)
+            return proto.apply_event(established.state, event, medium=medium, seed=6)
+
+        honest = join()
+        assert honest.all_agree()
+        drive = cluster_protocol.drive_plan
+        runs = []
+
+        def forging_drive(plan, medium, engine=None):
+            victim = next(
+                m for m in plan.machines
+                if not m.crew.rekey and m.identity != m.crew.leader
+            )
+            tree, dirty = victim.run.tree, victim.run.dirty
+            path = tree.path_from_leaf(leaf_label(victim.crew.uid, victim.crew.epoch))
+            sibling = next(
+                tree.sibling(node.label) for node in path
+                if tree.sibling(node.label) in dirty
+            )
+            carried = len(victim.run.memo)
+            runs.append((plan, victim, carried, self._forge(victim, sibling)))
+            return drive(plan, medium, engine=engine)
+
+        monkeypatch.setattr(cluster_protocol, "drive_plan", forging_drive)
+        join()
+        [(plan, victim, carried, aborted)] = runs
+        assert carried > 0
         assert len(aborted) == 1
         keys = {m.identity.name: m.party.group_key for m in plan.machines}
         assert keys.pop(victim.identity.name) != honest.group_key

@@ -3,6 +3,9 @@ and kernel determinism (same seed ⇒ identical virtual-time traces)."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import SystemSetup
@@ -17,6 +20,7 @@ from repro.engine import (
     Outbound,
     PartyMachine,
     TransceiverLatency,
+    run_machines,
 )
 from repro.exceptions import ParameterError, ProtocolError
 from repro.mathutils.rand import DeterministicRNG
@@ -231,6 +235,85 @@ class TestEarlyMessages:
             executor.run()
         assert not receiver.finished
         assert receiver.taken == []
+
+
+# ---------------------------------------------------------------------------
+# Delivery events and executor lifetime
+# ---------------------------------------------------------------------------
+
+class _Listener(PartyMachine):
+    """Finishes on its first message, logging its name in ``arrivals``."""
+
+    def __init__(self, identity, arrivals):
+        super().__init__(identity, Node(identity))
+        self.arrivals = arrivals
+
+    def start(self, now):
+        self.waiting_for = "r1"
+        return []
+
+    def on_message(self, message, now):
+        self.arrivals.append(self.identity.name)
+        self.finished = True
+        self.waiting_for = None
+        return []
+
+
+class TestDeliveryEvents:
+    RECEIVERS = 4
+
+    def _broadcast(self, engine):
+        """``alice`` broadcasts once to listeners attached out of ring order."""
+        arrivals = []
+        sender = _Script(Identity("alice"), [("r1", b"1")])
+        listeners = [_Listener(Identity(f"m{i}"), arrivals) for i in range(self.RECEIVERS)]
+        medium = BroadcastMedium()
+        medium.attach(sender.node)
+        for index in (2, 0, 3, 1):
+            medium.attach(listeners[index].node)
+        stats = run_machines([sender, *listeners], medium, engine=engine)
+        receipt_order = [identity.name for identity in medium.receipts[-1].delivered_to]
+        return stats, arrivals, receipt_order
+
+    def test_instant_broadcast_is_one_kernel_event_in_receipt_order(self):
+        stats, arrivals, receipt_order = self._broadcast(None)
+        assert receipt_order == ["m2", "m0", "m3", "m1"]
+        assert arrivals == receipt_order
+        assert stats.deliveries == self.RECEIVERS
+        # One start hook per machine, alice's emit, then one delivery event.
+        assert stats.events == (self.RECEIVERS + 1) + 1 + 1
+
+    def test_latency_broadcast_is_one_kernel_event_per_receiver(self):
+        stats, arrivals, receipt_order = self._broadcast(
+            EngineConfig(latency=FixedLatency(0.01))
+        )
+        assert arrivals == receipt_order
+        assert stats.deliveries == self.RECEIVERS
+        assert stats.events == (self.RECEIVERS + 1) + 1 + self.RECEIVERS
+
+    def test_executor_is_freed_when_the_run_returns(self):
+        # Without the cyclic collector, only a cycle-free executor goes with
+        # its last reference (the one run_machines holds).
+        refs = []
+
+        class _Recorder(_Script):
+            def start(self, now):
+                refs.append(weakref.ref(self.context))
+                return super().start(now)
+
+        alice, bob = Identity("alice"), Identity("bob")
+        machines = [_Recorder(alice, [("r1", b"1")]), _Listener(bob, [])]
+        medium = BroadcastMedium()
+        for machine in machines:
+            medium.attach(machine.node)
+        gc.collect()
+        gc.disable()
+        try:
+            run_machines(machines, medium)
+            assert refs[0]() is None
+        finally:
+            gc.enable()
+        assert all(machine.context is None for machine in machines)
 
 
 # ---------------------------------------------------------------------------
