@@ -7,6 +7,7 @@ import pytest
 from repro.analysis import DynamicComplexityParams, format_table, table4_complexity
 from repro.baselines import BDRerunDynamic
 from repro.core import JoinProtocol, LeaveProtocol, MergeProtocol, PartitionProtocol, ProposedGKAProtocol
+from repro.network.events import JoinEvent
 from repro.pki import Identity
 
 
@@ -82,7 +83,8 @@ def test_benchmark_bd_rerun_join(benchmark, small_setup):
     """The baseline's cost for the same event (for comparison in the report)."""
     members = [Identity(f"t4c-{i}") for i in range(6)]
     dynamic = BDRerunDynamic(small_setup)
-    base = dynamic.establish(members, seed="bench")
+    base = dynamic.run(members, seed="bench")
+    event = JoinEvent(joining=Identity("t4c-new"))
 
-    result = benchmark(lambda: dynamic.join(base.state, Identity("t4c-new"), seed="bench-join"))
+    result = benchmark(lambda: dynamic.apply_event(base.state, event, seed="bench-join"))
     assert result.all_agree()

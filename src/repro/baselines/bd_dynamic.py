@@ -14,14 +14,12 @@ can swap one for the other and compare the recorded per-node costs directly.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
-from ..engine.executor import EngineConfig
 from ..engine.machine import MachinePlan
-from ..exceptions import MembershipError, ParameterError
 from ..network.medium import BroadcastMedium
 from ..pki.identity import Identity
-from ..core.base import GroupState, Protocol, ProtocolResult, SystemSetup
+from ..core.base import Protocol, SystemSetup
 from ..core.registry import register_protocol
 from .authenticated_bd import SUPPORTED_SCHEMES, AuthenticatedBDProtocol
 
@@ -32,11 +30,11 @@ class BDRerunDynamic(Protocol):
     """Handle membership events by re-running authenticated BD from scratch.
 
     Conforms to :class:`~repro.core.base.Protocol`: :meth:`run` is the initial
-    establishment and the inherited
-    :meth:`~repro.core.base.Protocol.apply_event` re-executes over the
-    post-event membership.  The explicit ``join``/``leave``/``merge``/
-    ``partition`` methods below predate the strategy interface and add the
-    membership validation the paper's experiment scripts rely on.
+    establishment, and the inherited
+    :meth:`~repro.core.base.Protocol.apply_event` and
+    :meth:`~repro.core.base.Protocol.merge_states` re-execute over the
+    post-event membership, which
+    :func:`~repro.network.events.membership_after` validates.
     """
 
     def __init__(self, setup: SystemSetup, scheme: str = "ecdsa") -> None:
@@ -45,7 +43,7 @@ class BDRerunDynamic(Protocol):
         self._protocol = AuthenticatedBDProtocol(setup, scheme)
         self.name = f"bd-rerun-{scheme}"
 
-    # ------------------------------------------------------------------ events
+    # ---------------------------------------------------------------- machines
     def build_machines(
         self,
         members: Sequence[Identity],
@@ -60,86 +58,6 @@ class BDRerunDynamic(Protocol):
         rerun wrapper adds event routing, not a different wire protocol.
         """
         return self._protocol.build_machines(members, medium=medium, seed=seed, **kwargs)
-
-    def run(
-        self,
-        members: Sequence[Identity],
-        *,
-        medium: Optional[BroadcastMedium] = None,
-        seed: object = 0,
-        engine: Optional[EngineConfig] = None,
-        **kwargs: object,
-    ) -> ProtocolResult:
-        """Initial key establishment (plain authenticated BD run)."""
-        return super().run(members, medium=medium, seed=seed, engine=engine, **kwargs)
-
-    def establish(self, members: Sequence[Identity], *, seed: object = 0) -> ProtocolResult:
-        """Backwards-compatible alias for :meth:`run`."""
-        return self.run(members, seed=seed)
-
-    def join(
-        self,
-        state: GroupState,
-        joining: Identity,
-        *,
-        medium: Optional[BroadcastMedium] = None,
-        seed: object = 0,
-        engine: Optional[EngineConfig] = None,
-    ) -> ProtocolResult:
-        """Re-run the GKA over the enlarged membership."""
-        if joining in state.ring:
-            raise MembershipError(f"{joining.name!r} is already a member")
-        members = state.ring.members + [joining]
-        return self.run(members, medium=medium, seed=seed, engine=engine)
-
-    def leave(
-        self,
-        state: GroupState,
-        leaving: Identity,
-        *,
-        medium: Optional[BroadcastMedium] = None,
-        seed: object = 0,
-        engine: Optional[EngineConfig] = None,
-    ) -> ProtocolResult:
-        """Re-run the GKA over the reduced membership."""
-        if leaving not in state.ring:
-            raise MembershipError(f"{leaving.name!r} is not a member")
-        members = [m for m in state.ring.members if m.name != leaving.name]
-        if len(members) < 2:
-            raise ParameterError("cannot shrink the group below two members")
-        return self.run(members, medium=medium, seed=seed, engine=engine)
-
-    def merge(
-        self,
-        state_a: GroupState,
-        state_b: GroupState,
-        *,
-        medium: Optional[BroadcastMedium] = None,
-        seed: object = 0,
-        engine: Optional[EngineConfig] = None,
-    ) -> ProtocolResult:
-        """Re-run the GKA over the union of both memberships."""
-        overlap = {m.name for m in state_a.ring} & {m.name for m in state_b.ring}
-        if overlap:
-            raise MembershipError(f"groups overlap: {sorted(overlap)}")
-        members: List[Identity] = state_a.ring.members + state_b.ring.members
-        return self.run(members, medium=medium, seed=seed, engine=engine)
-
-    def partition(
-        self,
-        state: GroupState,
-        leaving: Sequence[Identity],
-        *,
-        medium: Optional[BroadcastMedium] = None,
-        seed: object = 0,
-        engine: Optional[EngineConfig] = None,
-    ) -> ProtocolResult:
-        """Re-run the GKA over the members that remain."""
-        leaving_names = {identity.name for identity in leaving}
-        members = [m for m in state.ring.members if m.name not in leaving_names]
-        if len(members) < 2:
-            raise ParameterError("cannot shrink the group below two members")
-        return self.run(members, medium=medium, seed=seed, engine=engine)
 
 
 for _scheme in SUPPORTED_SCHEMES:

@@ -1,6 +1,6 @@
 """Per-party machines for the hierarchical cluster-tree GKA.
 
-One :class:`_ClusterMachine` per member drives two phases on the event kernel:
+One :class:`ClusterMachine` per member drives two phases on the event kernel:
 
 1. **Sub-protocol phase** (rekeying clusters only): the member's machine from
    the intra-cluster sub-protocol runs *wrapped* — outbound round labels are
@@ -9,6 +9,10 @@ One :class:`_ClusterMachine` per member drives two phases on the event kernel:
    clusters never collide and only cluster members are charged for the
    traffic.  Inbound scoped messages are unwrapped and delegated; an inner
    machine's ``Early`` propagates, and the executor holds the scoped message.
+   The wrapper is its inner machine's context: a sub-protocol coordinator's
+   ``inner.context.wake(inner, payload)`` schedules the wrapper, whose
+   ``on_wake`` hands the payload down.  In the hook where its inner machine
+   finishes, the wrapper unbinds it and enters the tree phase.
 2. **Tree phase** (every member): starting from the cluster key, walk the
    leaf-to-root path of :mod:`repro.cluster.tree`, combining the sibling
    blinded keys; representatives broadcast the blinded key of every *dirty*
@@ -26,7 +30,7 @@ stalled round" default re-broadcasts exactly the missing blinded key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import replace as dc_replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.base import PartyState, SystemSetup
@@ -43,37 +47,12 @@ __all__ = ["ClusterCrew", "TreeRun", "ClusterMachine"]
 BK_PREFIX = "ct-bk/"
 CONFIRM_PREFIX = "ct-confirm/"
 
-#: wake payload asking a wrapper to re-check whether its inner machine
-#: finished (a shared sub-protocol coordinator can finish machines whose
-#: wrappers got no hook call)
-_CHECK_INNER = "cluster-check-inner"
-
-
-@dataclass(frozen=True)
-class _InnerWake:
-    """A sub-protocol coordinator wake-up routed through the wrapper."""
-
-    payload: object
-
-
-class _InnerContext:
-    """The context the wrapped sub-protocol machines see.
-
-    Sub-protocol coordinators call ``machine.context.wake(machine, payload)``
-    on their *own* machines; this shim reroutes that to the wrapper so the
-    kernel schedules the wrapper (which delegates back down).
-    """
-
-    def __init__(self, crew: "ClusterCrew") -> None:
-        self._crew = crew
-
-    def wake(self, inner: PartyMachine, payload: object) -> None:
-        wrapper = self._crew.wrapper_by_inner[id(inner)]
-        wrapper.context.wake(wrapper, _InnerWake(payload))
-
 
 class ClusterCrew:
-    """Shared per-cluster run state: scope, membership, the agreed key."""
+    """Shared per-cluster run state: scope, membership, the agreed key.
+
+    A crew holds no machine: each wrapper knows its crew, never the reverse.
+    """
 
     def __init__(
         self,
@@ -95,18 +74,9 @@ class ClusterCrew:
         #: who a wrapped sub-protocol broadcast is narrowed to
         self.recipients = tuple(self.members)
         self.leader = members[0]
-        self.wrappers: List["ClusterMachine"] = []
-        self.wrapper_by_inner: Dict[int, "ClusterMachine"] = {}
-        self.inner_context = _InnerContext(self)
         #: the last scoped message unwrapped and its unwrapped copy: every
         #: cluster member receives the same message, one after another
         self._unscoped: Tuple[Optional[Message], Optional[Message]] = (None, None)
-
-    def adopt(self, wrapper: "ClusterMachine") -> None:
-        self.wrappers.append(wrapper)
-        if wrapper.inner is not None:
-            self.wrapper_by_inner[id(wrapper.inner)] = wrapper
-            wrapper.inner.context = self.inner_context
 
     def unscope(self, message: Message) -> Message:
         """``message`` with the cluster scope stripped from its round label."""
@@ -211,23 +181,24 @@ class ClusterMachine(PartyMachine):
         self.setup = setup
         self.crew = crew
         self.run = run
+        #: the sub-protocol machine, until it finishes (None in a cluster
+        #: that keeps its key)
         self.inner = inner
         #: this member's view of the blinded-key table
         self.bk: Dict[str, int] = dict(run.carried)
         #: secret exponents along this member's leaf-to-root path
         self._secrets: Dict[str, int] = {}
         self._path = run.tree.path_from_leaf(self._leaf_label())
-        self._in_tree = False
         self._root_key: Optional[int] = None
         self._confirm_expected: Optional[int] = None
-        crew.adopt(self)
 
     # ----------------------------------------------------------------- hooks
     def start(self, now: float) -> List[Outbound]:
-        if self.inner is not None:
-            return self._after_inner(self.inner.start(now), now)
-        # Unaffected cluster: the key is already shared; go straight to the tree.
-        return self._enter_tree(now)
+        if self.inner is None:
+            # Unaffected cluster: the key is already shared; go straight to the tree.
+            return self._enter_tree(now)
+        self.inner.context = self  # see `wake`
+        return self._after_inner(self.inner.start(now), now)
 
     def on_message(self, message: Message, now: float) -> List[Outbound]:
         label = message.round_label
@@ -255,18 +226,14 @@ class ClusterMachine(PartyMachine):
         return []
 
     def on_wake(self, payload: object, now: float) -> List[Outbound]:
-        if isinstance(payload, _InnerWake) and self.inner is not None:
-            return self._after_inner(self.inner.on_wake(payload.payload, now), now)
-        if payload == _CHECK_INNER:
-            if (
-                self.inner is not None
-                and self.inner.finished
-                and not self._in_tree
-            ):
-                return self._enter_tree(now)
-        return []
+        # Only the inner machine's coordinator wakes a wrapper (see `wake`).
+        return self._after_inner(self.inner.on_wake(payload, now), now)
 
     # ------------------------------------------------------ sub-run plumbing
+    def wake(self, inner: PartyMachine, payload: object) -> None:
+        """The inner machine's context: wake this wrapper, which hands ``payload`` on."""
+        self.context.wake(self, payload)
+
     def _after_inner(self, outbounds: List[Outbound], now: float) -> List[Outbound]:
         wrapped = [
             Outbound(
@@ -282,18 +249,15 @@ class ClusterMachine(PartyMachine):
             )
             for out in outbounds
         ]
-        if self.inner.finished and not self._in_tree:
-            # A shared coordinator may have finished cluster-mates whose
-            # wrappers got no hook — nudge them to check.
-            for mate in self.crew.wrappers:
-                if mate is not self and not mate._in_tree and mate.context is not None:
-                    self.context.wake(mate, _CHECK_INNER)
+        inner = self.inner
+        if inner.finished:
+            # Unbound, the finished inner machine and this wrapper form no
+            # reference cycle.
+            inner.context = None
+            self.inner = None
             wrapped.extend(self._enter_tree(now))
-        elif not self.finished:
-            inner_waiting = self.inner.waiting_for
-            self.waiting_for = (
-                self.crew.scope + inner_waiting if inner_waiting else self.waiting_for
-            )
+        elif inner.waiting_for:
+            self.waiting_for = self.crew.scope + inner.waiting_for
         return wrapped
 
     # ------------------------------------------------------------ tree phase
@@ -301,7 +265,6 @@ class ClusterMachine(PartyMachine):
         return leaf_label(self.crew.uid, self.crew.epoch)
 
     def _enter_tree(self, now: float) -> List[Outbound]:
-        self._in_tree = True
         if self.crew.rekey and self.crew.cluster_key is None:
             self.crew.cluster_key = self.party.group_key
         key = self.crew.cluster_key if not self.crew.rekey else self.party.group_key

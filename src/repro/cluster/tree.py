@@ -108,24 +108,29 @@ def build_tree(leaves: Sequence[Tuple[int, int, str]]) -> ClusterTree:
     if not leaves:
         raise ValueError("a cluster tree needs at least one leaf")
     nodes: Dict[str, TreeNode] = {}
+    root = _subtree(leaves, 0, len(leaves), nodes)
+    return ClusterTree(nodes, root.label, [leaf_label(u, e) for u, e, _ in leaves])
 
-    def _build(lo: int, hi: int) -> TreeNode:
-        if hi - lo == 1:
-            uid, epoch, leader = leaves[lo]
-            node = TreeNode(
-                label=leaf_label(uid, epoch),
-                left=None,
-                right=None,
-                cluster_uid=uid,
-                rep_name=leader,
-            )
-            nodes[node.label] = node
-            return node
+
+def _subtree(
+    leaves: Sequence[Tuple[int, int, str]], lo: int, hi: int, nodes: Dict[str, TreeNode]
+) -> TreeNode:
+    """Add the leftist subtree over ``leaves[lo:hi]`` to ``nodes``; return its root."""
+    if hi - lo == 1:
+        uid, epoch, leader = leaves[lo]
+        node = TreeNode(
+            label=leaf_label(uid, epoch),
+            left=None,
+            right=None,
+            cluster_uid=uid,
+            rep_name=leader,
+        )
+    else:
         split = 1
         while split * 2 < hi - lo:
             split *= 2
-        left = _build(lo, lo + split)
-        right = _build(lo + split, hi)
+        left = _subtree(leaves, lo, lo + split, nodes)
+        right = _subtree(leaves, lo + split, hi, nodes)
         node = TreeNode(
             label=_internal_label(left.label, right.label),
             left=left.label,
@@ -133,8 +138,5 @@ def build_tree(leaves: Sequence[Tuple[int, int, str]]) -> ClusterTree:
             cluster_uid=None,
             rep_name=left.rep_name,
         )
-        nodes[node.label] = node
-        return node
-
-    root = _build(0, len(leaves))
-    return ClusterTree(nodes, root.label, [leaf_label(u, e) for u, e, _ in leaves])
+    nodes[node.label] = node
+    return node

@@ -45,7 +45,7 @@ from ..mathutils.modular import product_mod
 from ..mathutils.primes import RSAModulus, generate_rsa_modulus, generate_schnorr_parameters
 from ..mathutils.rand import DeterministicRNG
 from ..mathutils.serialization import int_to_bytes
-from ..network.events import MembershipEvent, membership_after
+from ..network.events import MembershipEvent, MergeEvent, membership_after
 from ..network.medium import BroadcastMedium
 from ..network.message import Message, MessagePart, group_element_part, identity_part
 from ..network.node import Node
@@ -432,7 +432,8 @@ class Protocol(abc.ABC):
         post-event membership.  The previous members' nodes are detached from
         the medium first — re-running attaches fresh nodes for the surviving
         members, and departed members must stop receiving (and being charged
-        for) traffic.
+        for) traffic.  An event that does not fit the group raises
+        :class:`~repro.exceptions.MembershipError` before any node is detached.
         """
         members = membership_after(state.members, event)
         if medium is not None:
@@ -457,7 +458,7 @@ class Protocol(abc.ABC):
         hook is what lets :class:`~repro.core.session.GroupSession` offer
         ``merge`` for any registered protocol.
         """
-        members = list(state.members) + list(other.members)
+        members = membership_after(state.members, MergeEvent(tuple(other.members)))
         if medium is not None:
             for member in state.members:
                 medium.detach(member)

@@ -25,11 +25,12 @@ fires when a member's Round-1 view completes (the controller deliberately
 withholds its Round-2 broadcast until it has everyone else's, reproducing the
 paper's "U_1 transmits last").  What is this module's own is the
 retransmission: on a failed batch check the paper has "all members
-retransmit again"; a shared round coordinator — the machine analogue of the
+retransmit again".  A shared round coordinator — the machine analogue of the
 synchronous implementation's shared verdict flag — collects every member's
-verification verdict and triggers a bounded retransmission round when any
-member rejected, so fault injection tests can exercise both the failure and
-the recovery path.
+verification verdict and, once all are in, wakes every member with the
+outcome: each finishes itself on success, or resets its own Round-2 view and
+retransmits for a bounded number of attempts, so fault injection tests can
+exercise both the failure and the recovery path.
 
 Per-member cost accounting follows the paper's Table 1 vocabulary: three
 modular exponentiations (``z_i``, ``X_i`` and the final key derivation), one
@@ -76,6 +77,12 @@ __all__ = ["ProposedGKAProtocol", "TamperFunction"]
 TamperFunction = Callable[[Message, int], Message]
 
 
+#: the coordinator's wake payloads: every verdict of the attempt passed, or
+#: some member rejected and everyone retransmits Round 2
+_VERIFIED = "verified"
+_RETRANSMIT = "retransmit-round2"
+
+
 class _Round2Coordinator:
     """Shared verdict collection for one GKA run.
 
@@ -83,9 +90,13 @@ class _Round2Coordinator:
     shared ``all_verified`` flag; the reactive decomposition keeps that exact
     semantics through this object: every machine reports its batch/Lemma-1
     verdict per attempt, and once all ``n`` verdicts are in the coordinator
-    either finishes the run or wakes every member for the next attempt —
-    raising :class:`~repro.exceptions.BatchVerificationError` once the
-    retransmission budget is exhausted.
+    wakes every member with the outcome (``"verified"`` or
+    ``"retransmit-round2"``) — raising
+    :class:`~repro.exceptions.BatchVerificationError` instead once the
+    retransmission budget is exhausted.  It never changes a member's state:
+    each member acts on the outcome in its own ``on_wake``.  After the
+    ``"verified"`` wakes it drops its machine list, so it holds no machine
+    once the run is over.
     """
 
     def __init__(self, max_retransmissions: int) -> None:
@@ -104,25 +115,21 @@ class _Round2Coordinator:
         self._verdicts[machine.identity.name] = verdict
         if len(self._verdicts) < len(self.machines):
             return
+        members = self.machines
         if all(self._verdicts.values()):
-            for member in self.machines:
-                member.finished = True
-                member.waiting_for = None
-            return
-        self.attempt += 1
-        if self.attempt > self.max_retransmissions:
-            raise BatchVerificationError(
-                "batch verification kept failing after "
-                f"{self.max_retransmissions} retransmissions"
-            )
-        self._verdicts.clear()
-        # "All members retransmit again": non-controllers re-broadcast their
-        # Round 2 immediately; the controller re-arms and, as always,
-        # transmits last — after it has received everyone else's new copy.
-        for member in self.machines:
-            member.prepare_attempt(self.attempt)
-            if not member.is_controller:
-                member.context.wake(member, "retransmit-round2")
+            outcome = _VERIFIED
+            self.machines = []
+        else:
+            self.attempt += 1
+            if self.attempt > self.max_retransmissions:
+                raise BatchVerificationError(
+                    "batch verification kept failing after "
+                    f"{self.max_retransmissions} retransmissions"
+                )
+            self._verdicts.clear()
+            outcome = _RETRANSMIT
+        for member in members:
+            member.context.wake(member, outcome)
 
 
 class _GkaPartyMachine(GQRoundMachine):
@@ -149,9 +156,15 @@ class _GkaPartyMachine(GQRoundMachine):
         return self.coordinator.round2_label()
 
     def on_wake(self, payload: object, now: float) -> List[Outbound]:
-        if payload == "retransmit-round2":
-            return self._emit_round2()
-        return []
+        if payload == _VERIFIED:
+            self.finished = True
+            self.waiting_for = None
+            return []
+        # "All members retransmit again": non-controllers re-broadcast their
+        # Round 2 at once; the controller re-arms and, as always, transmits
+        # last — after it has received everyone else's new copy.
+        self.prepare_attempt()
+        return [] if self.is_controller else self._emit_round2()
 
     def _emit_round2(self) -> List[Outbound]:
         outs = super()._emit_round2()
@@ -170,8 +183,8 @@ class _GkaPartyMachine(GQRoundMachine):
         self.coordinator.report(self, verdict)
 
     # -------------------------------------------------------- retransmission
-    def prepare_attempt(self, attempt: int) -> None:
-        """Reset the Round-2 tables for retransmission attempt ``attempt``."""
+    def prepare_attempt(self) -> None:
+        """Reset the Round-2 tables for the coordinator's next attempt."""
         self._x_table = {}
         self._s_table = {}
         self._challenge = None

@@ -36,6 +36,7 @@ and the :class:`~repro.engine.kernel.EventKernel`:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -74,8 +75,8 @@ class EngineConfig:
     adversary: Optional["AdversarySuite"] = None
 
     def __post_init__(self) -> None:
-        if self.round_timeout_s <= 0:
-            raise ParameterError("round_timeout_s must be positive")
+        if not 0 < self.round_timeout_s < math.inf:
+            raise ParameterError("round_timeout_s must be positive and finite")
         if self.max_timeout_waves < 1:
             raise ParameterError("max_timeout_waves must be at least 1")
 

@@ -39,6 +39,8 @@ __all__ = ["EventKernel"]
 #: Entry layout in the priority queue.
 _Entry = Tuple[float, int, int, int, Callable[[], None]]
 
+_INF = float("inf")
+
 
 class EventKernel:
     """A deterministic virtual-time scheduler with per-instant batches."""
@@ -68,8 +70,10 @@ class EventKernel:
         order: int = 0,
     ) -> None:
         """Queue ``callback`` at ``now + delay`` under ``(rank, order)``."""
-        if delay < 0:
-            raise ParameterError("cannot schedule events in the past")
+        # One chained comparison, which NaN fails too: a NaN instant never
+        # equals itself, so the run loop would spin on it forever.
+        if not 0 <= delay < _INF:
+            raise ParameterError(f"event delay must be finite and non-negative: {delay!r}")
         heapq.heappush(self._heap, (self.now + delay, rank, order, self._seq, callback))
         self._seq += 1
 
@@ -79,8 +83,8 @@ class EventKernel:
 
     def advance(self, delta: float) -> None:
         """Move virtual time forward by ``delta`` seconds (timeout waves)."""
-        if delta < 0:
-            raise ParameterError("virtual time cannot move backwards")
+        if not 0 <= delta < _INF:
+            raise ParameterError(f"virtual time step must be finite and non-negative: {delta!r}")
         self.now += delta
 
     # ------------------------------------------------------------- execution

@@ -20,6 +20,7 @@ virtual-time traces are reproducible.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Optional
 
 from ..energy.transceiver import Transceiver
@@ -73,8 +74,8 @@ class FixedLatency(LatencyModel):
     """
 
     def __init__(self, delay_s: float) -> None:
-        if delay_s < 0:
-            raise ParameterError("link latency cannot be negative")
+        if not 0 <= delay_s < math.inf:
+            raise ParameterError(f"link latency must be finite and non-negative: {delay_s!r}")
         self.delay_s = delay_s
 
     def tx_time_s(self, bits: int) -> float:

@@ -18,9 +18,10 @@ Lifecycle
     overtook the one it answers, raise :class:`Early` before changing any
     state: the executor holds it and retries it after each later hook.
 ``on_wake(payload, now)``
-    Called when another machine's coordinator requests an action via
+    Called when a run's coordinator requests an action via
     :meth:`MachineContext.wake` — e.g. the proposed GKA's "all members
-    retransmit" recovery after a failed batch verification.
+    retransmit" recovery after a failed batch verification.  The payload says
+    what happened; the machine decides what that means for its own state.
 ``on_timeout(round_label, now)``
     Called by the executor in latency mode when the group stalled waiting on
     ``round_label``.  The default re-broadcasts whatever this machine already
@@ -31,6 +32,12 @@ Machines flag completion by setting :attr:`PartyMachine.finished` and report
 the round they are blocked on through :attr:`PartyMachine.waiting_for`, which
 drives both the latency-mode timeout logic and the instant-mode deadlock
 diagnostics.
+
+A machine's state changes only inside its own hooks: a coordinator shared by
+a run's machines collects what they report and wakes them, but never sets
+another machine's ``finished``, ``waiting_for`` or round tables.  And no
+object a run shares keeps hold of its machines once the run is over, so a
+finished run is freed by reference counting, without the cyclic collector.
 """
 
 from __future__ import annotations

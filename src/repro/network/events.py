@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
-from ..exceptions import ParameterError
+from ..exceptions import MembershipError, ParameterError
 from ..mathutils.rand import DeterministicRNG
 from ..pki.identity import Identity
 
@@ -68,16 +68,24 @@ def membership_after(members: Sequence[Identity], event: MembershipEvent) -> Lis
 
     This is the single definition of each event's effect on membership; the
     trace generator and the protocols' re-execution fallback
-    (:meth:`repro.core.base.Protocol.apply_event`) both use it.
+    (:meth:`repro.core.base.Protocol.apply_event`) both use it.  An event
+    that does not fit ``members`` raises
+    :class:`~repro.exceptions.MembershipError`: a join of a member, a leave
+    or partition naming a non-member, or a merge whose groups overlap.
     """
-    if isinstance(event, JoinEvent):
-        return list(members) + [event.joining]
-    if isinstance(event, LeaveEvent):
-        return [m for m in members if m.name != event.leaving.name]
-    if isinstance(event, MergeEvent):
-        return list(members) + list(event.other_group)
-    if isinstance(event, PartitionEvent):
-        gone = {identity.name for identity in event.leaving}
+    names = {m.name for m in members}
+    if isinstance(event, (JoinEvent, MergeEvent)):
+        arriving = [event.joining] if isinstance(event, JoinEvent) else list(event.other_group)
+        present = sorted(names.intersection(m.name for m in arriving))
+        if present:
+            raise MembershipError(f"already group members: {present}")
+        return list(members) + arriving
+    if isinstance(event, (LeaveEvent, PartitionEvent)):
+        leaving = (event.leaving,) if isinstance(event, LeaveEvent) else event.leaving
+        gone = {identity.name for identity in leaving}
+        absent = sorted(gone - names)
+        if absent:
+            raise MembershipError(f"not group members: {absent}")
         return [m for m in members if m.name not in gone]
     raise ParameterError(f"unknown membership event {event!r}")
 

@@ -8,6 +8,8 @@ marked accordingly.  Everything is seeded, so failures reproduce exactly.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.backends import HAVE_GMPY2, NativeBackend, PureBackend, registry
@@ -85,3 +87,42 @@ def wlan_profile() -> DeviceProfile:
 def radio_profile() -> DeviceProfile:
     """StrongARM + 100 kbps radio transceiver."""
     return DeviceProfile(transceiver=RADIO_100KBPS)
+
+
+@pytest.fixture()
+def instance_refs(monkeypatch):
+    """``track(*classes)`` returns weak references to every instance of
+    ``classes`` constructed afterwards in the test (the list keeps growing)."""
+    refs = []
+
+    def track(*classes):
+        for cls in classes:
+            init = cls.__init__
+
+            def tracking(self, *args, _init=init, **kwargs):
+                _init(self, *args, **kwargs)
+                refs.append(weakref.ref(self))
+
+            monkeypatch.setattr(cls, "__init__", tracking)
+        return refs
+
+    return track
+
+
+@pytest.fixture()
+def wake_log(monkeypatch):
+    """``record(cls)`` returns the ``(member name, payload)`` of every
+    ``cls.on_wake`` call from then on in the test, in call order."""
+
+    def record(cls):
+        log = []
+        on_wake = cls.on_wake
+
+        def recording(machine, payload, now):
+            log.append((machine.identity.name, payload))
+            return on_wake(machine, payload, now)
+
+        monkeypatch.setattr(cls, "on_wake", recording)
+        return log
+
+    return record

@@ -202,8 +202,9 @@ class TestSpecExpansion:
             {"latency": "wlan", "adversary": "inject"},
             "warp-drive",
             {"latency": "radio", "round_timeout_s": 0},
+            "fixed:nan",
         ],
-        ids=["old-backend-key", "adversary-key", "unknown-profile", "bad-timeout"],
+        ids=["old-backend-key", "adversary-key", "unknown-profile", "bad-timeout", "nan-delay"],
     )
     def test_bad_engine_entry_fails_the_spec_not_its_cells(self, engine):
         # Each entry is built when the spec is, before any cell or worker runs.

@@ -17,6 +17,7 @@ Covers the cluster subsystem's contract end to end:
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, replace
 
@@ -34,7 +35,8 @@ from repro.cluster import (
     leaf_label,
 )
 from repro.cluster import protocol as cluster_protocol
-from repro.cluster.machines import CONFIRM_PREFIX, ClusterMachine
+from repro.cluster.machines import CONFIRM_PREFIX, ClusterCrew, ClusterMachine
+from repro.core import gka as gka_module
 from repro.core.registry import create_protocol, protocol_tags
 from repro.energy import WLAN_SPECTRUM24
 from repro.engine import Early, EngineConfig, FixedLatency, TransceiverLatency
@@ -611,6 +613,81 @@ def test_establish_join_leave_on_multihop_latency_medium(small_setup, monkeypatc
     assert result.all_agree()
     assert result.state.size == 8
     assert early["inner"] > 0 and early["confirm"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Each machine changes only its own state
+# ---------------------------------------------------------------------------
+
+def _tampered_first_attempt(monkeypatch):
+    """Corrupt every Round-2 response of the GKA's first attempt."""
+    build = gka_module.ProposedGKAProtocol.build_machines
+
+    def tamper(message, attempt):
+        if attempt > 0 or not message.has_part("s"):
+            return message
+        parts = tuple(
+            replace(part, value=part.value + 1) if part.name == "s" else part
+            for part in message.parts
+        )
+        return replace(message, parts=parts)
+
+    def build_tampered(self, members, **kwargs):
+        return build(self, members, tamper=tamper, **kwargs)
+
+    monkeypatch.setattr(gka_module.ProposedGKAProtocol, "build_machines", build_tampered)
+
+
+def test_bd_establishment_and_join_never_wake_a_wrapper(small_setup, wake_log):
+    # BD members finish on their own last Round-2 message, so no wrapper
+    # needs waking: no kernel event is spent on a nudge.
+    wakes = wake_log(ClusterMachine)
+    proto, medium, result = _establish(small_setup, "cluster-tree[bd]", 12, cluster_size=3)
+    joined = proto.apply_event(
+        result.state, JoinEvent(joining=Identity("cl-new")), medium=medium, seed=1
+    )
+    assert joined.all_agree()
+    assert wakes == []
+
+
+def test_gka_wrapper_hands_each_outcome_to_its_inner_machine(
+    small_setup, monkeypatch, wake_log
+):
+    # A failed first batch check, then a verified retransmission: each
+    # wrapper is woken once per outcome, and its inner machine gets the same
+    # payload in that wake.
+    _tampered_first_attempt(monkeypatch)
+    wrapper_wakes = wake_log(ClusterMachine)
+    inner_wakes = wake_log(gka_module._GkaPartyMachine)
+    _, _, result = _establish(small_setup, "cluster-tree[gka]", 9, cluster_size=3)
+    assert result.all_agree()
+    outcomes = ["retransmit-round2", "verified"]
+    for name in (m.name for m in result.state.members):
+        assert [p for n, p in wrapper_wakes if n == name] == outcomes
+        assert [p for n, p in inner_wakes if n == name] == outcomes
+    assert len(wrapper_wakes) == len(inner_wakes) == 2 * 9
+
+
+@pytest.mark.parametrize("protocol", CLUSTER_PROTOCOLS)
+def test_runs_leave_no_machine_behind(small_setup, instance_refs, protocol):
+    # Without the cyclic collector, dropping a run's result must free every
+    # machine, crew and coordinator it built: nothing shared keeps them.
+    refs = instance_refs(ClusterMachine, ClusterCrew, gka_module._Round2Coordinator)
+    gc.collect()
+    gc.disable()
+    try:
+        proto, medium, result = _establish(small_setup, protocol, 9, cluster_size=3)
+        result = proto.apply_event(
+            result.state, JoinEvent(joining=Identity("cl-new")), medium=medium, seed=1
+        )
+        result = proto.apply_event(
+            result.state, LeaveEvent(leaving=result.state.members[4]), medium=medium, seed=2
+        )
+        assert result.all_agree()
+        del result
+        assert refs and [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

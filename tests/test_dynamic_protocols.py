@@ -15,6 +15,7 @@ from repro.core import (
     ProposedGKAProtocol,
 )
 from repro.core import gka as gka_module
+from repro.core.registry import available_protocols, create_protocol
 from repro.core import rekey as rekey_module
 from repro.core.rekey import build_departure_rekey
 from repro.engine.executor import drive_plan
@@ -430,15 +431,19 @@ class TestBDRerunBaseline:
     def test_events_reach_agreement(self, small_setup):
         members = [Identity(f"rerun-{i}") for i in range(4)]
         dynamic = BDRerunDynamic(small_setup)
-        established = dynamic.establish(members, seed=1)
-        joined = dynamic.join(established.state, Identity("rerun-new"), seed=2)
+        established = dynamic.run(members, seed=1)
+        joined = dynamic.apply_event(
+            established.state, JoinEvent(joining=Identity("rerun-new")), seed=2
+        )
         assert joined.all_agree() and joined.state.size == 5
-        left = dynamic.leave(joined.state, members[2], seed=3)
+        left = dynamic.apply_event(joined.state, LeaveEvent(leaving=members[2]), seed=3)
         assert left.all_agree() and left.state.size == 4
-        partitioned = dynamic.partition(left.state, [members[1]], seed=4)
+        partitioned = dynamic.apply_event(
+            left.state, PartitionEvent(leaving=(members[1],)), seed=4
+        )
         assert partitioned.all_agree() and partitioned.state.size == 3
-        other = dynamic.establish([Identity(f"rerun-b-{i}") for i in range(3)], seed=5)
-        merged = dynamic.merge(partitioned.state, other.state, seed=6)
+        other = dynamic.run([Identity(f"rerun-b-{i}") for i in range(3)], seed=5)
+        merged = dynamic.merge_states(partitioned.state, other.state, seed=6)
         assert merged.all_agree() and merged.state.size == 6
 
     def test_rerun_is_much_more_expensive_than_proposed_join(self, small_setup, wlan_profile):
@@ -454,21 +459,40 @@ class TestBDRerunBaseline:
         proposed_j = wlan_profile.total_j(joined.state.recorders()[bystander])
         # BD re-run join
         dynamic = BDRerunDynamic(small_setup)
-        est = dynamic.establish(members, seed="cmp-bd")
+        est = dynamic.run(members, seed="cmp-bd")
         est.state.reset_costs()
-        rerun = dynamic.join(est.state, Identity("cmp-new-bd"), seed="cmp-bd-join")
+        rerun = dynamic.apply_event(
+            est.state, JoinEvent(joining=Identity("cmp-new-bd")), seed="cmp-bd-join"
+        )
         rerun_j = wlan_profile.total_j(rerun.state.recorders()[bystander])
         assert rerun_j > 20 * proposed_j
 
     def test_error_cases(self, small_setup):
         members = [Identity(f"err-{i}") for i in range(3)]
         dynamic = BDRerunDynamic(small_setup)
-        established = dynamic.establish(members, seed=1)
+        established = dynamic.run(members, seed=1)
         with pytest.raises(MembershipError):
-            dynamic.join(established.state, members[0])
+            dynamic.apply_event(established.state, JoinEvent(joining=members[0]))
         with pytest.raises(MembershipError):
-            dynamic.leave(established.state, Identity("ghost"))
+            dynamic.apply_event(established.state, LeaveEvent(leaving=Identity("ghost")))
         with pytest.raises(ParameterError):
-            dynamic.partition(established.state, members[1:])
+            dynamic.apply_event(established.state, PartitionEvent(leaving=tuple(members[1:])))
         with pytest.raises(MembershipError):
-            dynamic.merge(established.state, established.state)
+            dynamic.merge_states(established.state, established.state)
+
+
+@pytest.mark.parametrize("protocol_name", available_protocols())
+def test_events_that_do_not_fit_fail_before_touching_the_medium(small_setup, protocol_name):
+    # A re-executing protocol used to re-key the unchanged group for a ghost
+    # leave, and to detach every member before a duplicate join failed.
+    protocol = create_protocol(protocol_name, small_setup)
+    members = [Identity(f"fit-{i}") for i in range(4)]
+    medium = BroadcastMedium()
+    established = protocol.run(members, medium=medium, seed=1)
+    attached = [node.identity.name for node in medium.nodes]
+    sent = medium.total_messages()
+    for event in (LeaveEvent(leaving=Identity("ghost")), JoinEvent(joining=members[2])):
+        with pytest.raises(MembershipError):
+            protocol.apply_event(established.state, event, medium=medium, seed=2)
+        assert [node.identity.name for node in medium.nodes] == attached
+        assert medium.total_messages() == sent

@@ -31,6 +31,7 @@ from repro.network.message import Message, MessagePart
 from repro.network.node import Node
 from repro.pki import Identity
 from repro.sim import Scenario, ScenarioRunner, comparison_table
+from repro.sim.specio import build_engine
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +75,16 @@ class TestEventKernel:
         with pytest.raises(ParameterError):
             kernel.advance(-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_steps_rejected(self, value):
+        # A NaN instant never equals itself, so `run` would loop on it forever.
+        kernel = EventKernel()
+        with pytest.raises(ParameterError):
+            kernel.schedule(lambda: None, delay=value)
+        with pytest.raises(ParameterError):
+            kernel.advance(value)
+        assert kernel.pending() == 0 and kernel.now == 0.0
+
 
 # ---------------------------------------------------------------------------
 # Latency models
@@ -103,6 +114,15 @@ class TestLatencyModels:
             FixedLatency(-0.1)
         with pytest.raises(ParameterError):
             TransceiverLatency(RADIO_100KBPS, per_hop_overhead_s=-1.0)
+
+    def test_non_finite_profiles_fail_when_built(self):
+        for profile in ("fixed:nan", "fixed:inf"):
+            with pytest.raises(ParameterError):
+                build_engine(profile)
+        with pytest.raises(ParameterError):
+            EngineConfig(round_timeout_s=float("nan"))
+        with pytest.raises(ParameterError):
+            EngineConfig(round_timeout_s=float("inf"))
 
 
 # ---------------------------------------------------------------------------

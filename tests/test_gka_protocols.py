@@ -3,10 +3,13 @@ all baselines (plain BD, BD+SOK/ECDSA/DSA, SSN)."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.baselines import AuthenticatedBDProtocol, BurmesterDesmedtProtocol, SSNProtocol
 from repro.core import ProposedGKAProtocol, SystemSetup, compute_bd_key, compute_bd_x_value, verify_x_product
+from repro.core import gka as gka_module
 from repro.exceptions import BatchVerificationError, ParameterError
 from repro.network.message import Message, MessagePart
 from repro.pki import Identity
@@ -74,6 +77,34 @@ class TestProposedGKA:
         assert result.all_agree()
         # A retransmission happened: more than the nominal 2n messages are on the medium.
         assert result.total_messages() > 2 * len(members)
+
+    def test_each_member_acts_on_every_outcome_in_its_own_wake(
+        self, small_setup, members, wake_log
+    ):
+        # The coordinator only wakes; every member, the controller included,
+        # resets for the retry and later finishes itself in its own hook.
+        wakes = wake_log(gka_module._GkaPartyMachine)
+        result = ProposedGKAProtocol(small_setup).run(members, seed=4, tamper=_tamper_s)
+        assert result.all_agree()
+        for member in members:
+            assert [p for n, p in wakes if n == member.name] == ["retransmit-round2", "verified"]
+
+    def test_a_dropped_run_frees_its_machines_and_coordinator(
+        self, small_setup, members, instance_refs
+    ):
+        # Without the cyclic collector: the coordinator lets go of the
+        # machines once they are verified, so nothing is left in a cycle.
+        refs = instance_refs(gka_module._GkaPartyMachine, gka_module._Round2Coordinator)
+        gc.collect()
+        gc.disable()
+        try:
+            result = ProposedGKAProtocol(small_setup).run(members, seed=4)
+            assert result.all_agree()
+            del result
+            assert len(refs) == len(members) + 1
+            assert [ref for ref in refs if ref() is not None] == []
+        finally:
+            gc.enable()
 
     def test_persistent_tampering_fails_loudly(self, small_setup, members):
         def always_tamper(message: Message, attempt: int) -> Message:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import ProposedGKAProtocol, SystemSetup, available_protocols, create_protocol
 from repro.core.base import Protocol
-from repro.exceptions import ParameterError, ProtocolError
+from repro.exceptions import MembershipError, ParameterError, ProtocolError
 from repro.network.events import JoinEvent, LeaveEvent, MergeEvent, PartitionEvent, membership_after
 from repro.pki import Identity
 from repro.sim import (
@@ -70,6 +70,18 @@ class TestMembershipAfter:
         assert len(after) == 7
         after = membership_after(members, PartitionEvent(leaving=(members[1], members[3])))
         assert [m.name for m in after] == ["m0", "m2", "m4"]
+
+    def test_events_that_do_not_fit_the_group_are_rejected(self):
+        members = [Identity(f"m{i}") for i in range(5)]
+        ghost = Identity("ghost")
+        for event in (
+            JoinEvent(joining=members[1]),
+            LeaveEvent(leaving=ghost),
+            PartitionEvent(leaving=(members[1], ghost)),
+            MergeEvent(other_group=(Identity("a"), members[4])),
+        ):
+            with pytest.raises(MembershipError):
+                membership_after(members, event)
 
 
 class TestSchedules:
