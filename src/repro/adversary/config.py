@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from ..exceptions import ParameterError
+from ..fields import param, settle
 from ..mathutils.rand import DeterministicRNG
 from .actors import (
     AdversarySuite,
@@ -67,37 +68,29 @@ class AdversaryConfig:
     #: intercept in flight (see ``mitm_mode``)
     mitm: bool = False
     #: ``"modify"`` | ``"drop"`` | ``"delay"``
-    mitm_mode: str = "modify"
+    mitm_mode: str = param("modify", choices=ManInTheMiddle.MODES)
     #: delivery postponement for ``mitm_mode="delay"`` (virtual seconds)
-    mitm_delay_s: float = 0.5
+    mitm_delay_s: float = param(0.5, ge=0.0)
     #: steal a long-term key mid-scenario
     compromiser: bool = False
     #: member whose key is stolen (default: first non-controller present)
     compromise_target: Optional[str] = None
     #: scenario step index after which the theft happens
-    compromise_at: int = 0
+    compromise_at: int = param(0, ge=0)
     #: first scenario step index at which *active* attacks fire (0 = the
     #: establishment itself; the eavesdropper always listens)
-    attack_from: int = 0
+    attack_from: int = param(0, ge=0)
     #: message part names carrying the keying material worth attacking
     target_parts: Tuple[str, ...] = ("X",)
     #: active actions each actor may take per scenario step
-    max_actions_per_step: int = 8
+    max_actions_per_step: int = param(8, ge=1)
 
     def __post_init__(self) -> None:
-        if self.mitm_mode not in ManInTheMiddle.MODES:
-            raise ParameterError(
-                f"mitm_mode must be one of {ManInTheMiddle.MODES}, got {self.mitm_mode!r}"
-            )
-        if self.max_actions_per_step < 1:
-            raise ParameterError("max_actions_per_step must be at least 1")
-        if self.attack_from < 0 or self.compromise_at < 0:
-            raise ParameterError("step indices cannot be negative")
+        settle(self)
         if not self.target_parts:
             raise ParameterError("target_parts cannot be empty")
-        # Normalise JSON-sourced lists so every entry point may pass either.
-        if not isinstance(self.target_parts, tuple):
-            object.__setattr__(self, "target_parts", tuple(self.target_parts))
+        if not (self.eavesdropper or self.injector or self.replayer or self.mitm or self.compromiser):
+            raise ParameterError("adversary configured with no actors at all")
 
     # ------------------------------------------------------------------ build
     def build(self, rng: DeterministicRNG) -> AdversarySuite:
@@ -152,8 +145,6 @@ class AdversaryConfig:
                     delay_s=self.mitm_delay_s,
                 )
             )
-        if not actors:
-            raise ParameterError("adversary configured with no actors at all")
         return AdversarySuite(actors, attack_from=self.attack_from)
 
     # ---------------------------------------------------------------- presets

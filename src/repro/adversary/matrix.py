@@ -330,9 +330,9 @@ def _run_matrix_campaign(
     """The sharded path: protocols × attacker columns as a campaign grid."""
     from ..campaign.execute import run_campaign
     from ..campaign.spec import CampaignSpec
-    from ..sim.specio import adversary_to_spec, engine_to_spec, scenario_to_spec
+    from ..sim.specio import to_spec
 
-    scenario_spec = scenario_to_spec(scenario)
+    scenario_spec = to_spec(scenario)
     params = _params_for_setup(setup)
     spec = CampaignSpec(
         name=f"attack-matrix/{scenario.name}",
@@ -341,10 +341,8 @@ def _run_matrix_campaign(
         losses=(scenario.loss_probability,),
         schedule=scenario_spec.get("schedule"),
         mobilities={"none": scenario_spec.get("mobility")},
-        engines=(engine_to_spec(engine),),
-        adversaries={
-            name: adversary_to_spec(config) for name, config in attackers.items()
-        },
+        engines=(to_spec(engine) if engine is not None else "instant",),
+        adversaries={name: to_spec(config) for name, config in attackers.items()},
         seed=scenario.seed,
         params=params,
         max_retries=scenario.max_retries,

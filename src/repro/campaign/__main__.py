@@ -32,6 +32,7 @@ from typing import List, Optional
 from ..core.registry import describe_registry
 from ..exceptions import ReproError
 from ..profiling import observability
+from ..sim.specio import build
 from .execute import run_campaign
 from .plan import plan_campaign
 from .spec import AXIS_NAMES, CampaignSpec
@@ -118,7 +119,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             with open(args.spec, encoding="utf-8") as handle:
                 payload = json.load(handle)
-        spec = CampaignSpec.from_dict(payload)
+        spec = build(CampaignSpec, payload)
         pivot = None
         if args.pivot is not None:
             parts = args.pivot.split(":")

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 
 from .. import telemetry
 from ..exceptions import ParameterError
+from ..fields import to_spec
 from .cache import ResultCache
 from .plan import plan_campaign
 from .result import CampaignResult
@@ -101,11 +102,12 @@ def _run_cell(payload: Dict[str, object]) -> Dict[str, object]:
     """The fallible core of :func:`execute_cell` (imports stay in-worker)."""
     from ..adversary.matrix import classify_report
     from ..sim.runner import ScenarioRunner
-    from ..sim.specio import build_engine, build_scenario
+    from ..engine.executor import EngineConfig
+    from ..sim.specio import build, build_scenario
 
     setup = _setup_for(str(payload.get("params", "test")))
     scenario = build_scenario(dict(payload["scenario"]))
-    engine = build_engine(payload.get("engine"))
+    engine = build(EngineConfig, payload.get("engine"))
     runner = ScenarioRunner(setup, engine=engine, check_agreement=False)
     report = runner.run(str(payload["protocol"]), scenario)
     verdict, detail = classify_report(report)
@@ -181,7 +183,7 @@ def run_campaign(
         cache.log_summary()
     return CampaignResult(
         name=spec.name,
-        spec=spec.to_dict(),
+        spec=to_spec(spec),
         rows=[rows[index] for index in range(plan.total)],
         workers=1,
         wall_seconds=time.perf_counter() - started,

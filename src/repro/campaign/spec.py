@@ -33,9 +33,10 @@ the cell runs on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..exceptions import ParameterError
+from ..fields import Seed, param, settle
 from ..mathutils.rand import DeterministicRNG
 
 __all__ = ["CampaignCell", "CampaignSpec", "AXIS_NAMES"]
@@ -51,49 +52,6 @@ AXIS_NAMES = (
     "adversary",
     "rep",
 )
-
-
-def _named_axis(
-    value: Union[Mapping, Sequence, None],
-    *,
-    default_name: str,
-    what: str,
-    string_shorthand: bool = False,
-) -> Tuple[Tuple[str, object], ...]:
-    """Normalise a named axis (mobilities/adversaries) to ``((name, spec), ...)``.
-
-    Accepts a mapping ``{name: spec}``, a sequence of ``(name, spec)`` pairs,
-    or ``None`` for the single no-op point.  With ``string_shorthand`` a
-    sequence of bare names is also accepted, each name serving as its own
-    spec — meaningful only for adversaries, whose specs can *be* preset name
-    strings.
-    """
-    if value is None:
-        return ((default_name, None),)
-    if isinstance(value, Mapping):
-        items = list(value.items())
-    else:
-        items = []
-        for entry in value:
-            if isinstance(entry, str) and string_shorthand:
-                items.append((entry, entry))
-            elif (
-                not isinstance(entry, str)
-                and isinstance(entry, (tuple, list))
-                and len(entry) == 2
-            ):
-                items.append((str(entry[0]), entry[1]))
-            else:
-                expected = (
-                    "names or (name, spec) pairs" if string_shorthand else "(name, spec) pairs"
-                )
-                raise ParameterError(f"{what} entries must be {expected}, got {entry!r}")
-    if not items:
-        raise ParameterError(f"{what} axis cannot be empty")
-    names = [name for name, _ in items]
-    if len(set(names)) != len(names):
-        raise ParameterError(f"{what} names must be unique, got {names}")
-    return tuple((str(name), spec) for name, spec in items)
 
 
 @dataclass(frozen=True)
@@ -131,13 +89,13 @@ class CampaignSpec:
         single ``"none"`` point keeps every cell schedule-driven.
     tiers:
         Named multi-tier topology axis: ``{name: tiers-spec-or-None}`` (see
-        :func:`repro.sim.specio.build_tiers`).  A treatment axis — cells
+        :class:`~repro.network.tiers.TierConfig`).  A treatment axis — cells
         sharing a workload keep their seed across tier configurations — and
         mutually exclusive with non-trivial ``mobilities`` entries.  On a
         tiered cell the loss axis becomes the config's ``loss_floor``.
     engines:
-        Engine profiles (``instant`` / ``radio`` / ``wlan`` / ``fixed:<s>`` or
-        spec dicts, see :func:`repro.sim.specio.build_engine`).
+        Engine profiles (``instant`` / ``radio`` / ``wlan`` / ``tiered`` /
+        ``fixed:<s>`` or spec dicts, see :mod:`repro.sim.specio`).
     adversaries:
         Named adversary axis: ``{name: preset-or-spec-or-None}``; a plain
         sequence of preset names is accepted as shorthand.
@@ -155,115 +113,75 @@ class CampaignSpec:
     name: str
     protocols: Tuple[str, ...]
     group_sizes: Tuple[int, ...] = (8,)
-    losses: Tuple[float, ...] = (0.0,)
+    losses: Tuple[float, ...] = param((0.0,), ge=0.0, lt=1.0, to_float=True)
     schedule: Optional[Mapping] = None
-    mobilities: Tuple[Tuple[str, Optional[Mapping]], ...] = (("none", None),)
-    tiers: Tuple[Tuple[str, Optional[Mapping]], ...] = (("none", None),)
-    engines: Tuple[object, ...] = ("instant",)
-    adversaries: Tuple[Tuple[str, object], ...] = (("none", None),)
-    seed: object = 0
-    params: str = "test"
-    replications: int = 1
+    mobilities: Tuple[Tuple[str, Optional[Mapping]], ...] = param((("none", None),), keys="name")
+    tiers: Tuple[Tuple[str, Optional[Mapping]], ...] = param((("none", None),), keys="name")
+    engines: Tuple[Union[str, Mapping], ...] = ("instant",)
+    adversaries: Tuple[Tuple[str, Union[str, Mapping, None]], ...] = param(
+        (("none", None),), keys="name", shorthand=True
+    )
+    seed: Seed = 0
+    params: str = param("test", choices=("test", "paper"))
+    replications: int = param(1, ge=1)
     max_retries: int = 10
     min_group_size: int = 3
 
     def __post_init__(self) -> None:
+        settle(self)
         if not self.name:
             raise ParameterError("a campaign needs a name")
-        object.__setattr__(self, "protocols", tuple(self.protocols))
-        if not self.protocols:
-            raise ParameterError("a campaign needs at least one protocol")
-        object.__setattr__(self, "group_sizes", tuple(int(n) for n in self.group_sizes))
-        if not self.group_sizes:
-            raise ParameterError("a campaign needs at least one group size")
-        object.__setattr__(self, "losses", tuple(float(l) for l in self.losses))
-        if not self.losses:
-            raise ParameterError("a campaign needs at least one loss level")
-        object.__setattr__(
-            self,
-            "mobilities",
-            _named_axis(self.mobilities, default_name="none", what="mobilities"),
-        )
-        object.__setattr__(
-            self,
-            "tiers",
-            _named_axis(self.tiers, default_name="none", what="tiers"),
-        )
-        object.__setattr__(self, "engines", tuple(self.engines))
-        if not self.engines:
-            raise ParameterError("a campaign needs at least one engine profile")
-        from ..sim.specio import build_engine
-
-        for engine in self.engines:
-            # Build each profile now, so a bad entry fails the spec rather
-            # than every cell that runs it.
-            self.engine_label(engine)
-            build_engine(engine)
-        object.__setattr__(
-            self,
-            "adversaries",
-            _named_axis(
-                self.adversaries,
-                default_name="none",
-                what="adversaries",
-                string_shorthand=True,
-            ),
-        )
-        if self.params not in ("test", "paper"):
-            raise ParameterError(f"params must be 'test' or 'paper', got {self.params!r}")
-        if self.replications < 1:
-            raise ParameterError("replications must be at least 1")
-        if self.schedule is not None and any(
-            spec is not None for _, spec in self.mobilities
+        for values, what in (
+            (self.protocols, "protocol"),
+            (self.group_sizes, "group size"),
+            (self.losses, "loss level"),
+            (self.engines, "engine profile"),
         ):
+            if not values:
+                raise ParameterError(f"a campaign needs at least one {what}")
+        for axis in ("mobilities", "tiers", "adversaries"):
+            names = [name for name, _ in getattr(self, axis)]
+            if not names:
+                raise ParameterError(f"{axis} axis cannot be empty")
+            if len(set(names)) != len(names):
+                raise ParameterError(f"{axis} names must be unique, got {names}")
+        mobile = any(spec is not None for _, spec in self.mobilities)
+        if self.schedule is not None and mobile:
             raise ParameterError(
                 "a campaign sweeps either a churn schedule or mobility models, "
                 "not both (a scenario is driven by exactly one of them)"
             )
-        if any(spec is not None for _, spec in self.tiers) and any(
-            spec is not None for _, spec in self.mobilities
-        ):
+        if mobile and any(spec is not None for _, spec in self.tiers):
             raise ParameterError(
                 "a campaign sweeps either tier topologies or mobility models, "
                 "not both (a scenario's topology comes from exactly one of them)"
             )
+        self._build_entries()
 
-    # ------------------------------------------------------------- round trip
-    @classmethod
-    def from_dict(cls, spec: Mapping) -> "CampaignSpec":
-        """Build a spec from its JSON dict form (the CLI's input format)."""
-        from ..sim.specio import build_seed
+    def _build_entries(self) -> None:
+        """Build every axis entry now, so a bad one fails the spec, not its cells.
 
-        spec = dict(spec)
-        unknown = set(spec) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ParameterError(f"unknown campaign spec keys: {sorted(unknown)}")
-        if "name" not in spec or "protocols" not in spec:
-            raise ParameterError("a campaign spec needs 'name' and 'protocols'")
-        if "seed" in spec:
-            spec["seed"] = build_seed(spec["seed"])
-        return cls(**spec)
+        Only the config objects are built: no field, medium or event
+        expansion.  The cells keep carrying the entries as given.
+        """
+        # Imported here: the campaign module loads without the sim layer.
+        from ..adversary.config import AdversaryConfig
+        from ..engine.executor import EngineConfig
+        from ..mobility.config import MobilityConfig
+        from ..network.tiers import TierConfig
+        from ..sim.scenarios import ChurnSchedule
+        from ..sim.specio import build
 
-    def to_dict(self) -> Dict[str, object]:
-        """The JSON dict form (lossless inverse of :meth:`from_dict`)."""
-        from ..sim.specio import seed_to_spec
-
-        return {
-            "name": self.name,
-            "protocols": list(self.protocols),
-            "group_sizes": list(self.group_sizes),
-            "losses": list(self.losses),
-            "schedule": dict(self.schedule) if self.schedule is not None else None,
-            "mobilities": {name: spec for name, spec in self.mobilities},
-            "tiers": {name: spec for name, spec in self.tiers},
-            "engines": list(self.engines),
-            "adversaries": {name: spec for name, spec in self.adversaries},
-            "seed": seed_to_spec(self.seed),
-            "params": self.params,
-            "replications": self.replications,
-            "max_retries": self.max_retries,
-            "min_group_size": self.min_group_size,
-        }
+        build(ChurnSchedule, self.schedule)
+        for axis, cls in (
+            (self.mobilities, MobilityConfig),
+            (self.tiers, TierConfig),
+            (self.adversaries, AdversaryConfig),
+        ):
+            for _, spec in axis:
+                build(cls, spec)
+        for engine in self.engines:
+            build(EngineConfig, engine)
 
     # -------------------------------------------------------------- expansion
     def _master_rng(self) -> DeterministicRNG:
@@ -298,13 +216,9 @@ class CampaignSpec:
         """
         if isinstance(engine, str):
             return engine
-        if isinstance(engine, Mapping):
-            latency = engine.get("latency", "instant")
-            extras = "+".join(
-                f"{k}={v}" for k, v in sorted(engine.items()) if k != "latency"
-            )
-            return f"{latency}[{extras}]" if extras else str(latency)
-        raise ParameterError(f"engine axis entries must be strings or dicts, got {engine!r}")
+        latency = engine.get("latency", "instant")
+        extras = "+".join(f"{k}={v}" for k, v in sorted(engine.items()) if k != "latency")
+        return f"{latency}[{extras}]" if extras else str(latency)
 
     @staticmethod
     def _fold_loss(mobility_spec: Mapping, loss: float) -> Dict[str, object]:

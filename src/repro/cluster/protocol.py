@@ -365,11 +365,6 @@ class ClusterTreeProtocol(Protocol):
             host = min(drafts, key=lambda d: (d.size, d.uid))
             host.members.extend(lone.members)
             host.mark_rekey()
-        total = sum(d.size for d in drafts)
-        if total < 2:
-            raise ParameterError(
-                f"{event.kind!r} would leave {total} member(s); the GKA needs at least two"
-            )
         return drafts, departed, next_uid
 
     @staticmethod

@@ -36,13 +36,13 @@ and the :class:`~repro.engine.kernel.EventKernel`:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import telemetry
-from ..exceptions import ParameterError, ProtocolError
+from ..exceptions import ProtocolError
+from ..fields import param, settle
 from ..network.medium import BroadcastMedium
 from ..network.message import Message
 from .kernel import EventKernel
@@ -67,18 +67,14 @@ class EngineConfig:
 
     latency: Optional[LatencyModel] = None
     #: how long a stalled group waits before a retransmission wave (seconds)
-    round_timeout_s: float = 2.0
+    round_timeout_s: float = param(2.0, gt=0.0)
     #: retransmission waves before the run is declared failed
-    max_timeout_waves: int = 25
+    max_timeout_waves: int = param(25, ge=1)
     #: attacker suite consulted on every transmission (None = honest runs;
     #: a suite whose actors are all passive leaves runs bit-identical)
-    adversary: Optional["AdversarySuite"] = None
+    adversary: Optional["AdversarySuite"] = param(None, spec=False)
 
-    def __post_init__(self) -> None:
-        if not 0 < self.round_timeout_s < math.inf:
-            raise ParameterError("round_timeout_s must be positive and finite")
-        if self.max_timeout_waves < 1:
-            raise ParameterError("max_timeout_waves must be at least 1")
+    __post_init__ = settle
 
     def describe(self) -> str:
         """One-line summary used in reports."""

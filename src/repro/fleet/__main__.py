@@ -32,6 +32,7 @@ from typing import List, Optional
 from ..campaign.spec import CampaignSpec
 from ..exceptions import ReproError
 from ..profiling import observability
+from ..sim.specio import build
 from .controller import CampaignController
 from .worker import FleetWorker
 
@@ -100,7 +101,7 @@ def _controller_main(args: argparse.Namespace) -> int:
         else:
             with open(args.spec, encoding="utf-8") as handle:
                 payload = json.load(handle)
-        spec = CampaignSpec.from_dict(payload)
+        spec = build(CampaignSpec, payload)
         pivot = None
         if args.pivot is not None:
             parts = args.pivot.split(":")

@@ -44,6 +44,7 @@ from ..campaign.plan import CampaignPlan, plan_campaign
 from ..campaign.result import CampaignResult
 from ..campaign.spec import CampaignCell, CampaignSpec
 from ..exceptions import FleetError, ParameterError
+from ..fields import to_spec
 from .progress import FleetProgress, WorkerView
 from .wire import PROTOCOL_VERSION, FrameDecoder, send_message
 
@@ -630,7 +631,7 @@ class CampaignController:
             )
         return CampaignResult(
             name=self.spec.name,
-            spec=self.spec.to_dict(),
+            spec=to_spec(self.spec),
             rows=[row for row in self._rows if row is not None],
             workers=max(self._peak_workers, 1),
             wall_seconds=time.perf_counter() - self._started,

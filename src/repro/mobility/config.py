@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..exceptions import ParameterError
+from ..fields import param, settle
 from ..mathutils.rand import DeterministicRNG
 from .field import Area, MobilityField
 from .models import MobilityModel
@@ -51,30 +52,17 @@ class MobilityConfig:
 
     model: MobilityModel
     area: Area
-    tx_range: float
-    duration: float
-    tick: float = 1.0
-    base_loss: float = 0.0
-    edge_loss: float = 0.0
+    tx_range: float = param(gt=0.0)
+    duration: float = param(ge=0.0)
+    tick: float = param(1.0, gt=0.0)
+    base_loss: float = param(0.0, ge=0.0, lt=1.0)
+    edge_loss: float = param(0.0, ge=0.0, lt=1.0)
     path_loss_exponent: float = 2.0
-    max_hops: int = 8
-    settle_ticks: int = 1
+    max_hops: int = param(8, ge=1)
+    settle_ticks: int = param(1, ge=1)
 
     def __post_init__(self) -> None:
-        if self.tx_range <= 0:
-            raise ParameterError("tx_range must be positive")
-        if self.duration < 0:
-            raise ParameterError("duration cannot be negative")
-        if self.tick <= 0:
-            raise ParameterError("tick must be positive")
-        if self.max_hops < 1:
-            raise ParameterError("max_hops must be at least 1")
-        if self.settle_ticks < 1:
-            raise ParameterError("settle_ticks must be at least 1")
-        # Range/ramp validation is delegated to RadioLink at build time; fail
-        # fast here instead so bad configs die at construction.
-        if not 0.0 <= self.base_loss < 1.0 or not 0.0 <= self.edge_loss < 1.0:
-            raise ParameterError("loss probabilities must be in [0, 1)")
+        settle(self)
         if self.edge_loss < self.base_loss:
             raise ParameterError("edge_loss cannot be below base_loss")
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..exceptions import ParameterError
+from ..fields import param, settle
 from ..mathutils.rand import DeterministicRNG
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,12 +43,10 @@ def unit_draw(rng: DeterministicRNG) -> float:
 class Area:
     """The rectangular deployment region ``[0, width] x [0, height]`` (metres)."""
 
-    width: float
-    height: float
+    width: float = param(gt=0.0, to_float=True)
+    height: float = param(gt=0.0, to_float=True)
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ParameterError("area dimensions must be positive")
+    __post_init__ = settle
 
     def clamp(self, x: float, y: float) -> Vec:
         """The nearest point inside the area."""

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..exceptions import ParameterError
+from ..fields import param, settle
 from ..mathutils.rand import DeterministicRNG
 from .field import Area, Vec, unit_draw
 
@@ -83,11 +84,9 @@ class StaticGrid(MobilityModel):
     added at spawn so radio links are not artificially degenerate.
     """
 
-    jitter: float = 0.0
+    jitter: float = param(0.0, ge=0.0)
 
-    def __post_init__(self) -> None:
-        if self.jitter < 0:
-            raise ParameterError("jitter cannot be negative")
+    __post_init__ = settle
 
     def build(
         self, names: Sequence[str], area: Area, rng: DeterministicRNG
@@ -167,15 +166,14 @@ class _WaypointMotion(NodeMotion):
 class RandomWaypoint(MobilityModel):
     """The classic random-waypoint model (uniform waypoint, speed, pause)."""
 
-    min_speed: float = 1.0
+    min_speed: float = param(1.0, gt=0.0)
     max_speed: float = 5.0
-    pause: float = 0.0
+    pause: float = param(0.0, ge=0.0)
 
     def __post_init__(self) -> None:
-        if self.min_speed <= 0 or self.max_speed < self.min_speed:
+        settle(self)
+        if self.max_speed < self.min_speed:
             raise ParameterError("need 0 < min_speed <= max_speed")
-        if self.pause < 0:
-            raise ParameterError("pause cannot be negative")
 
     def build(
         self, names: Sequence[str], area: Area, rng: DeterministicRNG
@@ -266,22 +264,17 @@ class ReferencePointGroup(MobilityModel):
     clean partition; when their paths cross again, a merge.
     """
 
-    groups: int = 4
-    min_speed: float = 1.0
+    groups: int = param(4, ge=1)
+    min_speed: float = param(1.0, gt=0.0)
     max_speed: float = 5.0
-    pause: float = 0.0
-    member_radius: float = 50.0
-    member_speed: float = 1.0
+    pause: float = param(0.0, ge=0.0)
+    member_radius: float = param(50.0, gt=0.0)
+    member_speed: float = param(1.0, ge=0.0)
 
     def __post_init__(self) -> None:
-        if self.groups < 1:
-            raise ParameterError("need at least one group")
-        if self.min_speed <= 0 or self.max_speed < self.min_speed:
+        settle(self)
+        if self.max_speed < self.min_speed:
             raise ParameterError("need 0 < min_speed <= max_speed")
-        if self.member_radius <= 0:
-            raise ParameterError("member_radius must be positive")
-        if self.member_speed < 0 or self.pause < 0:
-            raise ParameterError("member_speed and pause cannot be negative")
 
     def build(
         self, names: Sequence[str], area: Area, rng: DeterministicRNG

@@ -71,7 +71,8 @@ def membership_after(members: Sequence[Identity], event: MembershipEvent) -> Lis
     (:meth:`repro.core.base.Protocol.apply_event`) both use it.  An event
     that does not fit ``members`` raises
     :class:`~repro.exceptions.MembershipError`: a join of a member, a leave
-    or partition naming a non-member, or a merge whose groups overlap.
+    or partition naming a non-member or leaving fewer than two members, or a
+    merge whose groups overlap.
     """
     names = {m.name for m in members}
     if isinstance(event, (JoinEvent, MergeEvent)):
@@ -86,7 +87,12 @@ def membership_after(members: Sequence[Identity], event: MembershipEvent) -> Lis
         absent = sorted(gone - names)
         if absent:
             raise MembershipError(f"not group members: {absent}")
-        return [m for m in members if m.name not in gone]
+        remaining = [m for m in members if m.name not in gone]
+        if len(remaining) < 2:
+            raise MembershipError(
+                f"a {event.kind} leaving {len(remaining)} member(s) cannot keep a group"
+            )
+        return remaining
     raise ParameterError(f"unknown membership event {event!r}")
 
 

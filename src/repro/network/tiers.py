@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..exceptions import NetworkError, ParameterError
+from ..fields import Decl, alias, converter, fields_spec, param, settle
 from ..mathutils.rand import DeterministicRNG
 from .medium import LinkModel
 
@@ -44,8 +45,6 @@ __all__ = [
     "TierConfig",
     "TierMap",
     "TieredLink",
-    "resolve_link_class",
-    "link_class_to_spec",
 ]
 
 
@@ -68,26 +67,16 @@ class GilbertElliott:
     states share one loss value.
     """
 
-    loss_good: float = 0.0
-    loss_bad: float = 1.0
-    p_enter_bad: float = 0.0
-    burst_length: float = 5.0
+    loss_good: float = param(0.0, ge=0.0, lt=1.0, to_float=True)
+    loss_bad: float = param(1.0, ge=0.0, le=1.0, to_float=True)
+    p_enter_bad: float = param(0.0, ge=0.0, lt=1.0, to_float=True)
+    burst_length: float = param(5.0, ge=1.0, to_float=True)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_good < 1.0:
-            raise ParameterError("loss_good must be in [0, 1)")
-        if not 0.0 <= self.loss_bad <= 1.0:
-            raise ParameterError("loss_bad must be in [0, 1]")
-        if not 0.0 <= self.p_enter_bad < 1.0:
-            raise ParameterError("p_enter_bad must be in [0, 1)")
-        if self.burst_length < 1.0:
-            raise ParameterError("burst_length must be at least 1 copy")
+    __post_init__ = settle
 
     @classmethod
     def iid(cls, loss: float) -> "GilbertElliott":
         """The degenerate single-state case: the existing i.i.d. loss knob."""
-        if not 0.0 <= loss < 1.0:
-            raise ParameterError("loss probability must be in [0, 1)")
         return cls(loss_good=loss, loss_bad=loss, p_enter_bad=0.0, burst_length=1.0)
 
     @classmethod
@@ -113,12 +102,8 @@ class GilbertElliott:
         if bad_fraction >= 1.0:
             raise ParameterError("target loss pins the chain in the bad state")
         p_exit = 1.0 / burst_length
+        # A p_enter_bad of 1 or more fails the field's declared range.
         p_enter = bad_fraction * p_exit / (1.0 - bad_fraction)
-        if p_enter >= 1.0:
-            raise ParameterError(
-                f"loss={loss:g} with burst_length={burst_length:g} needs "
-                "p_enter_bad >= 1; lengthen the bursts or lower the target"
-            )
         return cls(
             loss_good=loss_good,
             loss_bad=loss_bad,
@@ -152,32 +137,6 @@ class GilbertElliott:
         """The stationary mean per-copy loss (the i.i.d. equivalent rate)."""
         pi = self.bad_fraction
         return pi * self.loss_bad + (1.0 - pi) * self.loss_good
-
-    def to_spec(self) -> Dict[str, float]:
-        """The explicit JSON-able field dict (see :mod:`repro.sim.specio`)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_spec(cls, spec: Mapping) -> "GilbertElliott":
-        """Build from a spec dict.
-
-        Accepts the explicit field form (:meth:`to_spec`) or the shorthand
-        ``{"loss": rate, "burst_length": mean}`` resolved through
-        :meth:`from_loss_rate`.
-        """
-        spec = dict(spec)
-        if "loss" in spec:
-            loss = float(spec.pop("loss"))
-            burst = float(spec.pop("burst_length", 5.0))
-            if spec:
-                raise ParameterError(
-                    f"unknown gilbert-elliott shorthand keys: {sorted(spec)}"
-                )
-            return cls.from_loss_rate(loss, burst)
-        unknown = set(spec) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ParameterError(f"unknown gilbert-elliott keys: {sorted(unknown)}")
-        return cls(**{key: float(value) for key, value in spec.items()})
 
     def describe(self) -> str:
         if self.is_iid:
@@ -325,27 +284,12 @@ class LinkClass:
     """
 
     name: str
-    bitrate_bps: float
-    reverse_bps: Optional[float] = None
-    propagation_delay_s: float = 0.0
-    loss: Union[float, GilbertElliott] = 0.0
+    bitrate_bps: float = param(gt=0.0)
+    reverse_bps: Optional[float] = param(None, gt=0.0)
+    propagation_delay_s: float = param(0.0, ge=0.0)
+    loss: Union[float, GilbertElliott] = param(0.0, ge=0.0, lt=1.0, to_float=True)
 
-    def __post_init__(self) -> None:
-        if self.bitrate_bps <= 0:
-            raise ParameterError("link class bitrate must be positive")
-        if self.reverse_bps is not None and self.reverse_bps <= 0:
-            raise ParameterError("link class reverse bitrate must be positive")
-        if self.propagation_delay_s < 0:
-            raise ParameterError("propagation delay cannot be negative")
-        if isinstance(self.loss, (int, float)) and not isinstance(self.loss, bool):
-            loss = float(self.loss)
-            if not 0.0 <= loss < 1.0:
-                raise ParameterError("link class loss must be in [0, 1)")
-            object.__setattr__(self, "loss", loss)
-        elif not isinstance(self.loss, GilbertElliott):
-            raise ParameterError(
-                "link class loss must be a float or GilbertElliott parameters"
-            )
+    __post_init__ = settle
 
     def rate_bps(self, *, descending: bool = False) -> float:
         """The serialization rate for one delivery direction."""
@@ -391,44 +335,42 @@ LINK_CLASSES: Dict[str, LinkClass] = {
 }
 
 
-def resolve_link_class(spec: object) -> LinkClass:
-    """A :class:`LinkClass` from a preset name, field dict or instance."""
-    if isinstance(spec, LinkClass):
-        return spec
-    if isinstance(spec, str):
-        try:
-            return LINK_CLASSES[spec]
-        except KeyError:
-            raise ParameterError(
-                f"unknown link class preset {spec!r}; known: {sorted(LINK_CLASSES)}"
-            ) from None
-    if isinstance(spec, Mapping):
-        spec = dict(spec)
-        loss = spec.pop("loss", 0.0)
-        if isinstance(loss, Mapping):
-            loss = GilbertElliott.from_spec(loss)
-        unknown = set(spec) - set(LinkClass.__dataclass_fields__)
-        if unknown:
-            raise ParameterError(f"unknown link class keys: {sorted(unknown)}")
-        return LinkClass(loss=loss, **spec)
-    raise ParameterError(f"cannot build a link class from {spec!r}")
+_LOSS_RATE = converter(float, "loss", Decl(ge=0.0, lt=1.0, to_float=True))
+_BURST_LENGTH = converter(float, "burst_length", Decl(ge=1.0, to_float=True))
 
 
-def link_class_to_spec(cls: LinkClass) -> object:
-    """Invert :func:`resolve_link_class` (presets collapse to their names)."""
-    preset = LINK_CLASSES.get(cls.name)
-    if preset is not None and preset == cls:
+def _burst_shorthand(spec: object) -> object:
+    """``{"loss": rate, "burst_length": mean}`` via :meth:`GilbertElliott.from_loss_rate`."""
+    if not isinstance(spec, Mapping) or "loss" not in spec:
+        return NotImplemented
+    unknown = sorted(set(spec) - {"loss", "burst_length"})
+    if unknown:
+        raise ParameterError(f"unknown gilbert-elliott shorthand keys: {unknown}")
+    return GilbertElliott.from_loss_rate(
+        _LOSS_RATE(spec["loss"]), _BURST_LENGTH(spec.get("burst_length", 5.0))
+    )
+
+
+def _preset(spec: object) -> object:
+    if not isinstance(spec, str):
+        return NotImplemented
+    try:
+        return LINK_CLASSES[spec]
+    except KeyError:
+        raise ParameterError(
+            f"unknown link class preset {spec!r}; known: {sorted(LINK_CLASSES)}"
+        ) from None
+
+
+def _link_class_spec(cls: LinkClass) -> object:
+    """A preset collapses to its name; any other class to its non-default fields."""
+    if LINK_CLASSES.get(cls.name) == cls:
         return cls.name
-    spec: Dict[str, object] = {"name": cls.name, "bitrate_bps": cls.bitrate_bps}
-    if cls.reverse_bps is not None:
-        spec["reverse_bps"] = cls.reverse_bps
-    if cls.propagation_delay_s != 0.0:
-        spec["propagation_delay_s"] = cls.propagation_delay_s
-    if isinstance(cls.loss, GilbertElliott):
-        spec["loss"] = cls.loss.to_spec()
-    elif cls.loss != 0.0:
-        spec["loss"] = cls.loss
-    return spec
+    return fields_spec(cls, sparse=True)
+
+
+alias(GilbertElliott, decode=_burst_shorthand)
+alias(LinkClass, decode=_preset, encode=_link_class_spec)
 
 
 # ------------------------------------------------------------------- tier map
@@ -612,125 +554,38 @@ class TierConfig:
         are left alone.
     """
 
-    tiers: Tuple[Tuple[str, LinkClass], ...]
-    members: Tuple[Tuple[str, int], ...] = ()
-    gateways: Tuple[Tuple[str, str, int], ...] = ()
-    overrides: Tuple[Tuple[str, str, LinkClass], ...] = ()
-    max_hops: int = 4
-    loss_floor: float = 0.0
+    tiers: Tuple[Tuple[str, LinkClass], ...] = param(shorthand=True)
+    members: Tuple[Tuple[str, int], ...] = param((), keys="tier", ge=1)
+    gateways: Tuple[Tuple[str, str, int], ...] = param((), keys="tierA:tierB", ge=1)
+    overrides: Tuple[Tuple[str, str, LinkClass], ...] = param((), keys="nodeA|nodeB")
+    max_hops: int = param(4, ge=1)
+    loss_floor: float = param(0.0, ge=0.0, lt=1.0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tiers", self._normalize_tiers(self.tiers))
+        settle(self)
         names = [name for name, _ in self.tiers]
+        if not names:
+            raise ParameterError("a tier config needs at least one tier")
         if len(set(names)) != len(names):
             raise ParameterError(f"tier names must be unique, got {names}")
-        known = set(names)
-        object.__setattr__(self, "members", self._normalize_members(self.members, known, names[0]))
-        object.__setattr__(self, "gateways", self._normalize_gateways(self.gateways, known))
-        object.__setattr__(self, "overrides", self._normalize_overrides(self.overrides))
-        if self.max_hops < 1:
-            raise ParameterError("max_hops must be at least 1")
-        if not 0.0 <= self.loss_floor < 1.0:
-            raise ParameterError("loss_floor must be in [0, 1)")
+        for tier, _ in self.members:
+            if tier not in names:
+                raise ParameterError(f"members references unknown tier {tier!r}")
+            if tier == names[0]:
+                raise ParameterError(
+                    f"the default tier {tier!r} takes the remaining members; "
+                    "size the others instead"
+                )
+        for home, bridged, _ in self.gateways:
+            if home not in names or bridged not in names:
+                raise ParameterError(f"gateway {home}:{bridged} references an unknown tier")
+            if home == bridged:
+                raise ParameterError("a gateway must bridge two distinct tiers")
         if self.loss_floor > 0.0:
             floored = tuple(
                 (name, self._floor_class(cls)) for name, cls in self.tiers
             )
             object.__setattr__(self, "tiers", floored)
-
-    # ------------------------------------------------------- normalization
-    @staticmethod
-    def _normalize_tiers(value: object) -> Tuple[Tuple[str, LinkClass], ...]:
-        if isinstance(value, Mapping):
-            items: Sequence = list(value.items())
-        elif isinstance(value, Sequence) and not isinstance(value, str):
-            items = list(value)
-        else:
-            raise ParameterError("tiers must be a mapping or (name, class) pairs")
-        if not items:
-            raise ParameterError("a tier config needs at least one tier")
-        normalized = []
-        for entry in items:
-            if isinstance(entry, str):
-                # Bare preset name: the tier is named after its class.
-                normalized.append((entry, resolve_link_class(entry)))
-                continue
-            if not isinstance(entry, Sequence) or len(entry) != 2:
-                raise ParameterError(
-                    f"tier entries must be names or (name, class) pairs, got {entry!r}"
-                )
-            name, cls = entry
-            normalized.append((str(name), resolve_link_class(cls)))
-        return tuple(normalized)
-
-    @staticmethod
-    def _normalize_members(
-        value: object, known: set, default: str
-    ) -> Tuple[Tuple[str, int], ...]:
-        if isinstance(value, Mapping):
-            items = list(value.items())
-        else:
-            items = [tuple(entry) for entry in value]
-        normalized = []
-        for tier, count in items:
-            tier = str(tier)
-            if tier not in known:
-                raise ParameterError(f"members references unknown tier {tier!r}")
-            if tier == default:
-                raise ParameterError(
-                    f"the default tier {default!r} takes the remaining members; "
-                    "size the others instead"
-                )
-            count = int(count)
-            if count < 1:
-                raise ParameterError(f"tier {tier!r} member count must be positive")
-            normalized.append((tier, count))
-        return tuple(normalized)
-
-    @staticmethod
-    def _normalize_gateways(value: object, known: set) -> Tuple[Tuple[str, str, int], ...]:
-        if isinstance(value, Mapping):
-            items = []
-            for key, count in value.items():
-                parts = str(key).split(":")
-                if len(parts) != 2:
-                    raise ParameterError(
-                        f"gateway keys are 'tierA:tierB', got {key!r}"
-                    )
-                items.append((parts[0], parts[1], count))
-        else:
-            items = [tuple(entry) for entry in value]
-        normalized = []
-        for home, bridged, count in items:
-            home, bridged = str(home), str(bridged)
-            if home not in known or bridged not in known:
-                raise ParameterError(
-                    f"gateway {home}:{bridged} references an unknown tier"
-                )
-            if home == bridged:
-                raise ParameterError("a gateway must bridge two distinct tiers")
-            count = int(count)
-            if count < 1:
-                raise ParameterError("gateway counts must be positive")
-            normalized.append((home, bridged, count))
-        return tuple(normalized)
-
-    @staticmethod
-    def _normalize_overrides(value: object) -> Tuple[Tuple[str, str, LinkClass], ...]:
-        if isinstance(value, Mapping):
-            items = []
-            for key, cls in value.items():
-                parts = str(key).split("|")
-                if len(parts) != 2:
-                    raise ParameterError(
-                        f"override keys are 'nodeA|nodeB', got {key!r}"
-                    )
-                items.append((parts[0], parts[1], cls))
-        else:
-            items = [tuple(entry) for entry in value]
-        return tuple(
-            (str(a), str(b), resolve_link_class(cls)) for a, b, cls in items
-        )
 
     def _floor_class(self, cls: LinkClass) -> LinkClass:
         if isinstance(cls.loss, GilbertElliott) or cls.loss >= self.loss_floor:
@@ -785,27 +640,9 @@ class TierConfig:
         overrides = {(a, b): cls for a, b, cls in self.overrides}
         return TierMap(classes, home, extra=extra, overrides=overrides)
 
-    def to_spec(self) -> Dict[str, object]:
-        """The JSON-able spec dict (see :mod:`repro.sim.specio`)."""
-        spec: Dict[str, object] = {
-            "tiers": [[name, link_class_to_spec(cls)] for name, cls in self.tiers],
-        }
-        if self.members:
-            spec["members"] = {tier: count for tier, count in self.members}
-        if self.gateways:
-            spec["gateways"] = {
-                f"{home}:{bridged}": count for home, bridged, count in self.gateways
-            }
-        if self.overrides:
-            spec["overrides"] = {
-                f"{a}|{b}": link_class_to_spec(cls) for a, b, cls in self.overrides
-            }
-        if self.max_hops != 4:
-            spec["max_hops"] = self.max_hops
-        if self.loss_floor != 0.0:
-            spec["loss_floor"] = self.loss_floor
-        return spec
-
     def describe(self) -> str:
         tiers = ", ".join(name for name, _ in self.tiers)
         return f"tiers[{tiers}]"
+
+
+alias(TierConfig, encode=lambda config: fields_spec(config, sparse=True))

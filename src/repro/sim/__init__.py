@@ -31,8 +31,8 @@ per-oracle verdicts next to the energy numbers.
 The module is also runnable: ``python -m repro.sim spec.json`` executes a
 JSON scenario spec (optionally with ``--adversary``/``--engine`` profiles)
 and emits the comparison table/CSV/JSON without writing a script.  The spec
-format itself lives in :mod:`repro.sim.specio` (``build_scenario`` and the
-``*_to_spec`` inverses) — the serialization boundary the
+format itself lives in :mod:`repro.sim.specio` (the ``build`` / ``to_spec``
+codec and ``build_scenario``) — the serialization boundary the
 :mod:`repro.campaign` sweeps hand their cells across to worker processes.
 
 Quickstart::
@@ -62,7 +62,7 @@ from .report import (
     comparison_table,
 )
 from .runner import ScenarioRunner
-from .specio import build_scenario, scenario_to_spec
+from .specio import build_scenario
 from .scenarios import (
     BurstPartitions,
     ChurnSchedule,
@@ -90,5 +90,4 @@ __all__ = [
     "comparison_csv",
     "comparison_json",
     "comparison_table",
-    "scenario_to_spec",
 ]

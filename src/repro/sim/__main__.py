@@ -13,20 +13,31 @@ The spec is a JSON object describing one :class:`~repro.sim.scenarios.Scenario`:
     }
 
 ``schedule.kind`` is one of ``poisson`` / ``bursts`` / ``merges`` (remaining
-keys are passed to the matching schedule class) or ``trace`` (an explicit
-``events`` list of ``{"kind": "join"|"leave"|"merge"|"partition", ...}``
-entries), or the key may be omitted for a churn-free scenario.  A ``mobility`` object replaces ``schedule`` for
-mobility-driven runs::
+keys are the matching schedule class's fields) or ``trace`` (an explicit
+``events`` list of ``{"kind": "join"|"leave"|"merge"|"partition", "member"
+or "members": ..., "time": optional}`` entries), or the key may be omitted
+for a churn-free scenario.  A ``mobility`` object replaces ``schedule``: a
+``model`` name (``static-grid`` / ``random-waypoint`` / ``rpgm``), the
+model's fields beside the config's, and ``area`` as ``[w, h]``::
 
     "mobility": {"model": "random-waypoint", "min_speed": 2.0,
                  "max_speed": 10.0, "area": [500, 500], "tx_range": 150,
                  "duration": 60, "tick": 2.0, "edge_loss": 0.1}
 
-``adversary`` is either an object of
-:class:`~repro.adversary.config.AdversaryConfig` fields or (via the
-``--adversary`` flag, which overrides the spec) a preset name:
-``eavesdrop``, ``inject``, ``replay``, ``mitm``, ``drop``, ``delay``,
-``compromise``.
+A ``tiers`` object (with ``--engine tiered``) lays out link classes:
+``{"tiers": {"ground": "ground", "sat": "satellite"}, "members": {"sat": 2},
+"gateways": {"ground:sat": 1}}``, classes as preset names or field dicts,
+per-pair overrides as ``"a|b"`` keys.  ``adversary`` is an object of
+:class:`~repro.adversary.config.AdversaryConfig` fields or a preset name
+(``eavesdrop``, ``inject``, ``replay``, ``mitm``, ``drop``, ``delay``,
+``compromise``); ``--adversary`` overrides it with a preset or inline JSON.
+A ``{"bytes": hex}`` seed is a bytes seed.
+
+One rule checks every spec (see :mod:`repro.sim.specio`): an unknown key, a
+wrong JSON type (a bool or a string is never a number; an int is accepted
+where a float is declared), NaN or ±inf, or a value outside its declared
+range or choices raises ``ParameterError`` when the spec is built: the CLI
+prints one ``error:`` line and exits 2 before anything runs.
 
 Examples::
 
@@ -46,11 +57,12 @@ from typing import List, Optional
 from ..adversary.config import ATTACKER_PRESETS
 from ..core.base import SystemSetup
 from ..core.registry import available_protocols, describe_registry
+from ..engine.executor import EngineConfig
 from ..exceptions import ReproError
 from ..profiling import observability
 from .report import comparison_csv, comparison_json, comparison_table
 from .runner import ScenarioRunner
-from .specio import build_engine, build_scenario
+from .specio import build, build_scenario
 
 __all__ = ["build_scenario", "main"]
 
@@ -86,7 +98,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--engine",
         default=None,
-        help="execution profile: instant (default), radio, wlan, or fixed:<seconds>",
+        help="execution profile: instant (default), radio, wlan, tiered, or fixed:<seconds>",
     )
     parser.add_argument(
         "--params",
@@ -132,10 +144,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.spec, encoding="utf-8") as handle:
                 spec = json.load(handle)
         scenario = build_scenario(spec, adversary_override=args.adversary)
-        engine = build_engine(args.engine)
-    except (ReproError, OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
-        # TypeError/ValueError cover mistyped spec keys reaching a dataclass
-        # constructor — a one-character typo should print, not traceback.
+        engine = build(EngineConfig, args.engine)
+    except (ReproError, OSError, json.JSONDecodeError) as exc:
+        # Every malformed spec raises ParameterError when it is built.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

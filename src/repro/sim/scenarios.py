@@ -38,6 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..adversary.actors import AdversarySuite
 from ..adversary.config import AdversaryConfig
 from ..exceptions import ParameterError
+from ..fields import Seed, param, settle
 from ..mathutils.rand import DeterministicRNG
 from ..mobility.config import MobilityConfig
 from ..mobility.connectivity import ConnectivityMonitor
@@ -107,13 +108,18 @@ class PoissonChurn(ChurnSchedule):
     total rate (rates are per simulated second).
     """
 
-    length: int
-    join_rate: float = 2.0
-    leave_rate: float = 2.0
-    merge_rate: float = 0.0
-    partition_rate: float = 0.0
+    length: int = param(ge=0)
+    join_rate: float = param(2.0, ge=0.0)
+    leave_rate: float = param(2.0, ge=0.0)
+    merge_rate: float = param(0.0, ge=0.0)
+    partition_rate: float = param(0.0, ge=0.0)
     merge_size: int = 3
     partition_size: int = 3
+
+    def __post_init__(self) -> None:
+        settle(self)
+        if self.join_rate + self.leave_rate + self.merge_rate + self.partition_rate <= 0:
+            raise ParameterError("at least one event rate must be positive")
 
     def generate(
         self,
@@ -122,11 +128,7 @@ class PoissonChurn(ChurnSchedule):
         *,
         min_group_size: int = 3,
     ) -> List[ScheduledEvent]:
-        if self.length < 0:
-            raise ParameterError("length cannot be negative")
         total_rate = self.join_rate + self.leave_rate + self.merge_rate + self.partition_rate
-        if total_rate <= 0:
-            raise ParameterError("at least one event rate must be positive")
         generator = EventTraceGenerator(
             rng.fork("kinds"),
             join_weight=self.join_rate,
@@ -159,11 +161,13 @@ class BurstPartitions(ChurnSchedule):
     the group at its initial size for the next burst.
     """
 
-    bursts: int
-    burst_size: int = 3
-    period: float = 10.0
+    bursts: int = param(ge=0)
+    burst_size: int = param(3, ge=1)
+    period: float = param(10.0, gt=0.0)
     refill: bool = True
     refill_delay: float = 2.0
+
+    __post_init__ = settle
 
     def generate(
         self,
@@ -172,12 +176,6 @@ class BurstPartitions(ChurnSchedule):
         *,
         min_group_size: int = 3,
     ) -> List[ScheduledEvent]:
-        if self.bursts < 0:
-            raise ParameterError("bursts cannot be negative")
-        if self.burst_size < 1:
-            raise ParameterError("burst_size must be at least 1")
-        if self.period <= 0:
-            raise ParameterError("period must be positive")
         members = list(initial_members)
         pick_rng = rng.fork("bursts")
         scheduled: List[ScheduledEvent] = []
@@ -213,9 +211,11 @@ class BurstPartitions(ChurnSchedule):
 class PeriodicMerges(ChurnSchedule):
     """A whole sub-group of ``merge_size`` fresh members arrives every ``period``."""
 
-    merges: int
-    merge_size: int = 3
-    period: float = 10.0
+    merges: int = param(ge=0)
+    merge_size: int = param(3, ge=2)
+    period: float = param(10.0, gt=0.0)
+
+    __post_init__ = settle
 
     def generate(
         self,
@@ -224,12 +224,6 @@ class PeriodicMerges(ChurnSchedule):
         *,
         min_group_size: int = 3,
     ) -> List[ScheduledEvent]:
-        if self.merges < 0:
-            raise ParameterError("merges cannot be negative")
-        if self.merge_size < 2:
-            raise ParameterError("merge_size must be at least 2 (a group)")
-        if self.period <= 0:
-            raise ParameterError("period must be positive")
         scheduled: List[ScheduledEvent] = []
         now = 0.0
         fresh = 0
@@ -248,7 +242,9 @@ class TraceReplay(ChurnSchedule):
     """Replay an explicit event list with fixed spacing (trace-driven runs)."""
 
     events: tuple
-    spacing: float = 1.0
+    spacing: float = param(1.0, to_float=True)
+
+    __post_init__ = settle
 
     def generate(
         self,
@@ -282,12 +278,12 @@ class Scenario:
     """
 
     name: str
-    initial_size: int
+    initial_size: int = param(ge=2)
     schedule: Optional[ChurnSchedule] = None
-    seed: object = 0
-    loss_probability: float = 0.0
+    seed: Seed = 0
+    loss_probability: float = param(0.0, ge=0.0, lt=1.0)
     max_retries: int = 10
-    min_group_size: int = 3
+    min_group_size: int = param(3, ge=2)
     member_prefix: str = "member"
     mobility: Optional[MobilityConfig] = None
     #: attacker configuration; the runner builds one suite per run from the
@@ -301,10 +297,7 @@ class Scenario:
     tiers: Optional[TierConfig] = None
 
     def __post_init__(self) -> None:
-        if self.initial_size < 2:
-            raise ParameterError("a scenario needs at least two initial members")
-        if self.min_group_size < 2:
-            raise ParameterError("min_group_size must be at least 2")
+        settle(self)
         if self.schedule is not None and self.mobility is not None:
             raise ParameterError(
                 "a scenario is driven either by a churn schedule or by mobility, "

@@ -1,43 +1,64 @@
-"""JSON scenario specs: build :class:`Scenario` objects from plain dicts.
+"""JSON specs: one codec for every config.
 
-This module is the serialization boundary of the scenario engine.  A *spec*
-is a plain JSON-able dict describing one :class:`~repro.sim.scenarios.Scenario`
-(see :mod:`repro.sim.__main__` for the CLI's documented shape); the builders
-here turn specs into live objects, and the ``*_to_spec`` inverses turn live
-objects back into specs.  Because a spec contains only JSON scalars, it can
-cross process boundaries (the :mod:`repro.campaign` workers), be content-hashed
-(the campaign result cache) or be written to disk — none of which a live
-scenario with its RNG-bearing media can do safely.
+A *spec* is the JSON-able dict form of a config object (a scenario and its
+schedule, mobility, tiers and adversary, an engine profile, a campaign), and
+the *codec* is the pair :func:`build` / :func:`to_spec`.  A spec holds only
+JSON values, so it can cross process boundaries (campaign and fleet
+workers), be content-hashed (the result cache) or be written to disk.
 
-Round-trip guarantee: ``build_scenario(scenario_to_spec(s))`` constructs a
-scenario whose expansion, seeds and description equal ``s``'s, for every
-scenario expressible as a spec (declarative schedules, trace replays,
-mobility configs and adversary configs all are; hand-built ``ChurnSchedule``
-subclasses are not).
+One rule validates every spec.  Each spec-built class declares each field's
+type (its annotation) and constraint (:func:`repro.fields.param`: a range,
+finiteness, choices) once, and :func:`repro.fields.settle` enforces those
+declarations when the object is constructed, so a spec build and a direct
+constructor call fail the same way.  :func:`build` raises
+:class:`~repro.exceptions.ParameterError`, before anything runs, for
+
+* an unknown key;
+* a wrong JSON type: a bool or a string is never a number, and an int is
+  accepted where a float is declared (JSON has one number type);
+* NaN and ±inf;
+* a value outside its declared range or choices.
+
+Aliases are consulted before field-driven building, each from one table:
+the engine profiles below, link-class and adversary presets, schedules and
+trace events tagged by ``kind``, the flat mobility layout (a ``model`` name
+with the model's fields beside the config's, ``area`` as ``[w, h]``),
+``{"bytes": hex}`` seeds, and the mapping forms of tier ``members``,
+``gateways`` (``"a:b"`` keys) and ``overrides`` (``"a|b"`` keys).
+
+Round trip: ``build(cls, to_spec(x)) == x`` for every spec-expressible
+object, and ``to_spec(build(cls, s)) == s`` for every spec ``to_spec``
+emits, JSON number types included (an int stays an int unless the field
+declares ``to_float``).  Hand-built ``ChurnSchedule`` subclasses and
+custom latency models are not spec-expressible.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from typing import Dict, List, Mapping, Optional, Union
+from collections.abc import Mapping
+from typing import Dict, Optional, Tuple
 
 from ..adversary.config import AdversaryConfig
 from ..energy.transceiver import RADIO_100KBPS, WLAN_SPECTRUM24
 from ..engine.executor import EngineConfig
-from ..engine.latency import FixedLatency, TieredLatency, TransceiverLatency
+from ..engine.latency import FixedLatency, LatencyModel, TieredLatency, TransceiverLatency
 from ..exceptions import ParameterError
-from ..mobility.config import MobilityConfig
-from ..network.tiers import TierConfig
-from ..mobility.field import Area
-from ..mobility.models import RandomWaypoint, ReferencePointGroup, StaticGrid
-from ..network.events import (
-    JoinEvent,
-    LeaveEvent,
-    MembershipEvent,
-    MergeEvent,
-    PartitionEvent,
+from ..fields import (
+    Decl,
+    alias,
+    build,
+    build_fields,
+    converter,
+    fields_spec,
+    spec_fields,
+    to_spec,
+    union,
 )
+from ..mobility.config import MobilityConfig
+from ..mobility.field import Area
+from ..mobility.models import MobilityModel, RandomWaypoint, ReferencePointGroup, StaticGrid
+from ..network.events import JoinEvent, LeaveEvent, MergeEvent, PartitionEvent
 from ..pki.identity import Identity
 from .scenarios import (
     BurstPartitions,
@@ -52,28 +73,16 @@ from .scenarios import (
 __all__ = [
     "SCHEDULE_KINDS",
     "MOBILITY_MODELS",
-    "build_schedule",
-    "build_mobility",
-    "build_adversary",
-    "build_engine",
-    "build_event",
+    "build",
+    "to_spec",
     "build_scenario",
-    "build_tiers",
-    "event_to_spec",
-    "schedule_to_spec",
-    "mobility_to_spec",
-    "adversary_to_spec",
-    "engine_to_spec",
-    "scenario_to_spec",
-    "tiers_to_spec",
-    "seed_to_spec",
-    "build_seed",
 ]
 
 SCHEDULE_KINDS = {
     "poisson": PoissonChurn,
     "bursts": BurstPartitions,
     "merges": PeriodicMerges,
+    "trace": TraceReplay,
 }
 
 MOBILITY_MODELS = {
@@ -82,380 +91,226 @@ MOBILITY_MODELS = {
     "rpgm": ReferencePointGroup,
 }
 
+#: The engine profiles that name a transceiver's latency.
+_TRANSCEIVERS = {"radio": RADIO_100KBPS, "wlan": WLAN_SPECTRUM24}
 
-# --------------------------------------------------------------------- seeds
-def seed_to_spec(seed: object) -> object:
-    """A JSON-able form of a scenario seed (bytes become a tagged hex dict)."""
-    if isinstance(seed, bytes):
-        return {"bytes": seed.hex()}
-    if seed is None or isinstance(seed, (int, str)):
-        return seed
-    raise ParameterError(f"seed {seed!r} is not spec-serializable")
-
-
-def build_seed(spec: object) -> object:
-    """Invert :func:`seed_to_spec` (tagged hex dicts become bytes again)."""
-    if isinstance(spec, dict):
-        try:
-            return bytes.fromhex(spec["bytes"])
-        except (KeyError, TypeError, ValueError):
-            raise ParameterError(f"malformed seed spec {spec!r}") from None
-    return spec
+#: Trace events by spec kind: the event class, its member field, the spec key.
+_EVENTS = {
+    "join": (JoinEvent, "joining", "member"),
+    "leave": (LeaveEvent, "leaving", "member"),
+    "merge": (MergeEvent, "other_group", "members"),
+    "partition": (PartitionEvent, "leaving", "members"),
+}
+_MEMBER = converter(str, "member")
+_MEMBERS = converter(Tuple[str, ...], "members")
+_TIME = converter(float, "time", Decl(to_float=True))
 
 
-# -------------------------------------------------------------------- events
-def event_to_spec(event: Union[MembershipEvent, ScheduledEvent]) -> Dict[str, object]:
-    """One membership event (optionally time-stamped) as a JSON-able dict."""
-    spec: Dict[str, object] = {}
-    if isinstance(event, ScheduledEvent):
-        spec["time"] = event.time
-        event = event.event
-    if isinstance(event, JoinEvent):
-        spec.update(kind="join", member=event.joining.name)
-    elif isinstance(event, LeaveEvent):
-        spec.update(kind="leave", member=event.leaving.name)
-    elif isinstance(event, MergeEvent):
-        spec.update(kind="merge", members=[m.name for m in event.other_group])
-    elif isinstance(event, PartitionEvent):
-        spec.update(kind="partition", members=[m.name for m in event.leaving])
-    else:
-        raise ParameterError(f"unknown membership event {event!r}")
-    return spec
-
-
-def build_event(spec: Mapping) -> Union[MembershipEvent, ScheduledEvent]:
-    """Invert :func:`event_to_spec`."""
-    spec = dict(spec)
-    time = spec.pop("time", None)
-    kind = spec.pop("kind", None)
-    event: MembershipEvent
-    if kind == "join":
-        event = JoinEvent(joining=Identity(spec["member"]))
-    elif kind == "leave":
-        event = LeaveEvent(leaving=Identity(spec["member"]))
-    elif kind == "merge":
-        event = MergeEvent(other_group=tuple(Identity(name) for name in spec["members"]))
-    elif kind == "partition":
-        event = PartitionEvent(leaving=tuple(Identity(name) for name in spec["members"]))
-    else:
-        raise ParameterError(
-            f"event.kind must be join/leave/merge/partition, got {kind!r}"
-        )
-    if time is not None:
-        return ScheduledEvent(time=float(time), event=event)
-    return event
-
-
-# ----------------------------------------------------------------- schedules
-def build_schedule(spec: Optional[Mapping]) -> Optional[ChurnSchedule]:
-    """A :class:`ChurnSchedule` from its spec dict (``None`` passes through)."""
-    if spec is None:
+# ------------------------------------------------------------------- engine
+def _latency(profile: object) -> object:
+    if not isinstance(profile, str):
+        return NotImplemented
+    if profile == "instant":
         return None
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind == "trace":
-        spacing = spec.pop("spacing", 1.0)
-        events = tuple(build_event(entry) for entry in spec.pop("events", ()))
-        if spec:
-            raise ParameterError(f"unknown trace schedule keys: {sorted(spec)}")
-        return TraceReplay(events=events, spacing=float(spacing))
-    if kind not in SCHEDULE_KINDS:
-        raise ParameterError(
-            f"schedule.kind must be one of {sorted(SCHEDULE_KINDS) + ['trace']}, got {kind!r}"
-        )
-    return SCHEDULE_KINDS[kind](**spec)
-
-
-def schedule_to_spec(schedule: Optional[ChurnSchedule]) -> Optional[Dict[str, object]]:
-    """Invert :func:`build_schedule` for the declarative schedule classes."""
-    if schedule is None:
-        return None
-    if isinstance(schedule, TraceReplay):
-        return {
-            "kind": "trace",
-            "spacing": schedule.spacing,
-            "events": [event_to_spec(event) for event in schedule.events],
-        }
-    for kind, cls in SCHEDULE_KINDS.items():
-        if type(schedule) is cls:
-            return {"kind": kind, **dataclasses.asdict(schedule)}
-    raise ParameterError(
-        f"schedule {type(schedule).__name__} is not spec-serializable; "
-        "use one of the declarative schedule classes"
-    )
-
-
-# ------------------------------------------------------------------ mobility
-def build_mobility(spec: Optional[Mapping]) -> Optional[MobilityConfig]:
-    """A :class:`MobilityConfig` from its spec dict (``None`` passes through)."""
-    if spec is None:
-        return None
-    spec = dict(spec)
-    model_name = spec.pop("model", "random-waypoint")
-    if model_name not in MOBILITY_MODELS:
-        raise ParameterError(
-            f"mobility.model must be one of {sorted(MOBILITY_MODELS)}, got {model_name!r}"
-        )
-    model_cls = MOBILITY_MODELS[model_name]
-    model_fields = {
-        name: spec.pop(name)
-        for name in list(spec)
-        if name in getattr(model_cls, "__dataclass_fields__", {})
-    }
-    area = spec.pop("area", [500.0, 500.0])
-    return MobilityConfig(
-        model=model_cls(**model_fields),
-        area=Area(float(area[0]), float(area[1])),
-        **spec,
-    )
-
-
-def mobility_to_spec(mobility: Optional[MobilityConfig]) -> Optional[Dict[str, object]]:
-    """Invert :func:`build_mobility` for the named mobility models."""
-    if mobility is None:
-        return None
-    for name, cls in MOBILITY_MODELS.items():
-        if type(mobility.model) is cls:
-            model_name = name
-            break
-    else:
-        raise ParameterError(
-            f"mobility model {type(mobility.model).__name__} is not spec-serializable"
-        )
-    spec: Dict[str, object] = {"model": model_name}
-    spec.update(dataclasses.asdict(mobility.model))
-    spec["area"] = [mobility.area.width, mobility.area.height]
-    for field_ in dataclasses.fields(MobilityConfig):
-        if field_.name in ("model", "area"):
-            continue
-        spec[field_.name] = getattr(mobility, field_.name)
-    return spec
-
-
-# ----------------------------------------------------------------- adversary
-def build_adversary(spec: object) -> Optional[AdversaryConfig]:
-    """An :class:`AdversaryConfig` from a preset name, spec dict or instance."""
-    if spec is None:
-        return None
-    if isinstance(spec, AdversaryConfig):
-        return spec
-    if isinstance(spec, str):
-        text = spec.strip()
-        if text.startswith("{"):
-            return AdversaryConfig(**json.loads(text))
-        return AdversaryConfig.preset(text)
-    if isinstance(spec, Mapping):
-        return AdversaryConfig(**spec)
-    raise ParameterError(f"cannot build an adversary from {spec!r}")
-
-
-def adversary_to_spec(adversary: Optional[AdversaryConfig]) -> Optional[Dict[str, object]]:
-    """Invert :func:`build_adversary` (always the explicit field-dict form)."""
-    if adversary is None:
-        return None
-    spec = dataclasses.asdict(adversary)
-    spec["target_parts"] = list(spec["target_parts"])
-    return spec
-
-
-# --------------------------------------------------------------------- tiers
-def build_tiers(spec: Optional[Mapping]) -> Optional[TierConfig]:
-    """A :class:`TierConfig` from its spec dict (``None`` passes through).
-
-    The spec's ``tiers`` entries name their link classes by preset
-    (``ground`` / ``aerial`` / ``satellite`` / ``satellite-bursty``) or
-    carry explicit field dicts; see :class:`~repro.network.tiers.TierConfig`
-    for the ``members`` / ``gateways`` / ``overrides`` shapes.
-    """
-    if spec is None:
-        return None
-    if isinstance(spec, TierConfig):
-        return spec
-    spec = dict(spec)
-    unknown = set(spec) - set(TierConfig.__dataclass_fields__)
-    if unknown:
-        raise ParameterError(f"unknown tiers spec keys: {sorted(unknown)}")
-    if "tiers" not in spec:
-        raise ParameterError("a tiers spec needs a 'tiers' entry")
-    return TierConfig(**spec)
-
-
-def tiers_to_spec(tiers: Optional[TierConfig]) -> Optional[Dict[str, object]]:
-    """Invert :func:`build_tiers` (presets collapse to their names)."""
-    if tiers is None:
-        return None
-    return tiers.to_spec()
-
-
-# -------------------------------------------------------------------- engine
-#: The :class:`EngineConfig` fields an engine spec dict may set beside ``latency``.
-_ENGINE_EXTRAS = ("round_timeout_s", "max_timeout_waves")
-
-
-def build_engine(spec: Union[str, Mapping, None]) -> Optional[EngineConfig]:
-    """An :class:`EngineConfig` from a profile string or spec dict.
-
-    Profile strings: ``instant`` (or ``None``) for the synchronous-equivalent
-    driver, ``radio`` / ``wlan`` for :class:`TransceiverLatency` over the
-    named transceivers, ``fixed:<seconds>`` for :class:`FixedLatency`.  The
-    dict form carries a ``latency`` profile string plus ``round_timeout_s``
-    and ``max_timeout_waves`` — exactly the keys :func:`engine_to_spec`
-    emits; any other key raises :class:`~repro.exceptions.ParameterError`
-    (an adversary goes on the scenario, never on the engine).
-    """
-    if spec is None:
-        return None
-    if isinstance(spec, Mapping):
-        spec = dict(spec)
-        unknown = set(spec) - {"latency", *_ENGINE_EXTRAS}
-        if unknown:
-            raise ParameterError(f"unknown engine spec keys: {sorted(unknown)}")
-        latency_spec = spec.pop("latency", None)
-        latency = None
-        if latency_spec is not None:
-            built = build_engine(latency_spec)
-            latency = built.latency if built is not None else None
-        if latency is None and not spec:
-            return None
-        return EngineConfig(latency=latency, **spec)
-    if spec == "instant":
-        return None
-    if spec == "radio":
-        return EngineConfig(latency=TransceiverLatency(RADIO_100KBPS))
-    if spec == "wlan":
-        return EngineConfig(latency=TransceiverLatency(WLAN_SPECTRUM24))
-    if spec == "tiered":
+    if profile in _TRANSCEIVERS:
+        return TransceiverLatency(_TRANSCEIVERS[profile])
+    if profile == "tiered":
         # Binds to the scenario medium's tier map at executor start; on
         # non-tiered media it prices everything at the ground fallback.
-        return EngineConfig(latency=TieredLatency())
-    if spec.startswith("fixed:"):
-        return EngineConfig(latency=FixedLatency(float(spec.split(":", 1)[1])))
+        return TieredLatency()
+    if profile.startswith("fixed:"):
+        try:
+            delay = float(profile[len("fixed:"):])
+        except ValueError:
+            raise ParameterError(f"malformed engine profile {profile!r}") from None
+        return FixedLatency(delay)
     raise ParameterError(
-        f"unknown engine profile {spec!r}; use instant, radio, wlan, tiered "
+        f"unknown engine profile {profile!r}; use instant, radio, wlan, tiered "
         "or fixed:<seconds>"
     )
 
 
-def engine_to_spec(engine: Optional[EngineConfig]) -> Union[str, Dict[str, object]]:
-    """Invert :func:`build_engine` for the profile-expressible configurations.
+def _knobs(latency: LatencyModel) -> Dict[str, object]:
+    # A tier map discovered at run time rebinds per run: it is no knob.
+    return {k: v for k, v in vars(latency).items() if k != "tier_map" or latency._explicit}
 
-    Raises :class:`~repro.exceptions.ParameterError` for configurations a
-    spec cannot express (custom latency models, non-default transceiver
-    latency knobs, an attached adversary suite — the campaign attaches
-    adversaries per cell, never on the engine spec).
-    """
-    if engine is None:
-        return "instant"
+
+def _latency_profile(latency: LatencyModel) -> str:
+    """The profile that builds ``latency``; other models have none."""
+    if type(latency) is FixedLatency:
+        text = f"{latency.delay_s:g}"
+        return f"fixed:{text if float(text) == latency.delay_s else repr(latency.delay_s)}"
+    for profile in (*_TRANSCEIVERS, "tiered"):
+        default = _latency(profile)
+        if type(latency) is type(default) and _knobs(latency) == _knobs(default):
+            return profile
+    raise ParameterError(
+        f"latency model {latency.describe()} has no engine profile; it is not spec-serializable"
+    )
+
+
+def _engine(spec: object) -> object:
+    """A profile string, or a field mapping; pure instant mode builds ``None``."""
+    if isinstance(spec, str):
+        spec = {"latency": spec}
+    if not isinstance(spec, Mapping):
+        return NotImplemented
+    engine = build_fields(EngineConfig, spec)
+    return None if set(spec) <= {"latency"} and engine.latency is None else engine
+
+
+def _engine_spec(engine: EngineConfig) -> object:
+    """The profile string, with a dict around it when other fields differ."""
     if engine.adversary is not None:
         raise ParameterError(
             "an EngineConfig carrying a live adversary suite is not "
             "spec-serializable; configure the adversary on the scenario instead"
         )
-    latency = engine.latency
-    if latency is None:
-        profile = "instant"
-    elif isinstance(latency, FixedLatency):
-        profile = f"fixed:{latency.delay_s:g}"
-    elif isinstance(latency, TransceiverLatency):
-        default = TransceiverLatency(latency.transceiver)
-        if (
-            latency.per_hop_overhead_s != default.per_hop_overhead_s
-            or latency.propagation_m_per_s != default.propagation_m_per_s
-        ):
-            raise ParameterError(
-                "TransceiverLatency with non-default overhead/propagation "
-                "is not spec-serializable"
-            )
-        if latency.transceiver is RADIO_100KBPS:
-            profile = "radio"
-        elif latency.transceiver is WLAN_SPECTRUM24:
-            profile = "wlan"
-        else:
-            raise ParameterError(
-                f"transceiver {latency.transceiver.name!r} has no engine profile name"
-            )
-    elif isinstance(latency, TieredLatency):
-        default = TieredLatency()
-        if (
-            latency._explicit
-            or latency.per_hop_overhead_s != default.per_hop_overhead_s
-            or latency.fallback != default.fallback
-            or latency.propagation_m_per_s != default.propagation_m_per_s
-        ):
-            # A runtime-discovered tier_map is fine (it rebinds per run),
-            # but an explicitly pinned map or non-default knobs are not
-            # expressible as the bare profile string.
-            raise ParameterError(
-                "TieredLatency with an explicit tier map or non-default "
-                "knobs is not spec-serializable"
-            )
-        profile = "tiered"
-    else:
-        raise ParameterError(
-            f"latency model {type(latency).__name__} is not spec-serializable"
-        )
-    defaults = EngineConfig()
-    extras = {
-        name: getattr(engine, name)
-        for name in _ENGINE_EXTRAS
-        if getattr(engine, name) != getattr(defaults, name)
-    }
-    if not extras:
-        return profile
-    return {"latency": profile, **extras}
+    spec = fields_spec(engine, sparse=True)
+    profile = spec.pop("latency", "instant")
+    return {"latency": profile, **spec} if spec else profile
 
 
-# ----------------------------------------------------------------- scenarios
-def build_scenario(spec: Mapping, *, adversary_override: Optional[str] = None) -> Scenario:
-    """Turn a parsed JSON spec into a :class:`Scenario`.
+alias(LatencyModel, decode=_latency, encode=_latency_profile)
+alias(EngineConfig, decode=_engine, encode=_engine_spec)
 
-    Unknown keys raise :class:`~repro.exceptions.ParameterError` — scenario
-    specs cross process and *network* boundaries (the campaign workers, the
-    fleet wire protocol), so a typo must come back as one clean error line,
-    not a ``TypeError`` traceback from the dataclass constructor.
-    """
+
+# ---------------------------------------------------------------- schedules
+def _event(spec: object) -> object:
+    """One trace event: ``{"kind", "member"|"members"}``, optionally ``time``-stamped."""
+    if not isinstance(spec, Mapping):
+        raise ParameterError(f"a trace event spec must be a mapping, got {spec!r}")
     spec = dict(spec)
-    adversary_spec = spec.pop("adversary", None)
+    time = spec.pop("time", None)
+    kind = spec.pop("kind", None)
+    if kind not in _EVENTS:
+        raise ParameterError(f"event.kind must be join/leave/merge/partition, got {kind!r}")
+    cls, field, key = _EVENTS[kind]
+    names = spec.pop(key, None)
+    if spec:
+        raise ParameterError(f"unknown {kind} event spec keys: {sorted(spec)}")
+    if key == "member":
+        event = cls(**{field: Identity(_MEMBER(names))})
+    else:
+        event = cls(**{field: tuple(map(Identity, _MEMBERS(names)))})
+    return event if time is None else ScheduledEvent(time=_TIME(time), event=event)
+
+
+def _event_spec(event: object) -> Dict[str, object]:
+    spec: Dict[str, object] = {}
+    if isinstance(event, ScheduledEvent):
+        spec["time"] = event.time
+        event = event.event
+    for kind, (cls, field, key) in _EVENTS.items():
+        if type(event) is cls:
+            value = getattr(event, field)
+            names = value.name if key == "member" else [m.name for m in value]
+            spec.update({"kind": kind, key: names})
+            return spec
+    raise ParameterError(f"unknown membership event {event!r}")
+
+
+def _trace(spec: object) -> object:
+    if not isinstance(spec, Mapping):
+        return NotImplemented
+    events = spec.get("events", ())
+    if isinstance(events, (list, tuple)):
+        events = tuple(_event(entry) for entry in events)
+    return build_fields(TraceReplay, {**spec, "events": events})
+
+
+union(ChurnSchedule, "kind", SCHEDULE_KINDS, "schedule.kind")
+alias(TraceReplay, decode=_trace)
+for _cls in (ScheduledEvent, *(cls for cls, _, _ in _EVENTS.values())):
+    alias(_cls, encode=_event_spec)
+
+
+# ----------------------------------------------------------------- mobility
+def _mobility(spec: object) -> object:
+    """The flat layout: the model's name and fields beside the config's."""
+    if not isinstance(spec, Mapping):
+        return NotImplemented
+    config = dict(spec)
+    name = config.pop("model", "random-waypoint")
+    if not isinstance(name, str) or name not in MOBILITY_MODELS:
+        raise ParameterError(
+            f"mobility.model must be one of {sorted(MOBILITY_MODELS)}, got {name!r}"
+        )
+    model_cls = MOBILITY_MODELS[name]
+    own = spec_fields(model_cls)
+    model = build_fields(model_cls, {key: config.pop(key) for key in list(config) if key in own})
+    config.setdefault("area", [500.0, 500.0])
+    return build_fields(MobilityConfig, {**config, "model": model})
+
+
+def _mobility_spec(mobility: MobilityConfig) -> Dict[str, object]:
+    spec = fields_spec(mobility)
+    return {**spec.pop("model"), **spec}
+
+
+def _area(spec: object) -> object:
+    if isinstance(spec, (list, tuple)) and len(spec) == 2:
+        return Area(*spec)
+    return NotImplemented
+
+
+union(MobilityModel, "model", MOBILITY_MODELS, "mobility.model")
+alias(MobilityConfig, decode=_mobility, encode=_mobility_spec)
+alias(Area, decode=_area, encode=lambda area: [area.width, area.height])
+
+
+# ---------------------------------------------------------------- adversary
+def _adversary(spec: object) -> object:
+    """A preset name, or the field mapping as an inline JSON string."""
+    if not isinstance(spec, str):
+        return NotImplemented
+    text = spec.strip()
+    if not text.startswith("{"):
+        return AdversaryConfig.preset(text)
+    try:
+        fields = json.loads(text)
+    except ValueError as exc:
+        raise ParameterError(f"malformed inline adversary JSON: {exc}") from None
+    return build_fields(AdversaryConfig, fields)
+
+
+alias(AdversaryConfig, decode=_adversary)
+
+
+# ---------------------------------------------------------------- scenarios
+def _bytes_seed(spec: object) -> bytes:
+    if isinstance(spec, Mapping) and set(spec) == {"bytes"} and isinstance(spec["bytes"], str):
+        try:
+            return bytes.fromhex(spec["bytes"])
+        except ValueError:
+            pass
+    raise ParameterError(f"malformed seed spec {spec!r}")
+
+
+alias(bytes, decode=_bytes_seed, encode=lambda seed: {"bytes": seed.hex()})
+
+
+def _scenario(spec: object) -> object:
+    if not isinstance(spec, Mapping):
+        return NotImplemented
+    return build_fields(Scenario, {"name": "cli-scenario", "initial_size": 8, **spec})
+
+
+alias(
+    Scenario,
+    decode=_scenario,
+    encode=lambda scenario: fields_spec(scenario, sparse=True, keep=("seed",)),
+)
+
+
+def build_scenario(spec: Mapping, *, adversary_override: Optional[str] = None) -> Scenario:
+    """A :class:`Scenario` from its spec; ``adversary_override`` replaces its adversary.
+
+    The override is a preset name or inline JSON (the sim CLI's
+    ``--adversary``).
+    """
+    if not isinstance(spec, Mapping):
+        raise ParameterError(f"a scenario spec must be a mapping, got {spec!r}")
     if adversary_override is not None:
-        adversary_spec = adversary_override
-    if "seed" in spec:
-        spec["seed"] = build_seed(spec["seed"])
-    handled = {"name", "initial_size", "schedule", "mobility", "tiers"}
-    unknown = set(spec) - set(Scenario.__dataclass_fields__) - handled
-    if unknown:
-        raise ParameterError(f"unknown scenario spec keys: {sorted(unknown)}")
-    return Scenario(
-        name=spec.pop("name", "cli-scenario"),
-        initial_size=int(spec.pop("initial_size", 8)),
-        schedule=build_schedule(spec.pop("schedule", None)),
-        mobility=build_mobility(spec.pop("mobility", None)),
-        tiers=build_tiers(spec.pop("tiers", None)),
-        adversary=build_adversary(adversary_spec),
-        **spec,
-    )
-
-
-def scenario_to_spec(scenario: Scenario) -> Dict[str, object]:
-    """Invert :func:`build_scenario` for spec-expressible scenarios."""
-    spec: Dict[str, object] = {
-        "name": scenario.name,
-        "initial_size": scenario.initial_size,
-        "seed": seed_to_spec(scenario.seed),
-    }
-    if scenario.schedule is not None:
-        spec["schedule"] = schedule_to_spec(scenario.schedule)
-    if scenario.mobility is not None:
-        spec["mobility"] = mobility_to_spec(scenario.mobility)
-    if scenario.tiers is not None:
-        spec["tiers"] = tiers_to_spec(scenario.tiers)
-    if scenario.adversary is not None:
-        spec["adversary"] = adversary_to_spec(scenario.adversary)
-    if scenario.loss_probability != 0.0:
-        spec["loss_probability"] = scenario.loss_probability
-    if scenario.max_retries != 10:
-        spec["max_retries"] = scenario.max_retries
-    if scenario.min_group_size != 3:
-        spec["min_group_size"] = scenario.min_group_size
-    if scenario.member_prefix != "member":
-        spec["member_prefix"] = scenario.member_prefix
-    return spec
+        spec = {**spec, "adversary": adversary_override}
+    return build(Scenario, spec)

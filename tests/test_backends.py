@@ -16,7 +16,8 @@ from repro.backends import (
 )
 from repro.exceptions import ParameterError
 from repro.mathutils.rand import DeterministicRNG
-from repro.sim.specio import build_engine, engine_to_spec
+from repro.engine.executor import EngineConfig
+from repro.sim.specio import build, to_spec
 
 
 class TestOneRule:
@@ -92,13 +93,13 @@ class TestPrimitiveParity:
 class TestEnginePlumbing:
     def test_engine_spec_round_trip(self):
         spec = {"latency": "instant", "round_timeout_s": 0.5}
-        config = build_engine(spec)
+        config = build(EngineConfig, spec)
         assert config is not None and config.round_timeout_s == 0.5
-        assert engine_to_spec(config) == spec
+        assert to_spec(config) == spec
 
     def test_engine_spec_without_backend_unchanged(self):
-        assert build_engine("instant") is None
-        assert engine_to_spec(None) == "instant"
+        assert build(EngineConfig, "instant") is None
+        assert to_spec(EngineConfig()) == "instant"
 
     @pytest.mark.parametrize(
         "key, value",
@@ -106,7 +107,7 @@ class TestEnginePlumbing:
     )
     def test_engine_spec_rejects_other_keys(self, key, value):
         with pytest.raises(ParameterError, match=f"unknown engine spec keys: \\['{key}'\\]"):
-            build_engine({"latency": "instant", key: value})
+            build(EngineConfig, {"latency": "instant", key: value})
 
 
 class TestRunEquivalence:

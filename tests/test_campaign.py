@@ -36,6 +36,7 @@ from repro.campaign import execute as execute_mod
 from repro.campaign.__main__ import main as campaign_main
 from repro.core.registry import available_protocols
 from repro.exceptions import ParameterError
+from repro.sim.specio import build, to_spec
 
 ALL_PROTOCOLS = tuple(available_protocols())
 
@@ -162,14 +163,14 @@ class TestSpecExpansion:
 
     def test_dict_round_trip(self):
         spec = small_spec(adversaries={"none": None, "mitm": "mitm"}, replications=3)
-        rebuilt = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        rebuilt = build(CampaignSpec, json.loads(json.dumps(to_spec(spec))))
         assert rebuilt.cells() == spec.cells()
 
     def test_dict_round_trip_preserves_bytes_seeds(self):
-        # A bytes seed must survive to_dict -> JSON -> from_dict losslessly
+        # A bytes seed must survive to_spec -> JSON -> build losslessly
         # (a bare hex string would derive entirely different cell seeds).
         spec = small_spec(seed=b"\xab\xcd")
-        rebuilt = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        rebuilt = build(CampaignSpec, json.loads(json.dumps(to_spec(spec))))
         assert rebuilt.seed == spec.seed
         assert rebuilt.cells() == spec.cells()
 
@@ -187,7 +188,7 @@ class TestSpecExpansion:
         with pytest.raises(ParameterError, match="replications"):
             small_spec(replications=0)
         with pytest.raises(ParameterError, match="unknown campaign spec keys"):
-            CampaignSpec.from_dict({"name": "x", "protocols": ["bd"], "typo": 1})
+            build(CampaignSpec, {"name": "x", "protocols": ["bd"], "typo": 1})
         with pytest.raises(ParameterError, match="names must be unique"):
             small_spec(adversaries=[("a", None), ("a", "inject")])
         # Bare-name shorthand is an adversary-preset convenience only; a
@@ -196,22 +197,44 @@ class TestSpecExpansion:
             small_spec(schedule=None, mobilities=("random-waypoint",))
 
     @pytest.mark.parametrize(
-        "engine",
+        "axes",
         [
-            {"latency": "wlan", "crypto_backend": "pure"},
-            {"latency": "wlan", "adversary": "inject"},
-            "warp-drive",
-            {"latency": "radio", "round_timeout_s": 0},
-            "fixed:nan",
+            {"engines": ("instant", {"latency": "wlan", "crypto_backend": "pure"})},
+            {"engines": ("instant", {"latency": "wlan", "adversary": "inject"})},
+            {"engines": ("instant", "warp-drive")},
+            {"engines": ("instant", {"latency": "radio", "round_timeout_s": 0})},
+            {"engines": ("instant", "fixed:nan")},
+            {"schedule": {"kind": "poisson", "rat": 1.0}},
+            {
+                "schedule": None,
+                "mobilities": {
+                    "rwp": {"model": "random-waypoint", "tx_rang": 150.0, "duration": 10.0}
+                },
+            },
+            {"tiers": {"lan": {"tiers": [["lan", {"name": "lan", "bitrate_bps": float("nan")}]]}}},
+            {"adversaries": {"none": None, "mitm": {"mitmm": True}}},
+            {"losses": (0.0, float("nan"))},
         ],
-        ids=["old-backend-key", "adversary-key", "unknown-profile", "bad-timeout", "nan-delay"],
+        ids=[
+            "old-backend-key",
+            "adversary-key",
+            "unknown-profile",
+            "bad-timeout",
+            "nan-delay",
+            "schedule-typo",
+            "mobility-typo",
+            "tiers-nan-bitrate",
+            "adversary-typo",
+            "nan-loss",
+        ],
     )
-    def test_bad_engine_entry_fails_the_spec_not_its_cells(self, engine):
-        # Each entry is built when the spec is, before any cell or worker runs.
+    def test_bad_engine_entry_fails_the_spec_not_its_cells(self, axes):
+        # Every axis entry (engines, schedule, mobilities, tiers, adversaries,
+        # losses) is built when the spec is, before any cell or worker runs.
         with pytest.raises(ParameterError):
-            small_spec(engines=("instant", engine))
+            small_spec(**axes)
         with pytest.raises(ParameterError):
-            CampaignSpec.from_dict({"name": "x", "protocols": ["bd"], "engines": [engine]})
+            build(CampaignSpec, {"name": "x", "protocols": ["bd"], **axes})
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from repro.core.registry import create_protocol, protocol_tags
 from repro.energy import WLAN_SPECTRUM24
 from repro.engine import Early, EngineConfig, FixedLatency, TransceiverLatency
 from repro.engine.executor import drive_plan
-from repro.exceptions import KeyConfirmationError, ParameterError
+from repro.exceptions import KeyConfirmationError, MembershipError, ParameterError
 from repro.mathutils.rand import DeterministicRNG
 from repro.mobility import Area, MobilityField, MultiHopMedium, RadioLink, StaticGrid
 from repro.network.events import JoinEvent, LeaveEvent, MergeEvent, PartitionEvent
@@ -546,7 +546,7 @@ class TestClusterEvents:
 
     def test_event_cannot_empty_the_group(self, small_setup, protocol):
         proto, medium, result = _establish(small_setup, protocol, 4, seed="drain")
-        with pytest.raises(ParameterError):
+        with pytest.raises(MembershipError):
             proto.apply_event(
                 result.state,
                 PartitionEvent(leaving=tuple(result.state.members[1:])),

@@ -475,7 +475,7 @@ class TestBDRerunBaseline:
             dynamic.apply_event(established.state, JoinEvent(joining=members[0]))
         with pytest.raises(MembershipError):
             dynamic.apply_event(established.state, LeaveEvent(leaving=Identity("ghost")))
-        with pytest.raises(ParameterError):
+        with pytest.raises(MembershipError):
             dynamic.apply_event(established.state, PartitionEvent(leaving=tuple(members[1:])))
         with pytest.raises(MembershipError):
             dynamic.merge_states(established.state, established.state)
@@ -484,14 +484,19 @@ class TestBDRerunBaseline:
 @pytest.mark.parametrize("protocol_name", available_protocols())
 def test_events_that_do_not_fit_fail_before_touching_the_medium(small_setup, protocol_name):
     # A re-executing protocol used to re-key the unchanged group for a ghost
-    # leave, and to detach every member before a duplicate join failed.
+    # leave, and to detach every member before a duplicate join, or a
+    # partition leaving one member, failed.
     protocol = create_protocol(protocol_name, small_setup)
     members = [Identity(f"fit-{i}") for i in range(4)]
     medium = BroadcastMedium()
     established = protocol.run(members, medium=medium, seed=1)
     attached = [node.identity.name for node in medium.nodes]
     sent = medium.total_messages()
-    for event in (LeaveEvent(leaving=Identity("ghost")), JoinEvent(joining=members[2])):
+    for event in (
+        LeaveEvent(leaving=Identity("ghost")),
+        JoinEvent(joining=members[2]),
+        PartitionEvent(leaving=tuple(members[1:])),
+    ):
         with pytest.raises(MembershipError):
             protocol.apply_event(established.state, event, medium=medium, seed=2)
         assert [node.identity.name for node in medium.nodes] == attached

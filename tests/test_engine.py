@@ -31,7 +31,7 @@ from repro.network.message import Message, MessagePart
 from repro.network.node import Node
 from repro.pki import Identity
 from repro.sim import Scenario, ScenarioRunner, comparison_table
-from repro.sim.specio import build_engine
+from repro.sim.specio import build
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ class TestLatencyModels:
     def test_non_finite_profiles_fail_when_built(self):
         for profile in ("fixed:nan", "fixed:inf"):
             with pytest.raises(ParameterError):
-                build_engine(profile)
+                build(EngineConfig, profile)
         with pytest.raises(ParameterError):
             EngineConfig(round_timeout_s=float("nan"))
         with pytest.raises(ParameterError):

@@ -36,6 +36,7 @@ from repro.fleet import (
 )
 from repro.fleet.local import _fork_context, _local_worker_main
 from repro.fleet.wire import MAX_FRAME_BYTES, send_message
+from repro.sim.specio import build
 
 
 def small_spec(**overrides) -> CampaignSpec:
@@ -539,7 +540,7 @@ class TestFleetCli:
         # The CLI fleet's rows match an in-process serial run bit-for-bit.
         from repro.campaign import NONDETERMINISTIC_FIELDS
 
-        serial = run_campaign(CampaignSpec.from_dict(spec), workers=1)
+        serial = run_campaign(build(CampaignSpec, spec), workers=1)
         fleet_rows = [
             {k: v for k, v in row.items() if k not in NONDETERMINISTIC_FIELDS}
             for row in document["rows"]

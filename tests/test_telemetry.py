@@ -36,7 +36,8 @@ from repro.core.base import SystemSetup
 from repro.fleet import run_fleet_campaign
 from repro.sim.runner import ScenarioRunner
 from repro.sim.scenarios import PoissonChurn, Scenario
-from repro.sim.specio import build_engine
+from repro.engine.executor import EngineConfig
+from repro.sim.specio import build
 from repro.telemetry import (
     MetricsRegistry,
     Span,
@@ -299,7 +300,7 @@ class TestEngineIntegration:
             schedule=PoissonChurn(length=3, join_rate=1.0, leave_rate=1.0),
         )
         runner = ScenarioRunner(
-            setup_256, engine=build_engine("radio"), check_agreement=False
+            setup_256, engine=build(EngineConfig, "radio"), check_agreement=False
         )
         plain = runner.run("proposed-gka", scenario)
         with telemetry.telemetry_session(trace=True, metrics=True):
@@ -313,7 +314,7 @@ class TestEngineIntegration:
     def test_span_nesting_and_ordering_under_kernel_batches(self, setup_256):
         scenario = Scenario(name="tele-spans", initial_size=4, seed=5)
         runner = ScenarioRunner(
-            setup_256, engine=build_engine("radio"), check_agreement=False
+            setup_256, engine=build(EngineConfig, "radio"), check_agreement=False
         )
         with telemetry.telemetry_session(trace=True) as session:
             report = runner.run("proposed-gka", scenario)
@@ -346,7 +347,7 @@ class TestEngineIntegration:
     def test_engine_counters_match_report(self, setup_256):
         scenario = Scenario(name="tele-count", initial_size=5, seed=9)
         runner = ScenarioRunner(
-            setup_256, engine=build_engine("radio"), check_agreement=False
+            setup_256, engine=build(EngineConfig, "radio"), check_agreement=False
         )
         with telemetry.telemetry_session(metrics=True) as session:
             report = runner.run("proposed-gka", scenario)
@@ -565,7 +566,7 @@ class TestFleetCliObservability:
         from repro.campaign import NONDETERMINISTIC_FIELDS
 
         document = json.loads(out_path.read_text())
-        serial = run_campaign(CampaignSpec.from_dict(spec), workers=1)
+        serial = run_campaign(build(CampaignSpec, spec), workers=1)
         fleet_rows = [
             {k: v for k, v in row.items() if k not in NONDETERMINISTIC_FIELDS}
             for row in document["rows"]

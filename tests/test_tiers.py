@@ -26,9 +26,8 @@ from repro.network.tiers import (
     TierConfig,
     TieredLink,
     TierMap,
-    link_class_to_spec,
-    resolve_link_class,
 )
+from repro.sim.specio import build, to_spec
 from repro.mobility.tiered import TieredMedium
 from repro.pki import Identity
 
@@ -93,15 +92,15 @@ class TestGilbertElliottParameters:
 
     def test_spec_round_trip(self):
         params = GilbertElliott.from_loss_rate(0.08, 5.0)
-        assert GilbertElliott.from_spec(params.to_spec()) == params
+        assert build(GilbertElliott, to_spec(params)) == params
 
     def test_spec_shorthand(self):
-        params = GilbertElliott.from_spec({"loss": 0.08, "burst_length": 5.0})
+        params = build(GilbertElliott, {"loss": 0.08, "burst_length": 5.0})
         assert params == GilbertElliott.from_loss_rate(0.08, 5.0)
         with pytest.raises(ParameterError):
-            GilbertElliott.from_spec({"loss": 0.08, "bogus": 1})
+            build(GilbertElliott, {"loss": 0.08, "bogus": 1})
         with pytest.raises(ParameterError):
-            GilbertElliott.from_spec({"loss_goood": 0.1})
+            build(GilbertElliott, {"loss_goood": 0.1})
 
 
 # ------------------------------------------------------------------ GE chains
@@ -205,24 +204,25 @@ class TestLinkClass:
         assert iid.iid_loss == pytest.approx(0.2)
 
     def test_resolve_preset_dict_instance(self):
-        assert resolve_link_class("ground") is LINK_CLASSES["ground"]
-        built = resolve_link_class(
+        assert build(LinkClass, "ground") is LINK_CLASSES["ground"]
+        built = build(
+            LinkClass,
             {"name": "lan", "bitrate_bps": 1e8, "loss": {"loss": 0.1, "burst_length": 3.0}}
         )
         assert isinstance(built.loss, GilbertElliott)
         assert built.loss.iid_loss == pytest.approx(0.1)
-        assert resolve_link_class(built) is built
+        assert build(LinkClass, built) is built
         with pytest.raises(ParameterError):
-            resolve_link_class("fibre-to-the-moon")
+            build(LinkClass, "fibre-to-the-moon")
         with pytest.raises(ParameterError):
-            resolve_link_class({"name": "x", "bitrate_bps": 1e6, "colour": "red"})
+            build(LinkClass, {"name": "x", "bitrate_bps": 1e6, "colour": "red"})
 
     def test_spec_round_trip_collapses_presets(self):
         for name, cls in LINK_CLASSES.items():
-            assert link_class_to_spec(cls) == name
-            assert resolve_link_class(link_class_to_spec(cls)) == cls
+            assert to_spec(cls) == name
+            assert build(LinkClass, to_spec(cls)) == cls
         custom = LinkClass("lan", bitrate_bps=1e8, propagation_delay_s=0.002, loss=0.05)
-        assert resolve_link_class(link_class_to_spec(custom)) == custom
+        assert build(LinkClass, to_spec(custom)) == custom
 
 
 # -------------------------------------------------------------------- tier map
@@ -342,12 +342,9 @@ class TestTierConfig:
             max_hops=3,
             loss_floor=0.05,
         )
-        from repro.sim.specio import build_tiers, tiers_to_spec
-
-        assert build_tiers(cfg.to_spec()) == cfg
-        assert build_tiers(tiers_to_spec(cfg)) == cfg
-        assert tiers_to_spec(None) is None
-        assert build_tiers(None) is None
+        assert build(TierConfig, to_spec(cfg)) == cfg
+        assert to_spec(None) is None
+        assert build(TierConfig, None) is None
 
 
 # --------------------------------------------------------------- tiered medium
@@ -533,7 +530,7 @@ class TestTieredScenarios:
     def test_tiered_scenario_runs_end_to_end(self, small_setup):
         from repro.sim import Scenario, ScenarioRunner
         from repro.sim.scenarios import BurstPartitions
-        from repro.sim.specio import build_engine
+        from repro.engine.executor import EngineConfig
 
         cfg = TierConfig(
             tiers={"ground": "ground", "sat": "satellite-bursty"},
@@ -547,7 +544,7 @@ class TestTieredScenarios:
             seed=11,
             tiers=cfg,
         )
-        runner = ScenarioRunner(small_setup, engine=build_engine("tiered"))
+        runner = ScenarioRunner(small_setup, engine=build(EngineConfig, "tiered"))
         report = runner.run("proposed", scenario)
         assert report.final_size == 6
         establish = report.records[0]
@@ -559,7 +556,7 @@ class TestTieredScenarios:
     def test_same_seed_reports_are_identical(self, small_setup):
         from repro.sim import Scenario, ScenarioRunner
         from repro.sim.scenarios import PoissonChurn
-        from repro.sim.specio import build_engine
+        from repro.engine.executor import EngineConfig
 
         cfg = TierConfig(
             tiers={"ground": "ground", "sat": "satellite-bursty"},
@@ -575,14 +572,14 @@ class TestTieredScenarios:
                 seed=23,
                 tiers=cfg,
             )
-            runner = ScenarioRunner(small_setup, engine=build_engine("tiered"))
+            runner = ScenarioRunner(small_setup, engine=build(EngineConfig, "tiered"))
             report = runner.run("proposed", scenario)
             return report.key_fingerprint, _record_dicts(report)
 
         assert run() == run()
 
     def test_scenario_spec_round_trip(self):
-        from repro.sim.specio import build_scenario, scenario_to_spec
+        from repro.sim.specio import build_scenario
 
         spec = {
             "name": "tiered-spec",
@@ -597,19 +594,18 @@ class TestTieredScenarios:
         }
         scenario = build_scenario(spec)
         assert scenario.tiers is not None
-        assert build_scenario(scenario_to_spec(scenario)) == scenario
+        assert build_scenario(to_spec(scenario)) == scenario
 
     def test_engine_spec_round_trip(self):
         from repro.engine.latency import TieredLatency
-        from repro.sim.specio import build_engine, engine_to_spec
+        from repro.engine.executor import EngineConfig
 
-        config = build_engine("tiered")
+        config = build(EngineConfig, "tiered")
         assert isinstance(config.latency, TieredLatency)
-        assert engine_to_spec(config) == "tiered"
+        assert to_spec(config) == "tiered"
         with pytest.raises(ParameterError):
-            engine_to_spec_explicit = TieredLatency(_two_tier_map())
-            config_explicit = dataclasses.replace(config, latency=engine_to_spec_explicit)
-            engine_to_spec(config_explicit)
+            explicit = TieredLatency(_two_tier_map())
+            to_spec(dataclasses.replace(config, latency=explicit))
 
 
 # ------------------------------------------------------------------- campaign
