@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import DynamicComplexityParams, format_table, table4_complexity
-from repro.baselines import BDRerunDynamic
+from repro.baselines import AuthenticatedBDProtocol
 from repro.core import JoinProtocol, LeaveProtocol, MergeProtocol, PartitionProtocol, ProposedGKAProtocol
 from repro.network.events import JoinEvent
 from repro.pki import Identity
@@ -82,7 +82,7 @@ def test_benchmark_join_vs_rerun(benchmark, small_setup):
 def test_benchmark_bd_rerun_join(benchmark, small_setup):
     """The baseline's cost for the same event (for comparison in the report)."""
     members = [Identity(f"t4c-{i}") for i in range(6)]
-    dynamic = BDRerunDynamic(small_setup)
+    dynamic = AuthenticatedBDProtocol(small_setup)
     base = dynamic.run(members, seed="bench")
     event = JoinEvent(joining=Identity("t4c-new"))
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import DynamicComplexityParams, PAPER_TABLE5_J, dynamic_energy_table, format_table
-from repro.baselines import BDRerunDynamic
+from repro.baselines import AuthenticatedBDProtocol
 from repro.core import JoinProtocol, LeaveProtocol, ProposedGKAProtocol
 from repro.network.events import JoinEvent
 from repro.pki import Identity
@@ -76,7 +76,7 @@ def test_simulation_cross_check(small_setup, wlan_profile):
 
     # Baseline: a BD re-run join on the same group size costs every incumbent
     # orders of magnitude more than a proposed-protocol bystander.
-    dynamic = BDRerunDynamic(small_setup)
+    dynamic = AuthenticatedBDProtocol(small_setup)
     est = dynamic.run(members, seed="t5-bd")
     est.state.reset_costs()
     rerun = dynamic.apply_event(est.state, JoinEvent(joining=Identity("t5-new-bd")), seed=2)

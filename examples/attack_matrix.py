@@ -2,7 +2,7 @@
 """Adversary demo: regenerate the protocol × attacker survival matrix.
 
 The paper's claim is that its ID-based GKA buys *authenticated* group keys;
-this example checks the property mechanically.  Every registered protocol is
+this example checks the property mechanically.  Every protocol in the table is
 driven through the same establish / leave / leave / join trace once per
 attacker model — passive eavesdropping, message injection, replay,
 man-in-the-middle modification, jamming, delivery delay, and long-term key
@@ -17,8 +17,8 @@ compromise — and each run is classified from its security-oracle verdicts:
 * ``leaked``    — the adversary derived the group key (never happens here).
 
 The rendered matrix is the table in README.md's "Adversary & security
-evaluation" section; the CSV/JSON exports land in ``ATTACK_MATRIX_OUT``
-(default: current directory).
+evaluation" section (CI checks the two agree); it and the CSV/JSON exports
+land in ``ATTACK_MATRIX_OUT`` (default: ``examples/out``).
 
 Run with:  PYTHONPATH=src python examples/attack_matrix.py
 """
@@ -59,12 +59,15 @@ def main() -> None:
     matrix = run_attack_matrix(setup)
     print(matrix.summary())
 
+    table_path = os.path.join(out_dir, "attack_matrix.txt")
     csv_path = os.path.join(out_dir, "attack_matrix.csv")
     json_path = os.path.join(out_dir, "attack_matrix.json")
+    with open(table_path, "w", encoding="utf-8") as handle:
+        handle.write(matrix.matrix_table() + "\n")
     matrix.to_csv(csv_path)
     matrix.to_json(json_path)
     print()
-    print(f"exported: {csv_path}, {json_path}")
+    print(f"exported: {table_path}, {csv_path}, {json_path}")
 
     # The repository's headline security claims, asserted so CI smoke-runs of
     # this example double as an end-to-end check.

@@ -47,7 +47,6 @@ from .core import (
     SystemSetup,
     available_protocols,
     create_protocol,
-    register_protocol,
 )
 from .energy import (
     CostRecorder,
@@ -120,7 +119,6 @@ __all__ = [
     "SystemSetup",
     "available_protocols",
     "create_protocol",
-    "register_protocol",
     # energy
     "CostRecorder",
     "DeviceProfile",

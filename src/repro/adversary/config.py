@@ -19,7 +19,7 @@ Named presets cover the survey axes of the attack matrix::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..exceptions import ParameterError
@@ -166,10 +166,6 @@ class AdversaryConfig:
             raise ParameterError(
                 f"unknown adversary preset {name!r}; available: {', '.join(ATTACKER_PRESETS)}"
             ) from None
-
-    def with_attack_from(self, index: int) -> "AdversaryConfig":
-        """A copy whose active attacks start at scenario step ``index``."""
-        return replace(self, attack_from=index)
 
     def describe(self) -> str:
         """One-line summary used in scenario descriptions."""

@@ -9,9 +9,9 @@ those primitives.  The contract is strict:
 * **Bit-identical results.**  For every valid input, every backend returns
   the same integers (and raises :class:`~repro.exceptions.ParameterError`
   in the same situations) as the ``pure`` reference backend.  The golden
-  equivalence suite (``tests/test_engine_equivalence.py``) pins this for all
-  nine registry protocols, and ``tests/test_backends.py`` pins it on
-  randomized primitive inputs.
+  equivalence suite (``tests/test_engine_equivalence.py``) pins this for
+  the six flat protocols of the eight in the protocol table, and
+  ``tests/test_backends.py`` pins it on randomized primitive inputs.
 * **No RNG, no state.**  Backends are pure functions over integers; the
   deterministic RNG streams never route through them, so switching backends
   cannot perturb a protocol transcript.

@@ -44,7 +44,6 @@ from ..pki.pkg import SOKPrivateKeyGenerator
 from ..signatures.dsa import DSASignatureScheme
 from ..signatures.ecdsa import ECDSASignatureScheme
 from ..core.base import BDRoundMachine, PartyState, Protocol, SystemSetup
-from ..core.registry import register_protocol
 
 __all__ = ["AuthenticatedBDProtocol", "SUPPORTED_SCHEMES"]
 
@@ -274,11 +273,3 @@ class AuthenticatedBDProtocol(Protocol):
             y = int.from_bytes(encoding[size:], "big")
             return curve.point(x, y)
         return int.from_bytes(encoding, "big")
-
-
-for _scheme in SUPPORTED_SCHEMES:
-    register_protocol(
-        f"bd-{_scheme}",
-        # Bind the loop variable eagerly so each factory keeps its own scheme.
-        lambda setup, scheme=_scheme: AuthenticatedBDProtocol(setup, scheme),
-    )

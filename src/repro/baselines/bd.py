@@ -22,7 +22,6 @@ from ..engine.machine import MachinePlan
 from ..network.medium import BroadcastMedium
 from ..pki.identity import Identity
 from ..core.base import BDRoundMachine, Protocol
-from ..core.registry import register_protocol
 
 __all__ = ["BurmesterDesmedtProtocol"]
 
@@ -60,6 +59,3 @@ class BurmesterDesmedtProtocol(Protocol):
             "bd",
             lambda party, ring: _BDPartyMachine(party, self.setup, ring),
         )
-
-
-register_protocol("bd-unauthenticated", BurmesterDesmedtProtocol, aliases=("bd",))

@@ -48,7 +48,6 @@ from ..network.message import Message, MessagePart, group_element_part
 from ..network.topology import RingTopology
 from ..pki.identity import Identity
 from ..core.base import BDRoundMachine, PartyState, Protocol, SystemSetup
-from ..core.registry import register_protocol
 
 __all__ = ["SSNProtocol"]
 
@@ -150,6 +149,3 @@ class SSNProtocol(Protocol):
             "ssn",
             lambda party, ring: _SSNPartyMachine(party, self.setup, ring, verdicts),
         )
-
-
-register_protocol("ssn", SSNProtocol)

@@ -140,11 +140,8 @@ class CampaignSpec:
             if not values:
                 raise ParameterError(f"a campaign needs at least one {what}")
         for axis in ("mobilities", "tiers", "adversaries"):
-            names = [name for name, _ in getattr(self, axis)]
-            if not names:
+            if not getattr(self, axis):
                 raise ParameterError(f"{axis} axis cannot be empty")
-            if len(set(names)) != len(names):
-                raise ParameterError(f"{axis} names must be unique, got {names}")
         mobile = any(spec is not None for _, spec in self.mobilities)
         if self.schedule is not None and mobile:
             raise ParameterError(

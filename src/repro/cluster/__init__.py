@@ -1,13 +1,13 @@
 """Hierarchical cluster-based group key agreement (``repro.cluster``).
 
-The subsystem behind the ``cluster-tree[...]`` registry protocols: sparse
-per-cluster state (:mod:`~repro.cluster.state`), cluster assignment
-strategies (:mod:`~repro.cluster.partitioning`), the contributory
-inter-cluster key tree (:mod:`~repro.cluster.tree`), the per-party machines
+The subsystem behind the ``cluster-tree[bd]`` and ``cluster-tree[gka]``
+protocols of :mod:`repro.core.registry`'s table: sparse per-cluster state
+(:mod:`~repro.cluster.state`), cluster assignment strategies
+(:mod:`~repro.cluster.partitioning`), the contributory inter-cluster key tree
+(:mod:`~repro.cluster.tree`), the per-party machines
 (:mod:`~repro.cluster.machines`) and the
 :class:`~repro.cluster.protocol.ClusterTreeProtocol` that composes them over
-any registered flat protocol.  Importing this package registers
-``cluster-tree[bd]`` and ``cluster-tree[gka]``.
+any flat protocol of the table.
 """
 
 from .partitioning import (

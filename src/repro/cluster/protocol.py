@@ -1,7 +1,7 @@
 """The hierarchical cluster-tree GKA protocol.
 
 ``cluster-tree[<sub>]`` partitions the group into clusters, runs the
-registered flat protocol ``<sub>`` *inside* each cluster (scoped to the
+flat protocol ``<sub>`` *inside* each cluster (scoped to the
 cluster's members), and bridges the clusters through their leaders with the
 contributory key tree of :mod:`repro.cluster.tree`.  Membership events rekey
 only the affected cluster plus the O(log m) dirty path to the tree root:
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.base import GroupState, PartyState, Protocol, ProtocolResult, SystemSetup
-from ..core.registry import create_protocol, register_protocol, resolve_protocol
+from ..core.registry import create_protocol, resolve_protocol
 from ..engine.executor import EngineConfig, EngineStats, drive_plan
 from ..engine.machine import MachinePlan
 from ..exceptions import ParameterError, ProtocolError
@@ -408,17 +408,3 @@ class ClusterTreeProtocol(Protocol):
             f"cluster size: {size}, native dynamic events: "
             f"{', '.join(sorted(self.supported_events))})"
         )
-
-
-register_protocol(
-    "cluster-tree[bd]",
-    lambda setup: ClusterTreeProtocol(setup, sub_protocol="bd-unauthenticated"),
-    aliases=("cluster-bd",),
-    tags=("cluster",),
-)
-register_protocol(
-    "cluster-tree[gka]",
-    lambda setup: ClusterTreeProtocol(setup, sub_protocol="proposed-gka"),
-    aliases=("cluster-gka",),
-    tags=("cluster",),
-)

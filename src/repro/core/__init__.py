@@ -17,7 +17,7 @@ from .join import JoinProtocol
 from .leave import LeaveProtocol
 from .merge import MergeProtocol
 from .partition import PartitionProtocol
-from .registry import available_protocols, create_protocol, register_protocol
+from .registry import available_protocols, create_protocol
 from .session import GroupSession
 
 __all__ = [
@@ -37,5 +37,4 @@ __all__ = [
     "GroupSession",
     "available_protocols",
     "create_protocol",
-    "register_protocol",
 ]

@@ -9,7 +9,7 @@ its four dynamic protocols and the baselines have in common:
   exponent ``r_i``, GQ commitment ``tau_i``, keying material ``z_i``, private
   key, RNG, and the node that records its costs);
 * :class:`GroupState` — the collective state that survives between dynamic
-  membership events: the ring, the ``z``/``t`` tables, the current group key
+  membership events: the ring, the ``z`` table, the current group key
   and each member's :class:`PartyState`;
 * :class:`ProtocolResult` — what a protocol run returns (keys per member,
   the new group state, the medium transcript);
@@ -33,7 +33,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence
 
-from ..energy.accounting import CostRecorder, DeviceProfile
+from ..energy.accounting import CostRecorder
 from ..engine.executor import EngineConfig, EngineStats, drive_plan
 from ..engine.machine import Early, MachinePlan, Outbound, PartyMachine
 from ..exceptions import KeyConfirmationError, ParameterError, ProtocolError
@@ -213,10 +213,6 @@ class GroupState:
         """Current publicly-known keying material ``z_i`` per member name."""
         return {name: state.z for name, state in self.parties.items() if state.z is not None}
 
-    def t_table(self) -> Dict[str, int]:
-        """Current publicly-known GQ commitments ``t_i`` per member name."""
-        return {name: state.t for name, state in self.parties.items() if state.t is not None}
-
     def keys_by_member(self) -> Dict[str, Optional[int]]:
         """The group key as held by each member (for agreement checks)."""
         return {name: state.group_key for name, state in self.parties.items()}
@@ -275,13 +271,6 @@ class ProtocolResult:
     def all_agree(self) -> bool:
         """Whether every member computed the same key."""
         return self.state.all_agree()
-
-    def per_member_energy(self, device: DeviceProfile) -> Dict[str, float]:
-        """Total Joules per member under the given device profile."""
-        return {
-            name: device.total_j(recorder)
-            for name, recorder in self.state.recorders().items()
-        }
 
     def total_messages(self) -> int:
         """Number of messages placed on the medium during the run."""
@@ -412,10 +401,6 @@ class Protocol(abc.ABC):
         medium = medium if medium is not None else BroadcastMedium()
         plan = self.build_machines(members, medium=medium, seed=seed, **kwargs)
         return drive_plan(plan, medium, engine=engine)
-
-    def handles_natively(self, event: MembershipEvent) -> bool:
-        """Whether ``event`` is served by a dedicated dynamic sub-protocol."""
-        return getattr(event, "kind", None) in self.supported_events
 
     def apply_event(
         self,

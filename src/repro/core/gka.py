@@ -67,7 +67,6 @@ from .base import (
     ProtocolResult,
     SystemSetup,
 )
-from .registry import register_protocol
 
 __all__ = ["ProposedGKAProtocol", "TamperFunction"]
 
@@ -299,6 +298,3 @@ class ProposedGKAProtocol(Protocol):
         return MergeProtocol(self.setup).run(
             state, other, medium=medium, seed=seed, engine=engine
         )
-
-
-register_protocol("proposed-gka", ProposedGKAProtocol, aliases=("proposed",))

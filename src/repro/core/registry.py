@@ -1,4 +1,4 @@
-"""Name-based protocol registry.
+"""Name-based protocol lookup: one table lists every protocol once.
 
 Runners, benchmarks and the :mod:`repro.sim` scenario engine select protocols
 by name instead of importing concrete classes:
@@ -8,17 +8,15 @@ by name instead of importing concrete classes:
 True
 >>> protocol = create_protocol("bd-ecdsa", setup)        # doctest: +SKIP
 
-Every protocol registers a factory ``setup -> Protocol`` under its canonical
-``name`` (plus optional aliases).  The built-in protocols — the proposed
-ID-based GKA and all the paper's baselines — are registered lazily on first
-lookup, so importing this module stays cheap and free of import cycles.
+The table maps each canonical name to a constructor ``setup -> Protocol``,
+its aliases and its tags.  It is built on the first lookup, so importing
+:mod:`repro` stays cheap and free of the baseline and cluster modules (which
+themselves resolve names here).
 
-Third-party protocols (e.g. custom :class:`~repro.engine.machine.PartyMachine`
-suites) can register with the decorator form:
-
->>> @register_protocol("my-gka", aliases=("mine",))      # doctest: +SKIP
-... class MyProtocol(Protocol):
-...     name = "my-gka"
+A protocol outside the table needs no registration: the session and the
+scenario runner take a :class:`~repro.core.base.Protocol` instance as well as
+a name (``GroupSession.establish(..., protocol=MyProtocol(setup))``,
+``ScenarioRunner(setup).run(MyProtocol(setup), scenario)``).
 
 Unknown names fail with a "did you mean" suggestion next to the full list.
 """
@@ -26,7 +24,8 @@ Unknown names fail with a "did you mean" suggestion next to the full list.
 from __future__ import annotations
 
 import difflib
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from functools import lru_cache, partial
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Tuple, TYPE_CHECKING
 
 from ..exceptions import ParameterError
 
@@ -34,81 +33,50 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .base import Protocol, SystemSetup
 
 __all__ = [
-    "register_protocol",
     "create_protocol",
     "available_protocols",
     "resolve_protocol",
     "protocol_tags",
-    "registry_entries",
     "describe_registry",
 ]
 
-#: canonical name -> factory(setup) -> Protocol
-_FACTORIES: Dict[str, Callable[["SystemSetup"], "Protocol"]] = {}
-#: alias -> canonical name
-_ALIASES: Dict[str, str] = {}
-#: canonical name -> frozenset of classification tags (e.g. {"cluster"})
-_TAGS: Dict[str, frozenset] = {}
-_BUILTINS_LOADED = False
+
+class _Entry(NamedTuple):
+    """One protocol of the table."""
+
+    build: Callable[["SystemSetup"], "Protocol"]
+    aliases: Tuple[str, ...] = ()
+    #: classification tags, e.g. ``cluster`` on the hierarchical protocols so
+    #: the flat-protocol golden-fixture harness can exclude them by tag
+    tags: FrozenSet[str] = frozenset()
 
 
-def register_protocol(
-    name: str,
-    factory: Optional[Callable[["SystemSetup"], "Protocol"]] = None,
-    *,
-    aliases: Sequence[str] = (),
-    tags: Sequence[str] = (),
-    replace: bool = False,
-):
-    """Register a protocol factory under ``name`` (plus ``aliases``).
+@lru_cache(maxsize=None)
+def _table() -> Dict[str, _Entry]:
+    """Canonical name -> entry, for every built-in protocol, sorted by name.
 
-    ``factory`` is any callable taking a :class:`~repro.core.base.SystemSetup`
-    and returning a :class:`~repro.core.base.Protocol`; protocol classes whose
-    constructor takes only the setup can be registered directly.
-
-    ``tags`` classify the protocol for callers that select subsets of the
-    registry — e.g. the hierarchical protocols carry ``"cluster"`` so the
-    flat-protocol golden-fixture harness can exclude them without naming them.
-
-    Called without a ``factory``, returns a decorator — the idiomatic form
-    for third-party protocol classes::
-
-        @register_protocol("my-gka", aliases=("mine",))
-        class MyProtocol(Protocol):
-            ...
+    An import failure is not cached, so it surfaces again on the next lookup
+    instead of masquerading as "unknown protocol".
     """
-    if factory is None:
-        def decorator(cls: Callable[["SystemSetup"], "Protocol"]):
-            register_protocol(name, cls, aliases=aliases, tags=tags, replace=replace)
-            return cls
+    from ..baselines import AuthenticatedBDProtocol, BurmesterDesmedtProtocol, SSNProtocol
+    from ..cluster import ClusterTreeProtocol
+    from .gka import ProposedGKAProtocol
 
-        return decorator
-    if not name:
-        raise ParameterError("protocol name cannot be empty")
-    if not replace and (name in _FACTORIES or name in _ALIASES):
-        raise ParameterError(f"protocol {name!r} is already registered")
-    _FACTORIES[name] = factory
-    _TAGS[name] = frozenset(tags)
-    for alias in aliases:
-        if not replace and (alias in _FACTORIES or alias in _ALIASES):
-            raise ParameterError(f"protocol alias {alias!r} is already registered")
-        _ALIASES[alias] = name
-    return factory
-
-
-def _load_builtins() -> None:
-    """Import the modules that register the built-in protocols (idempotent)."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    # The imports run each module's registration side effects.  The flag is
-    # only set on success so that a transient import failure surfaces again
-    # on the next lookup instead of masquerading as "unknown protocol".
-    from . import gka  # noqa: F401
-    from .. import baselines  # noqa: F401
-    from .. import cluster  # noqa: F401
-
-    _BUILTINS_LOADED = True
+    cluster = frozenset({"cluster"})
+    return {
+        "bd-dsa": _Entry(partial(AuthenticatedBDProtocol, scheme="dsa")),
+        "bd-ecdsa": _Entry(partial(AuthenticatedBDProtocol, scheme="ecdsa")),
+        "bd-sok": _Entry(partial(AuthenticatedBDProtocol, scheme="sok")),
+        "bd-unauthenticated": _Entry(BurmesterDesmedtProtocol, ("bd",)),
+        "cluster-tree[bd]": _Entry(
+            partial(ClusterTreeProtocol, sub_protocol="bd-unauthenticated"), ("cluster-bd",), cluster
+        ),
+        "cluster-tree[gka]": _Entry(
+            partial(ClusterTreeProtocol, sub_protocol="proposed-gka"), ("cluster-gka",), cluster
+        ),
+        "proposed-gka": _Entry(ProposedGKAProtocol, ("proposed",)),
+        "ssn": _Entry(SSNProtocol),
+    }
 
 
 def resolve_protocol(name: str) -> str:
@@ -118,62 +86,47 @@ def resolve_protocol(name: str) -> str:
     (``did you mean 'bd-ecdsa'?``) ahead of the full list, so typos in
     benchmark configurations fail with an actionable message.
     """
-    _load_builtins()
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _FACTORIES:
-        candidates = available_protocols(include_aliases=True)
-        close = difflib.get_close_matches(name, candidates, n=1, cutoff=0.5)
-        hint = f" — did you mean {close[0]!r}?" if close else ""
-        raise ParameterError(
-            f"unknown protocol {name!r}{hint}; available: {', '.join(available_protocols())}"
-        )
-    return canonical
+    table = _table()
+    if name in table:
+        return name
+    for canonical, entry in table.items():
+        if name in entry.aliases:
+            return canonical
+    candidates = [*table, *(alias for entry in table.values() for alias in entry.aliases)]
+    close = difflib.get_close_matches(name, candidates, n=1, cutoff=0.5)
+    hint = f" — did you mean {close[0]!r}?" if close else ""
+    raise ParameterError(f"unknown protocol {name!r}{hint}; available: {', '.join(table)}")
 
 
 def create_protocol(name: str, setup: "SystemSetup") -> "Protocol":
-    """Instantiate the protocol registered under ``name`` (or an alias)."""
-    return _FACTORIES[resolve_protocol(name)](setup)
+    """Instantiate the protocol listed under ``name`` (or an alias)."""
+    return _table()[resolve_protocol(name)].build(setup)
 
 
-def available_protocols(*, include_aliases: bool = False) -> List[str]:
-    """Sorted canonical protocol names (optionally with aliases)."""
-    _load_builtins()
-    names = set(_FACTORIES)
-    if include_aliases:
-        names |= set(_ALIASES)
-    return sorted(names)
+def available_protocols() -> List[str]:
+    """Sorted canonical protocol names."""
+    return list(_table())
 
 
-def protocol_tags(name: str) -> frozenset:
-    """The classification tags of a registered protocol (empty when untagged)."""
-    return _TAGS.get(resolve_protocol(name), frozenset())
+def protocol_tags(name: str) -> FrozenSet[str]:
+    """The classification tags of a protocol (empty when untagged)."""
+    return _table()[resolve_protocol(name)].tags
 
 
 def describe_registry() -> str:
-    """Human-readable registry listing (the CLIs' ``--list-protocols``)."""
-    rows = registry_entries()
-    width = max(len(name) for name, _, _ in rows)
-    lines = [f"{len(rows)} registered protocols:"]
-    for name, aliases, tags in rows:
+    """Human-readable protocol listing (the CLIs' ``--list-protocols``).
+
+    One row per canonical name with its aliases and tags, so users discover
+    e.g. that ``cluster-bd`` resolves to ``cluster-tree[bd]``.
+    """
+    table = _table()
+    width = max(len(name) for name in table)
+    lines = [f"{len(table)} registered protocols:"]
+    for name, entry in table.items():
         line = f"  {name:<{width}}"
-        if aliases:
-            line += f"  aliases: {', '.join(aliases)}"
-        if tags:
-            line += f"  [{', '.join(sorted(tags))}]"
+        if entry.aliases:
+            line += f"  aliases: {', '.join(entry.aliases)}"
+        if entry.tags:
+            line += f"  [{', '.join(sorted(entry.tags))}]"
         lines.append(line)
     return "\n".join(lines)
-
-
-def registry_entries() -> List[tuple]:
-    """``(name, aliases, tags)`` per canonical protocol, sorted by name.
-
-    The listing behind the CLIs' ``--list-protocols``: one row per canonical
-    name with its aliases and tags, so users discover e.g. that
-    ``cluster-bd`` resolves to ``cluster-tree[bd]``.
-    """
-    _load_builtins()
-    rows = []
-    for name in sorted(_FACTORIES):
-        aliases = tuple(sorted(a for a, canon in _ALIASES.items() if canon == name))
-        rows.append((name, aliases, _TAGS.get(name, frozenset())))
-    return rows

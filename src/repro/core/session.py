@@ -3,10 +3,9 @@
 This is the façade a downstream application uses: establish a group, apply
 membership events as they happen, pull symmetric keys for actual payload
 encryption, and ask for energy reports.  The session routes everything
-through the :class:`~repro.core.base.Protocol` strategy interface and the
-name-based registry, so *any* registered protocol — the proposed ID-based
-GKA, every baseline, or a third-party machine registered with
-:func:`~repro.core.registry.register_protocol` — gets the same half-dozen
+through the :class:`~repro.core.base.Protocol` strategy interface, so *any*
+protocol — the proposed ID-based GKA, every baseline, or a third-party
+:class:`~repro.core.base.Protocol` instance — gets the same half-dozen
 methods: protocols with native dynamic sub-protocols serve events through
 them, the rest re-execute, and the session never has to know which.
 

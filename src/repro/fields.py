@@ -73,8 +73,9 @@ def param(default: object = _MISSING, *, spec: bool = True, **constraint: object
     float.  For a tuple of entries, ``keys`` names its mapping form: a key
     holds an entry's leading items, joined by the pattern's separator
     (``"tier"``, ``"tierA:tierB"``, ``"nodeA|nodeB"``), and :func:`to_spec`
-    emits that mapping; ``shorthand`` lets a bare name stand for the entry
-    ``(name, name)``.  ``spec=False`` keeps a field out of specs.
+    emits that mapping, so two entries with the same key are rejected;
+    ``shorthand`` lets a bare name stand for the entry ``(name, name)``.
+    ``spec=False`` keeps a field out of specs.
     """
     return dataclasses.field(
         default=default, metadata={"spec": Decl(**constraint) if spec else None}
@@ -252,6 +253,7 @@ def _tuple(args, name: str, decl: Decl):
     item = args[0] if args else object
     width = len(typing.get_args(item)) if typing.get_origin(item) is tuple else 0
     convert_item = converter(item, name, decl._replace(shorthand=False))
+    separator = _separator(decl.keys or "")
 
     def convert(value):
         if isinstance(value, Mapping) and width:
@@ -266,7 +268,12 @@ def _tuple(args, name: str, decl: Decl):
             raise _WrongType(name, "a list", value)
         if decl.shorthand:
             value = [(entry, entry) if isinstance(entry, str) else entry for entry in value]
-        return tuple(convert_item(entry) for entry in value)
+        settled = tuple(convert_item(entry) for entry in value)
+        if decl.keys is not None:
+            keys = [separator.join(entry[:-1]) for entry in settled]
+            if len(set(keys)) < len(keys):
+                raise ParameterError(f"{name} names must be unique, got {keys}")
+        return settled
 
     return convert
 

@@ -81,11 +81,6 @@ class EllipticCurve:
         """The point at infinity (group identity)."""
         return ECPoint(self, None, None)
 
-    @property
-    def coordinate_bits(self) -> int:
-        """Bit size of one field coordinate (wire size of ``r``/``s`` in ECDSA)."""
-        return self.p.bit_length()
-
     def random_scalar(self, rng: DeterministicRNG) -> int:
         """A uniform non-zero scalar modulo the group order."""
         return rng.zq_star(self.n)

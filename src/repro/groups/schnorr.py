@@ -90,11 +90,6 @@ class SchnorrGroup:
         """Wire size of one group element (transmitted as a ``p``-sized value)."""
         return self.p_bits
 
-    @property
-    def exponent_bits(self) -> int:
-        """Wire size of one exponent (an element of ``Z_q``)."""
-        return self.q_bits
-
     def power(self, base: int, exponent: int) -> int:
         """``base ** exponent mod p`` with support for negative exponents."""
         return active_backend().modexp(base % self.p, exponent, self.p)

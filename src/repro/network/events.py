@@ -106,8 +106,8 @@ class EventTraceGenerator:
     join_weight / leave_weight / merge_weight / partition_weight:
         Relative frequencies of the four event types.
     merge_size / partition_size:
-        How many users a merge brings in / a partition removes (bounded by
-        what the current group can support).
+        How many users a merge brings in (at least 2) / a partition removes
+        (at least 1, bounded by what the current group can support).
     """
 
     def __init__(
@@ -125,10 +125,15 @@ class EventTraceGenerator:
         weights = (join_weight, leave_weight, merge_weight, partition_weight)
         if any(w < 0 for w in weights) or sum(weights) <= 0:
             raise ParameterError("event weights must be non-negative and not all zero")
+        if merge_size < 2 or partition_size < 1:
+            raise ParameterError(
+                "a merge brings in at least 2 users and a partition removes at least 1, "
+                f"got merge_size={merge_size}, partition_size={partition_size}"
+            )
         self._rng = rng
         self._weights = weights
-        self.merge_size = max(1, merge_size)
-        self.partition_size = max(1, partition_size)
+        self.merge_size = merge_size
+        self.partition_size = partition_size
         self._name_prefix = name_prefix
         self._fresh_counter = 0
 
@@ -164,7 +169,7 @@ class EventTraceGenerator:
             victim = self._rng.choice(members[1:])  # never evict the controller U_1
             return LeaveEvent(leaving=victim)
         if kind == "merge":
-            other = tuple(self._fresh_identity() for _ in range(max(2, self.merge_size)))
+            other = tuple(self._fresh_identity() for _ in range(self.merge_size))
             return MergeEvent(other_group=other)
         leaving = tuple(self._rng.sample(members[1:], min(self.partition_size, len(members) - min_group_size)))
         return PartitionEvent(leaving=leaving)

@@ -581,6 +581,10 @@ class TierConfig:
                 raise ParameterError(f"gateway {home}:{bridged} references an unknown tier")
             if home == bridged:
                 raise ParameterError("a gateway must bridge two distinct tiers")
+        pairs = {frozenset((a, b)) for a, b, _ in self.overrides}
+        if len(pairs) < len(self.overrides):
+            named = [f"{a}|{b}" for a, b, _ in self.overrides]
+            raise ParameterError(f"overrides must name each node pair once, in either order, got {named}")
         if self.loss_floor > 0.0:
             floored = tuple(
                 (name, self._floor_class(cls)) for name, cls in self.tiers

@@ -82,7 +82,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--protocols",
         default=None,
-        help="comma-separated registry names (default: every registered protocol)",
+        help="comma-separated registry names (default: every protocol in the table)",
     )
     parser.add_argument(
         "--list-protocols",

@@ -113,8 +113,8 @@ class PoissonChurn(ChurnSchedule):
     leave_rate: float = param(2.0, ge=0.0)
     merge_rate: float = param(0.0, ge=0.0)
     partition_rate: float = param(0.0, ge=0.0)
-    merge_size: int = 3
-    partition_size: int = 3
+    merge_size: int = param(3, ge=2)
+    partition_size: int = param(3, ge=1)
 
     def __post_init__(self) -> None:
         settle(self)

@@ -10,7 +10,8 @@ pre-refactor code into ``tests/fixtures/engine_equivalence.json``, and
 ``test_engine_equivalence.py`` re-runs them against the current code and
 compares byte for byte.
 
-The workloads cover, for every registry protocol:
+The workloads cover, for each of the six flat protocols (the eight in the
+protocol table minus the two ``cluster`` ones):
 
 * a lossless 5-member establishment,
 * a lossy 5-member establishment (per-broadcast loss with seeded retries),
@@ -253,7 +254,7 @@ def _latency_run(protocol_name: str, seed: int) -> Dict[str, object]:
 
 
 def flat_protocols() -> List[str]:
-    """The registry's flat protocols — the ones the golden capture pins.
+    """The table's flat protocols — the ones the golden capture pins.
 
     The hierarchical ``cluster`` protocols are excluded by tag rather than by
     name: they were added after the fixture was frozen and their state is

@@ -10,8 +10,8 @@ Covers the headline security results mechanically:
   traffic, keys) — overhearing is charged to the attacker's own node only;
 * leave/partition machines recover under lossy media (the loss-path coverage
   the join/merge/rekey tests already had);
-* randomized event chains keep the key-consistency oracle green for all nine
-  protocols when nobody is attacking.
+* randomized event chains keep the key-consistency oracle green for all eight
+  protocols in the table when nobody is attacking.
 """
 
 from __future__ import annotations
@@ -354,9 +354,7 @@ class TestAttackOutcomes:
         assert first.oracles["attack-detected"] is False
         assert not first.detected
 
-    @pytest.mark.parametrize(
-        "protocol", ["proposed-gka", "bd-sok", "bd-ecdsa", "bd-dsa", "bd-rerun-ecdsa"]
-    )
+    @pytest.mark.parametrize("protocol", ["proposed-gka", "bd-sok", "bd-ecdsa", "bd-dsa"])
     def test_authenticated_protocols_detect_injection(self, small_setup, protocol):
         scenario = _leave_join_scenario(AdversaryConfig.preset("inject"))
         report = ScenarioRunner(small_setup, check_agreement=False).run(protocol, scenario)
@@ -387,7 +385,7 @@ class TestAttackOutcomes:
         scenario = _leave_join_scenario(AdversaryConfig.preset("replay"))
         runner = ScenarioRunner(small_setup, check_agreement=False)
         assert runner.run("bd", scenario).security_verdict == "broken"
-        assert runner.run("bd-rerun-ecdsa", scenario).security_verdict == "detected"
+        assert runner.run("bd-ecdsa", scenario).security_verdict == "detected"
         assert runner.run("proposed-gka", scenario).security_verdict == "detected"
 
     def test_mitm_drop_is_detected_as_a_stall(self, small_setup):

@@ -1,11 +1,12 @@
 """Integration tests for the dynamic protocols (Join, Leave, Merge, Partition),
-the BD re-execution baseline, and the high-level GroupSession API."""
+the BD re-execution baseline (authenticated BD's inherited ``apply_event``),
+and the high-level GroupSession API."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.baselines import BDRerunDynamic
+from repro.baselines import AuthenticatedBDProtocol
 from repro.core import (
     GroupSession,
     JoinProtocol,
@@ -430,7 +431,7 @@ class TestGroupSession:
 class TestBDRerunBaseline:
     def test_events_reach_agreement(self, small_setup):
         members = [Identity(f"rerun-{i}") for i in range(4)]
-        dynamic = BDRerunDynamic(small_setup)
+        dynamic = AuthenticatedBDProtocol(small_setup)
         established = dynamic.run(members, seed=1)
         joined = dynamic.apply_event(
             established.state, JoinEvent(joining=Identity("rerun-new")), seed=2
@@ -458,7 +459,7 @@ class TestBDRerunBaseline:
         ][0]
         proposed_j = wlan_profile.total_j(joined.state.recorders()[bystander])
         # BD re-run join
-        dynamic = BDRerunDynamic(small_setup)
+        dynamic = AuthenticatedBDProtocol(small_setup)
         est = dynamic.run(members, seed="cmp-bd")
         est.state.reset_costs()
         rerun = dynamic.apply_event(
@@ -469,7 +470,7 @@ class TestBDRerunBaseline:
 
     def test_error_cases(self, small_setup):
         members = [Identity(f"err-{i}") for i in range(3)]
-        dynamic = BDRerunDynamic(small_setup)
+        dynamic = AuthenticatedBDProtocol(small_setup)
         established = dynamic.run(members, seed=1)
         with pytest.raises(MembershipError):
             dynamic.apply_event(established.state, JoinEvent(joining=members[0]))

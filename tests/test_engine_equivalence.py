@@ -2,7 +2,7 @@
 
 The reactive engine refactor must leave the synchronous ``Protocol.run()`` /
 ``apply_event()`` path *bit-identical* to the pre-refactor monolithic
-implementation for every registry protocol: same group keys, same medium
+implementation for every flat protocol: same group keys, same medium
 transcript (senders, round labels, wire sizes, payload digests, order), same
 per-node energy ledgers, same lossy-retry attempt counts.
 
@@ -30,8 +30,9 @@ _FIXTURE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), FIXTURE
 with open(_FIXTURE_PATH, encoding="utf-8") as _handle:
     GOLDEN = json.load(_handle)
 
-#: Computed once for the whole module: the workloads cover all nine registry
-#: protocols under lossless, lossy, dynamic-event and latency-mode conditions.
+#: Computed once for the whole module: the workloads cover the six flat
+#: protocols of the eight in the table under lossless, lossy, dynamic-event
+#: and latency-mode conditions.
 CURRENT = json.loads(json.dumps(run_workloads()))
 
 PROTOCOLS = sorted(GOLDEN)
@@ -41,21 +42,21 @@ WORKLOADS = ("lossless", "lossy", "events", "latency")
 def test_workloads_cover_all_flat_registry_protocols():
     """The golden capture pins every *flat* protocol, and only those.
 
-    The registry now also carries the hierarchical ``cluster``-tagged
+    The protocol table also lists the two hierarchical ``cluster``-tagged
     protocols (added after the fixture was frozen; covered by
-    ``test_cluster.py``) — they must be registered, but must never leak into
-    the fixture comparison: the nine flat captures stay bit-identical to the
+    ``test_cluster.py``) — they must be listed, but must never leak into
+    the fixture comparison: the six flat captures stay bit-identical to the
     seed with no fixture regeneration.
     """
     from equivalence_workloads import flat_protocols
     from repro.core.registry import available_protocols, protocol_tags
 
     assert PROTOCOLS == flat_protocols()
-    assert len(PROTOCOLS) == 9
+    assert len(PROTOCOLS) == 6
     clustered = [
         name for name in available_protocols() if "cluster" in protocol_tags(name)
     ]
-    assert clustered, "the cluster protocols should be registered"
+    assert clustered, "the cluster protocols should be listed"
     assert not set(clustered) & set(PROTOCOLS)
     assert sorted(set(PROTOCOLS) | set(clustered)) == available_protocols()
 

@@ -497,3 +497,7 @@ class TestEventTraces:
             EventTraceGenerator(DeterministicRNG(0), join_weight=0, leave_weight=0, merge_weight=0, partition_weight=0)
         with pytest.raises(ParameterError):
             EventTraceGenerator(DeterministicRNG(0)).trace([], -1)
+        # Sizes a merge or partition cannot have are rejected, not clamped.
+        for sizes in ({"merge_size": 1}, {"merge_size": 0}, {"partition_size": 0}, {"partition_size": -3}):
+            with pytest.raises(ParameterError, match="at least"):
+                EventTraceGenerator(DeterministicRNG(0), **sizes)

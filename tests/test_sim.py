@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.core import ProposedGKAProtocol, SystemSetup, available_protocols, create_protocol
+import repro
+from repro.baselines import BurmesterDesmedtProtocol
+from repro.core import GroupSession, ProposedGKAProtocol, SystemSetup, available_protocols, create_protocol
 from repro.core.base import Protocol
+from repro.core.registry import resolve_protocol
 from repro.exceptions import MembershipError, ParameterError, ProtocolError
 from repro.network.events import JoinEvent, LeaveEvent, MergeEvent, PartitionEvent, membership_after
 from repro.pki import Identity
@@ -22,29 +29,66 @@ from repro.sim import (
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        names = available_protocols()
-        for expected in ("proposed-gka", "bd-unauthenticated", "bd-sok", "bd-ecdsa", "bd-dsa", "ssn"):
-            assert expected in names
+        # The table lists each protocol once.
+        assert available_protocols() == [
+            "bd-dsa",
+            "bd-ecdsa",
+            "bd-sok",
+            "bd-unauthenticated",
+            "cluster-tree[bd]",
+            "cluster-tree[gka]",
+            "proposed-gka",
+            "ssn",
+        ]
 
     def test_aliases_resolve_to_canonical_protocols(self, small_setup):
         protocol = create_protocol("proposed", small_setup)
         assert isinstance(protocol, ProposedGKAProtocol)
         assert create_protocol("bd", small_setup).name == "bd-unauthenticated"
-
-    def test_bd_rerun_wrappers_registered_under_their_own_names(self, small_setup):
-        rerun = create_protocol("bd-rerun-dsa", small_setup)
-        assert rerun.name == "bd-rerun-dsa"
-        assert rerun.supported_events == frozenset()
-        members = [Identity(f"rr{i}") for i in range(4)]
-        result = rerun.run(members, seed=5)
-        assert result.all_agree()
+        aliases = {
+            "proposed": "proposed-gka",
+            "bd": "bd-unauthenticated",
+            "cluster-bd": "cluster-tree[bd]",
+            "cluster-gka": "cluster-tree[gka]",
+        }
+        assert {alias: resolve_protocol(alias) for alias in aliases} == aliases
 
     def test_unknown_name_raises_with_available_list(self, small_setup):
         with pytest.raises(ParameterError, match="unknown protocol"):
             create_protocol("nope", small_setup)
 
+    def test_removed_rerun_name_fails_with_a_suggestion(self, small_setup):
+        # Re-executing authenticated BD is what bd-<scheme> does on an event.
+        with pytest.raises(ParameterError, match="unknown protocol 'bd-rerun-dsa' — did you mean 'bd-"):
+            create_protocol("bd-rerun-dsa", small_setup)
+
+    def test_an_unlisted_protocol_runs_as_an_instance(self, small_setup):
+        class MyProtocol(BurmesterDesmedtProtocol):
+            name = "my-gka"
+
+        members = [Identity(f"mine-{i}") for i in range(4)]
+        session = GroupSession.establish(small_setup, members, seed=1, protocol=MyProtocol(small_setup))
+        assert session.all_agree()
+        scenario = Scenario(name="mine", initial_size=4, seed=2, schedule=PoissonChurn(length=2))
+        report = ScenarioRunner(small_setup).run(MyProtocol(small_setup), scenario)
+        assert report.protocol == "my-gka" and report.agreed_throughout
+
+    def test_import_leaves_the_protocol_modules_unloaded_until_a_lookup(self):
+        probe = (
+            "import sys, repro\n"
+            "loaded = lambda: sorted(m for m in ('repro.baselines', 'repro.cluster') if m in sys.modules)\n"
+            "before = loaded()\n"
+            "repro.available_protocols()\n"
+            "print(before, loaded())\n"
+        )
+        # The directory holding the package under test, however it was installed.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[] ['repro.baselines', 'repro.cluster']"
+
     def test_every_builtin_conforms_to_the_interface(self, small_setup):
-        for name in ("proposed-gka", "bd-unauthenticated", "ssn", "bd-dsa"):
+        for name in available_protocols():
             protocol = create_protocol(name, small_setup)
             assert isinstance(protocol, Protocol)
             assert protocol.name == name
@@ -53,10 +97,8 @@ class TestRegistry:
     def test_supported_events_reflect_native_dynamics(self, small_setup):
         proposed = create_protocol("proposed", small_setup)
         assert proposed.supported_events == {"join", "leave", "merge", "partition"}
-        assert proposed.handles_natively(JoinEvent(joining=Identity("x")))
         baseline = create_protocol("bd", small_setup)
         assert baseline.supported_events == frozenset()
-        assert not baseline.handles_natively(JoinEvent(joining=Identity("x")))
 
 
 class TestMembershipAfter:

@@ -248,6 +248,7 @@ def test_ints_stay_ints_where_a_float_is_declared():
 # ---------------------------------------------------------------- bad specs
 _MOBILITY = {"model": "random-waypoint", "tx_range": 150.0, "duration": 10.0}
 _LAN = {"name": "lan", "bitrate_bps": 1e6}
+_MERGING = {"kind": "poisson", "length": 4, "join_rate": 0.0, "leave_rate": 0.0, "merge_rate": 1.0}
 
 BAD_SPECS = [
     # schedules
@@ -255,6 +256,9 @@ BAD_SPECS = [
     ("poisson-negative-length", PoissonChurn, {"length": -1}),
     ("poisson-zero-rate", ChurnSchedule, {"kind": "poisson", "length": 3, "join_rate": 0.0, "leave_rate": 0.0}),
     ("poisson-string-length", ChurnSchedule, {"kind": "poisson", "length": "3"}),
+    ("poisson-merge-of-one", ChurnSchedule, {**_MERGING, "merge_size": 1}),
+    ("poisson-merge-of-none", ChurnSchedule, {**_MERGING, "merge_size": 0}),
+    ("poisson-partition-of-none", PoissonChurn, {"length": 4, "partition_rate": 1.0, "partition_size": 0}),
     ("bursts-negative", BurstPartitions, {"bursts": -1}),
     ("bursts-zero-period", ChurnSchedule, {"kind": "bursts", "bursts": 2, "period": 0.0}),
     ("merges-negative", PeriodicMerges, {"merges": -2}),
@@ -330,6 +334,9 @@ def test_every_spec_class_has_a_bad_spec_row():
     assert [cls.__name__ for cls in SPEC_CLASSES if cls not in covered] == []
 
 
+_TWO_TIERS = (("ground", "ground"), ("aerial", "aerial"))
+
+
 @pytest.mark.parametrize(
     "build_directly",
     [
@@ -339,8 +346,22 @@ def test_every_spec_class_has_a_bad_spec_row():
         lambda: EngineConfig(max_timeout_waves=2.5),
         lambda: Scenario(name="x", initial_size=4, loss_probability=NAN),
         lambda: PoissonChurn(length=3, join_rate=0.0, leave_rate=0.0),
+        # A keyed entry given twice: its spec form (a mapping) would keep one.
+        lambda: TierConfig(tiers=_TWO_TIERS, members=(("aerial", 1), ("aerial", 2))),
+        lambda: TierConfig(tiers=_TWO_TIERS, gateways=(("ground", "aerial", 1), ("ground", "aerial", 1))),
+        lambda: TierConfig(tiers=_TWO_TIERS, overrides=(("m1", "m2", "aerial"), ("m2", "m1", "satellite"))),
     ],
-    ids=["mobility", "adversary", "link-class", "engine", "scenario", "schedule"],
+    ids=[
+        "mobility",
+        "adversary",
+        "link-class",
+        "engine",
+        "scenario",
+        "schedule",
+        "tier-members-repeated",
+        "tier-gateway-repeated",
+        "tier-override-both-ways",
+    ],
 )
 def test_direct_construction_fails_the_same_way(build_directly):
     with pytest.raises(ParameterError):

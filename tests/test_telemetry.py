@@ -267,7 +267,7 @@ class TestEngineIntegration:
     def test_golden_workload_is_bit_identical_with_telemetry_on(self):
         """One golden-fixture workload re-run under an active session.
 
-        The full suite (``test_engine_equivalence.py``) pins all nine flat
+        The full suite (``test_engine_equivalence.py``) pins all six flat
         protocols with telemetry *off*; this asserts the observation-only
         contract by re-running the proposed protocol's lossless and lossy
         workloads with tracing and metrics installed and comparing against
