@@ -6,8 +6,8 @@ import pytest
 
 from repro.analysis import DynamicComplexityParams, format_table, table4_complexity
 from repro.baselines import AuthenticatedBDProtocol
-from repro.core import JoinProtocol, LeaveProtocol, MergeProtocol, PartitionProtocol, ProposedGKAProtocol
-from repro.network.events import JoinEvent
+from repro.core import ProposedGKAProtocol
+from repro.network.events import JoinEvent, LeaveEvent, PartitionEvent
 from repro.pki import Identity
 
 
@@ -35,11 +35,12 @@ def test_print_table4():
 def test_measured_dynamic_costs(small_setup):
     """Cross-check the proposed rows against executed runs on a 8-member group."""
     members = [Identity(f"t4-{i}") for i in range(8)]
-    base = ProposedGKAProtocol(small_setup).run(members, seed="t4")
+    protocol = ProposedGKAProtocol(small_setup)
+    base = protocol.run(members, seed="t4")
 
     # Join: exactly 5 protocol messages (2n+2-style rerun would need 18).
     base.state.reset_costs()
-    joined = JoinProtocol(small_setup).run(base.state, Identity("t4-new"), seed=1)
+    joined = protocol.apply_event(base.state, JoinEvent(joining=Identity("t4-new")), seed=1)
     assert joined.medium.total_messages() == 5 - 1  # m'''_n is unicast; 4 broadcasts + it = 5 sends
     assert joined.rounds == 3
 
@@ -48,13 +49,13 @@ def test_measured_dynamic_costs(small_setup):
     leaving = joined.state.ring.members[3]
     remaining = joined.state.size - 1
     odd_remaining = len(joined.state.ring.odd_indexed(exclude=[leaving]))
-    left = LeaveProtocol(small_setup).run(joined.state, leaving, seed=2)
+    left = protocol.apply_event(joined.state, LeaveEvent(leaving=leaving), seed=2)
     assert left.medium.total_messages() == odd_remaining + remaining
     assert left.rounds == 2
 
     # Merge: exactly 6 messages for k = 2 groups.
-    other = ProposedGKAProtocol(small_setup).run([Identity(f"t4-b-{i}") for i in range(4)], seed="t4-b")
-    merged = MergeProtocol(small_setup).run(left.state, other.state, seed=3)
+    other = protocol.run([Identity(f"t4-b-{i}") for i in range(4)], seed="t4-b")
+    merged = protocol.merge_states(left.state, other.state, seed=3)
     assert merged.medium.total_messages() == 6
     assert merged.rounds == 3
 
@@ -62,7 +63,7 @@ def test_measured_dynamic_costs(small_setup):
     victims = [merged.state.ring.members[i] for i in (2, 5)]
     remaining = merged.state.size - len(victims)
     odd_remaining = len(merged.state.ring.odd_indexed(exclude=victims))
-    partitioned = PartitionProtocol(small_setup).run(merged.state, victims, seed=4)
+    partitioned = protocol.apply_event(merged.state, PartitionEvent(leaving=tuple(victims)), seed=4)
     assert partitioned.medium.total_messages() == odd_remaining + remaining
     assert partitioned.rounds == 2
 
@@ -71,9 +72,12 @@ def test_benchmark_join_vs_rerun(benchmark, small_setup):
     """Benchmark one proposed Join against one BD re-run join (n = 6)."""
     members = [Identity(f"t4b-{i}") for i in range(6)]
 
+    protocol = ProposedGKAProtocol(small_setup)
+    event = JoinEvent(joining=Identity("t4b-new"))
+
     def run_join():
-        base = ProposedGKAProtocol(small_setup).run(members, seed="bench")
-        return JoinProtocol(small_setup).run(base.state, Identity("t4b-new"), seed="bench-join")
+        base = protocol.run(members, seed="bench")
+        return protocol.apply_event(base.state, event, seed="bench-join")
 
     result = benchmark(run_join)
     assert result.all_agree()

@@ -8,8 +8,8 @@ import pytest
 
 from repro.analysis import DynamicComplexityParams, PAPER_TABLE5_J, dynamic_energy_table, format_table
 from repro.baselines import AuthenticatedBDProtocol
-from repro.core import JoinProtocol, LeaveProtocol, ProposedGKAProtocol
-from repro.network.events import JoinEvent
+from repro.core import ProposedGKAProtocol
+from repro.network.events import JoinEvent, LeaveEvent
 from repro.pki import Identity
 
 
@@ -58,9 +58,10 @@ def test_simulation_cross_check(small_setup, wlan_profile):
     BD re-run baseline must match the closed-form model.
     """
     members = [Identity(f"t5-{i}") for i in range(10)]
-    base = ProposedGKAProtocol(small_setup).run(members, seed="t5")
+    protocol = ProposedGKAProtocol(small_setup)
+    base = protocol.run(members, seed="t5")
     base.state.reset_costs()
-    joined = JoinProtocol(small_setup).run(base.state, Identity("t5-new"), seed=1)
+    joined = protocol.apply_event(base.state, JoinEvent(joining=Identity("t5-new")), seed=1)
     recorders = joined.state.recorders()
     controller = base.state.ring.controller().name
     last = base.state.ring.last().name
@@ -86,10 +87,12 @@ def test_simulation_cross_check(small_setup, wlan_profile):
 
 def test_benchmark_leave_rekeying(benchmark, small_setup):
     """Benchmark the Leave protocol on a 10-member group."""
+    protocol = ProposedGKAProtocol(small_setup)
+
     def run_leave():
         members = [Identity(f"t5b-{i}") for i in range(10)]
-        base = ProposedGKAProtocol(small_setup).run(members, seed="t5b")
-        return LeaveProtocol(small_setup).run(base.state, base.state.ring.members[4], seed=3)
+        base = protocol.run(members, seed="t5b")
+        return protocol.apply_event(base.state, LeaveEvent(leaving=base.state.ring.members[4]), seed=3)
 
     result = benchmark(run_leave)
     assert result.all_agree()

@@ -8,7 +8,8 @@ attacker model — passive eavesdropping, message injection, replay,
 man-in-the-middle modification, jamming, delivery delay, and long-term key
 compromise — and each run is classified from its security-oracle verdicts:
 
-* ``clean``     — nothing attacked anything (or the trigger never matched);
+* ``clean``     — nothing attacked anything (the script fails if an active
+  attacker never fired);
 * ``resisted``  — attacks absorbed, everyone still agrees on the key;
 * ``detected``  — the protocol caught the attack and aborted;
 * ``broken``    — inconsistent keys, nobody noticed (plain BD's fate, and —
@@ -77,6 +78,10 @@ def main() -> None:
         assert matrix.verdict("proposed-gka", attacker) in ("clean", "resisted", "detected")
         for protocol in matrix.protocols:
             assert matrix.verdict(protocol, "eavesdrop") == "clean"
+            # An active attacker that never fired measured nothing.
+            if attacker not in ("baseline", "eavesdrop"):
+                attacks = matrix.outcome(protocol, attacker).attacks
+                assert attacks > 0, f"{attacker} never fired on {protocol}"
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ The package implements, from scratch:
 
 * the proposed two-round ID-based authenticated GKA protocol with batch GQ
   verification and its four dynamic protocols (Join, Leave, Merge, Partition),
+  run through ``ProposedGKAProtocol.apply_event``,
 * every baseline the paper compares against (plain BD, BD + SOK / ECDSA / DSA,
   the SSN ID-based GKA, and BD re-execution for membership events),
 * the substrates those protocols need (number theory, Schnorr groups, elliptic
@@ -36,10 +37,6 @@ Quickstart::
 from .core import (
     GroupSession,
     GroupState,
-    JoinProtocol,
-    LeaveProtocol,
-    MergeProtocol,
-    PartitionProtocol,
     PartyState,
     ProposedGKAProtocol,
     Protocol,
@@ -108,10 +105,6 @@ __all__ = [
     # core
     "GroupSession",
     "GroupState",
-    "JoinProtocol",
-    "LeaveProtocol",
-    "MergeProtocol",
-    "PartitionProtocol",
     "PartyState",
     "Protocol",
     "ProposedGKAProtocol",

@@ -13,9 +13,8 @@ first-copy-wins receiver would.
 
 The library ships five models:
 
-* :class:`Eavesdropper` — purely passive.  Records the whole transcript and
-  every transmitted value, then answers :meth:`knows_key` by attempting key
-  recovery from what it saw (direct observation of the key on the wire, plus
+* :class:`Eavesdropper` — purely passive.  Records every transmitted value,
+  then answers :meth:`knows_key` by attempting key recovery from what it saw (direct observation of the key on the wire, plus
   anything derivable from long-term keys stolen by a :class:`Compromiser`).
   Attaching one to a run must not change a single bit of it: the actor has
   its own :class:`~repro.network.node.Node` whose recorder absorbs the
@@ -26,7 +25,7 @@ The library ships five models:
   inconsistent keys; authenticated protocols reject it.
 * :class:`Replayer` — stores keying messages and, when the same
   ``(sender, round)`` slot recurs in a *later* protocol step, races the stale
-  recording against the fresh transmission.
+  recording against the fresh transmission, under the fresh round label.
 * :class:`ManInTheMiddle` — intercepts messages in flight: per round label it
   replaces the keying value (``mode="modify"``), suppresses delivery
   (``mode="drop"``), or delays it (``mode="delay"``).  The physical
@@ -46,7 +45,8 @@ executor and the scenario runner talk to, with one shared
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..mathutils.rand import DeterministicRNG
@@ -220,7 +220,7 @@ class AttackerActor:
 
 
 class Eavesdropper(AttackerActor):
-    """A passive wiretap: records everything, changes nothing.
+    """A passive wiretap: records every value it hears, changes nothing.
 
     Key-recovery attempts are mechanical, not rhetorical: the oracle layer
     asks :meth:`knows_key` for the concrete agreed key, and the eavesdropper
@@ -235,13 +235,9 @@ class Eavesdropper(AttackerActor):
 
     def __init__(self, name: str, rng: DeterministicRNG, *, budget: int = 8) -> None:
         super().__init__(name, rng, budget=budget)
-        self.transcript: List[Message] = []
         self.seen_values: Set[int] = set()
-        self.seen_bits = 0
 
     def observe(self, message: Message, receipt: DeliveryReceipt) -> None:
-        self.transcript.append(message)
-        self.seen_bits += message.wire_bits
         # The tap is where the attacker's radio listens: the overhearing cost
         # is charged to the attacker's own node, never to a group member.
         self.node.recorder.record_rx(message.wire_bits)
@@ -301,13 +297,20 @@ class Injector(Eavesdropper):
         self._queued.append(forged)
 
 
+#: a cluster epoch in a round label (``ct/<uid>.e<epoch>/``)
+_EPOCH = re.compile(r"\.e\d+")
+
+
 class Replayer(Eavesdropper):
     """Records keying messages and replays them into later protocol steps.
 
     A replay only fires when the same ``(sender, round label)`` slot comes up
     again in a *later* step — e.g. a re-executing baseline running
     ``bd-round1`` for every membership event, or repeated Leave re-keyings —
-    and races the stale copy against the fresh one.
+    and races the stale copy, relabelled with the fresh label, against the
+    fresh one.  A cluster's round labels carry its epoch
+    (``ct/<uid>.e<epoch>/``), which changes on every re-key, so the slot's
+    label leaves the epoch out.
     """
 
     kind = "replayer"
@@ -331,7 +334,8 @@ class Replayer(Eavesdropper):
             for part in message.parts
         ):
             return
-        slot = (message.sender.name, message.round_label)
+        label = message.round_label
+        slot = (message.sender.name, _EPOCH.sub("", label))
         stored = self._recorded.get(slot)
         if (
             stored is not None
@@ -341,7 +345,7 @@ class Replayer(Eavesdropper):
         ):
             self.node.recorder.record_tx(stored[1].wire_bits)
             self.stats.replayed += 1
-            self._queued.append(stored[1])
+            self._queued.append(replace(stored[1], round_label=label))
         self._recorded[slot] = (self.step, message)
 
 

@@ -55,11 +55,11 @@ class AdversaryConfig:
 
     The default configuration is a lone passive eavesdropper — the attacker
     every wireless protocol faces for free.  Active models are opt-in; all
-    of them keep the eavesdropper's transcript (an active attacker hears
+    of them record what the eavesdropper records (an active attacker hears
     everything a passive one does).
     """
 
-    #: record the transcript and attempt key recovery from it
+    #: record every transmitted value and attempt key recovery from them
     eavesdropper: bool = True
     #: race forged keying messages against the originals
     injector: bool = False
@@ -108,8 +108,8 @@ class AdversaryConfig:
                 )
             )
         elif self.eavesdropper and not (self.injector or self.replayer):
-            # Injector/Replayer *are* eavesdroppers (they record the full
-            # transcript themselves), so a standalone wiretap would just
+            # Injector/Replayer *are* eavesdroppers (they record every
+            # value themselves), so a standalone wiretap would just
             # duplicate every observation; it is only needed when no
             # recording actor is otherwise present (pure-passive or
             # MITM-only configurations).

@@ -25,7 +25,7 @@ campaign runner and session façade work unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.base import GroupState, PartyState, Protocol, ProtocolResult, SystemSetup
@@ -36,7 +36,6 @@ from ..exceptions import ParameterError, ProtocolError
 from ..mathutils.memo import Memo
 from ..network.events import MembershipEvent, MergeEvent, membership_after
 from ..network.medium import BroadcastMedium
-from ..network.topology import RingTopology
 from ..pki.identity import Identity
 from .machines import ClusterCrew, ClusterMachine, TreeRun
 from .partitioning import (
@@ -341,10 +340,8 @@ class ClusterTreeProtocol(Protocol):
             incoming = list(event.other_group)
             if field is not None:
                 chunks = geographic_clusters(incoming, target, field)
-            elif len(incoming) >= 2:
-                chunks = chunk_members(incoming, target)
             else:
-                chunks = [incoming]
+                chunks = chunk_members(incoming, target)
             for chunk in chunks:
                 if len(chunk) == 1:
                     # A lone newcomer joins the smallest existing cluster.

@@ -1,6 +1,10 @@
 """The paper's contribution: the proposed ID-based authenticated GKA protocol,
 its four dynamic protocols (Join, Leave, Merge, Partition) and the high-level
-``GroupSession`` API."""
+``GroupSession`` API.
+
+:class:`ProposedGKAProtocol` runs every membership event through
+``apply_event`` (and ``merge_states``), which drives the event's plan from
+:mod:`.join`, :mod:`.rekey` (Leave and Partition) or :mod:`.merge`."""
 
 from .base import (
     GroupState,
@@ -13,10 +17,6 @@ from .base import (
     verify_x_product,
 )
 from .gka import ProposedGKAProtocol
-from .join import JoinProtocol
-from .leave import LeaveProtocol
-from .merge import MergeProtocol
-from .partition import PartitionProtocol
 from .registry import available_protocols, create_protocol
 from .session import GroupSession
 
@@ -30,10 +30,6 @@ __all__ = [
     "compute_bd_x_value",
     "verify_x_product",
     "ProposedGKAProtocol",
-    "JoinProtocol",
-    "LeaveProtocol",
-    "MergeProtocol",
-    "PartitionProtocol",
     "GroupSession",
     "available_protocols",
     "create_protocol",

@@ -14,8 +14,10 @@ its four dynamic protocols and the baselines have in common:
 * :class:`ProtocolResult` — what a protocol run returns (keys per member,
   the new group state, the medium transcript);
 * :class:`Protocol` — the strategy interface, with the enrollment loop of
-  every flat establishment (:meth:`Protocol._flat_plan`) and the two-round
-  plan that keeps the controller's key (:func:`two_round_plan`);
+  every flat establishment (:meth:`Protocol._flat_plan`);
+* :func:`ring_plan` — the plan those establishments and every dynamic event
+  of the proposed GKA end with: its result is the group on a ring, keyed by
+  the ring's controller;
 * the Burmester–Desmedt algebra: computing ``X_i`` values and the group key
   from them;
 * the Burmester–Desmedt round machine, :class:`BDRoundMachine`: draw
@@ -24,25 +26,27 @@ its four dynamic protocols and the baselines have in common:
   proposed GKA, its Leave/Partition rekey and every BD baseline run it;
   each adds only its authentication layer.  :class:`GQRoundMachine` is the
   layer the proposed GKA and its rekey share: the batch-verified GQ
-  signature over both rounds, with the controller transmitting last.
+  signature over both rounds, with the controller transmitting last;
+* :class:`EnvelopePairMachine` — the Join and Merge bystander, which only
+  opens two envelopes sealed under the current group key.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..energy.accounting import CostRecorder
 from ..engine.executor import EngineConfig, EngineStats, drive_plan
 from ..engine.machine import Early, MachinePlan, Outbound, PartyMachine
-from ..exceptions import KeyConfirmationError, ParameterError, ProtocolError
+from ..exceptions import ParameterError, ProtocolError
 from ..groups.params import PAPER_GQ_SET, PAPER_SCHNORR_SET, get_gq_modulus, get_schnorr_group
 from ..groups.schnorr import SchnorrGroup
 from ..hashing.hashfuncs import HashFunction
 from ..mathutils.memo import Memo
 from ..mathutils.modular import product_mod
-from ..mathutils.primes import RSAModulus, generate_rsa_modulus, generate_schnorr_parameters
+from ..mathutils.primes import generate_rsa_modulus, generate_schnorr_parameters
 from ..mathutils.rand import DeterministicRNG
 from ..mathutils.serialization import int_to_bytes
 from ..network.events import MembershipEvent, MergeEvent, membership_after
@@ -53,6 +57,7 @@ from ..network.topology import RingTopology
 from ..pki.identity import Identity, IdentityRegistry
 from ..pki.pkg import PrivateKeyGenerator
 from ..signatures.gq import GQParameters, GQPrivateKey, gq_commitment, gq_response
+from ..symmetric.authenc import SymmetricEnvelope
 
 __all__ = [
     "SystemSetup",
@@ -60,12 +65,13 @@ __all__ = [
     "GroupState",
     "ProtocolResult",
     "Protocol",
-    "two_round_plan",
+    "ring_plan",
     "compute_bd_x_value",
     "compute_bd_key",
     "verify_x_product",
     "BDRoundMachine",
     "GQRoundMachine",
+    "EnvelopePairMachine",
 ]
 
 
@@ -303,9 +309,9 @@ class Protocol(abc.ABC):
     Protocols that have no dynamic sub-protocols (every baseline) inherit the
     default :meth:`apply_event`, which re-executes :meth:`run` over the
     post-event membership — exactly the BD-re-execution semantics the paper's
-    Tables 4 and 5 compare against.  The proposed protocol overrides it to
-    dispatch to its Join/Leave/Merge/Partition protocols, and advertises that
-    via :attr:`supported_events`.
+    Tables 4 and 5 compare against.  The proposed protocol overrides it with
+    its Join, Leave, Merge and Partition plans, and advertises that via
+    :attr:`supported_events`.
 
     Protocols are selected by :attr:`name` through
     :mod:`repro.core.registry`, so runners, benchmarks and the
@@ -375,7 +381,7 @@ class Protocol(abc.ABC):
                 node=node,
             )
         machines = [machine(parties[identity.name], ring) for identity in ring.members]
-        return two_round_plan(self.setup, self.name, ring, parties, medium, machines)
+        return ring_plan(self.setup, self.name, ring, parties, medium, machines, rounds=2)
 
     def run(
         self,
@@ -457,15 +463,21 @@ class Protocol(abc.ABC):
         return f"{self.name} (native dynamic events: {native})"
 
 
-def two_round_plan(
+def ring_plan(
     setup: SystemSetup,
     protocol: str,
     ring: RingTopology,
     parties: Dict[str, PartyState],
     medium: BroadcastMedium,
     machines: List[PartyMachine],
+    *,
+    rounds: int,
 ) -> MachinePlan:
-    """A two-round plan whose result keeps the controller's key as the group key."""
+    """A plan whose result is ``parties`` on ``ring``, keyed by its controller.
+
+    Once the machines are quiescent, the controller's key becomes the group
+    key of the returned :class:`GroupState`.
+    """
 
     def finish(stats: EngineStats) -> ProtocolResult:
         state = GroupState(
@@ -478,12 +490,12 @@ def two_round_plan(
             protocol=protocol,
             state=state,
             medium=medium,
-            rounds=2,
+            rounds=rounds,
             sim_latency_s=stats.sim_time_s,
             timeouts=stats.timeouts,
         )
 
-    return MachinePlan(machines=machines, finish=finish, rounds=2)
+    return MachinePlan(machines=machines, finish=finish, rounds=rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -791,3 +803,54 @@ class GQRoundMachine(BDRoundMachine):
     @abc.abstractmethod
     def _verify(self) -> None:
         """Check the complete Round-2 view and derive ``K`` from it."""
+
+
+class EnvelopePairMachine(PartyMachine):
+    """A member that only opens two envelopes sealed under its current key.
+
+    Every Join and Merge member other than the active roles runs this: no
+    exponentiation, two symmetric decryptions.  ``slots`` are the two
+    ``(round label, part name, sealer)`` envelopes in opening order.  Other
+    labels are ignored, and the member waits on the first slot still
+    missing.  Once both are in, the new group key is the product of the two
+    opened group elements mod ``p``.
+    """
+
+    def __init__(
+        self,
+        party: PartyState,
+        setup: SystemSetup,
+        slots: Sequence[Tuple[str, str, Identity]],
+    ) -> None:
+        super().__init__(party.identity, party.node)
+        self.party = party
+        self.setup = setup
+        self.slots = tuple(slots)
+        self._sealed: Dict[str, object] = {}
+
+    def start(self, now: float) -> List[Outbound]:
+        self.waiting_for = self.slots[0][0]
+        return []
+
+    def on_message(self, message: Message, now: float) -> List[Outbound]:
+        label = message.round_label
+        part = next((part for slot, part, _ in self.slots if slot == label), None)
+        if part is None:
+            return []
+        self._sealed[label] = message.value(part)
+        missing = [slot for slot, _, _ in self.slots if slot not in self._sealed]
+        if missing:
+            self.waiting_for = missing[0]
+            return []
+        party = self.party
+        assert party.group_key is not None
+        envelope = SymmetricEnvelope(party.group_key)
+        first, second = (
+            envelope.open_group_element(self._sealed[slot], sealer.to_bytes())
+            for slot, _, sealer in self.slots
+        )
+        party.recorder.record_operation("symmetric", 2)
+        party.group_key = (first * second) % self.setup.group.p
+        self.finished = True
+        self.waiting_for = None
+        return []

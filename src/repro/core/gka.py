@@ -36,24 +36,24 @@ Per-member cost accounting follows the paper's Table 1 vocabulary: three
 modular exponentiations (``z_i``, ``X_i`` and the final key derivation), one
 GQ signature generation and one (batch) GQ verification, two broadcast
 transmissions and ``2(n-1)`` receptions.
+
+:class:`ProposedGKAProtocol` is also the one driver of the four dynamic
+protocols: ``apply_event`` builds the event's plan and drives it once.  The
+plans are :func:`~repro.core.join.join_plan`,
+:func:`~repro.core.rekey.departure_plan` (Leave and Partition) and
+:func:`~repro.core.merge.merge_plan`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..engine.executor import EngineConfig
+from ..engine.executor import EngineConfig, drive_plan
 from ..engine.machine import MachinePlan, Outbound
-from ..exceptions import BatchVerificationError, ProtocolError
+from ..exceptions import BatchVerificationError
 from ..mathutils.memo import Memo
 from ..mathutils.rand import DeterministicRNG
-from ..network.events import (
-    JoinEvent,
-    LeaveEvent,
-    MembershipEvent,
-    MergeEvent,
-    PartitionEvent,
-)
+from ..network.events import JoinEvent, LeaveEvent, MembershipEvent, MergeEvent, membership_after
 from ..network.medium import BroadcastMedium
 from ..network.message import Message
 from ..network.topology import RingTopology
@@ -67,6 +67,9 @@ from .base import (
     ProtocolResult,
     SystemSetup,
 )
+from .join import join_plan
+from .merge import merge_plan
+from .rekey import departure_plan
 
 __all__ = ["ProposedGKAProtocol", "TamperFunction"]
 
@@ -239,34 +242,18 @@ class ProposedGKAProtocol(Protocol):
         seed: object = 0,
         engine: Optional[EngineConfig] = None,
     ) -> ProtocolResult:
-        """Dispatch a membership event to the matching dynamic protocol.
+        """Run the paper's dedicated protocol for a membership event.
 
         Unlike the re-execution default inherited by the baselines, every
-        event here runs the paper's dedicated Join/Leave/Merge/Partition
-        protocol over the existing :class:`GroupState`.  For a merge, the
-        incoming group is first keyed among itself on a private medium (it is
-        a separate radio domain until the networks actually meet), then the
-        two controllers run the Merge protocol on the shared medium.
+        event here runs the Join, Leave, Merge or Partition protocol over the
+        existing :class:`GroupState`.  An event that does not fit the group
+        raises :class:`~repro.exceptions.MembershipError` before anything
+        runs.  For a merge, the incoming group is first keyed among itself
+        on a private medium (it is a separate radio domain until the
+        networks actually meet), then the two controllers run the Merge
+        protocol on the shared medium.
         """
-        # Imported here: the dynamic-protocol modules import from this
-        # package's base and would otherwise form a cycle at import time.
-        from .join import JoinProtocol
-        from .leave import LeaveProtocol
-        from .merge import MergeProtocol
-        from .partition import PartitionProtocol
-
-        if isinstance(event, JoinEvent):
-            return JoinProtocol(self.setup).run(
-                state, event.joining, medium=medium, seed=seed, engine=engine
-            )
-        if isinstance(event, LeaveEvent):
-            return LeaveProtocol(self.setup).run(
-                state, event.leaving, medium=medium, seed=seed, engine=engine
-            )
-        if isinstance(event, PartitionEvent):
-            return PartitionProtocol(self.setup).run(
-                state, list(event.leaving), medium=medium, seed=seed, engine=engine
-            )
+        membership_after(state.members, event)
         if isinstance(event, MergeEvent):
             # Named child seed (not string concatenation) so the sub-group's
             # randomness is domain-separated like every other consumer.
@@ -278,10 +265,14 @@ class ProposedGKAProtocol(Protocol):
             # Clear its establishment costs so the merge step is charged only
             # with what the Merge protocol itself does (Table 5 accounting).
             other.state.reset_costs()
-            return MergeProtocol(self.setup).run(
-                state, other.state, medium=medium, seed=seed, engine=engine
-            )
-        raise ProtocolError(f"unknown membership event {event!r}")
+            return self.merge_states(state, other.state, medium=medium, engine=engine)
+        medium = medium if medium is not None else BroadcastMedium()
+        if isinstance(event, JoinEvent):
+            plan = join_plan(self.setup, state, event.joining, medium=medium, seed=seed)
+        else:
+            departing = [event.leaving] if isinstance(event, LeaveEvent) else list(event.leaving)
+            plan = departure_plan(self.setup, state, departing, kind=event.kind, medium=medium)
+        return drive_plan(plan, medium, engine=engine)
 
     def merge_states(
         self,
@@ -292,9 +283,10 @@ class ProposedGKAProtocol(Protocol):
         seed: object = 0,
         engine: Optional[EngineConfig] = None,
     ) -> ProtocolResult:
-        """Merge an established peer group via the dedicated Merge protocol."""
-        from .merge import MergeProtocol
+        """Merge an established peer group via the dedicated Merge protocol.
 
-        return MergeProtocol(self.setup).run(
-            state, other, medium=medium, seed=seed, engine=engine
-        )
+        The Merge protocol draws only on the members' own RNG streams, so
+        ``seed`` is unused.
+        """
+        medium = medium if medium is not None else BroadcastMedium()
+        return drive_plan(merge_plan(self.setup, state, other, medium=medium), medium, engine=engine)

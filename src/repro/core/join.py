@@ -19,18 +19,22 @@ Each participant runs as a :class:`~repro.engine.machine.PartyMachine` with a
 role-specific reaction: the newcomer opens with Round 1, ``U_1`` and ``U_n``
 react to it with their Round-2 broadcasts (``U_1``'s flushes first, in ring
 order), ``U_n`` reacts to ``U_1``'s partial key with the Round-3 unicast, and
-every bystander merely collects the two ``E_K`` envelopes.  Every other
-member only performs symmetric decryptions and receptions — the source of the
+every bystander is an :class:`~repro.core.base.EnvelopePairMachine` that
+merely opens the two ``E_K`` envelopes.  Every other member only performs
+symmetric decryptions and receptions — the source of the
 three-orders-of-magnitude energy gap over re-running BD that Table 5 reports.
+
+:func:`join_plan` builds one Join run.
+:meth:`~repro.core.gka.ProposedGKAProtocol.apply_event` drives it for a
+:class:`~repro.network.events.JoinEvent`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..engine.executor import EngineConfig, EngineStats, drive_plan
 from ..engine.machine import Early, MachinePlan, Outbound, PartyMachine
-from ..exceptions import MembershipError, ParameterError, SignatureError
+from ..exceptions import ParameterError, SignatureError
 from ..mathutils.rand import DeterministicRNG
 from ..mathutils.serialization import encode_fields, int_to_bytes
 from ..network.medium import BroadcastMedium
@@ -39,30 +43,38 @@ from ..network.node import Node
 from ..pki.identity import Identity
 from ..signatures.gq import GQSignatureScheme, gq_commitment
 from ..symmetric.authenc import SymmetricEnvelope
-from .base import GroupState, PartyState, ProtocolResult, SystemSetup
+from .base import EnvelopePairMachine, GroupState, PartyState, SystemSetup, ring_plan
 
-__all__ = ["JoinProtocol"]
+__all__ = ["join_plan"]
 
 
 class _JoinRun:
     """Shared references for one Join execution (ring roles and identities)."""
 
     def __init__(
-        self,
-        setup: SystemSetup,
-        scheme: GQSignatureScheme,
-        state: GroupState,
-        joining: Identity,
-        new_party: PartyState,
+        self, setup: SystemSetup, state: GroupState, joining: Identity, new_party: PartyState
     ) -> None:
         self.setup = setup
-        self.scheme = scheme
+        self.scheme = GQSignatureScheme(setup.gq_params)
         self.state = state
         self.joining = joining
         self.new_party = new_party
         self.controller = state.ring.controller()
         self.last = state.ring.last()
         self.u2 = state.ring.right_neighbour(self.controller)
+
+    def verify_newcomer(self, message: Message, party: PartyState, verifier: str) -> None:
+        """Check and record the newcomer's GQ signature over ``U_{n+1} || z || t``."""
+        body = encode_fields(
+            [
+                self.joining.to_bytes(),
+                int_to_bytes(int(message.value("z"))),
+                int_to_bytes(int(message.value("t"))),
+            ]
+        )
+        if not self.scheme.verify(self.joining.to_bytes(), body, message.value("signature")):
+            raise SignatureError(f"{verifier} rejected the joining user's signature")
+        party.recorder.record_signature("gq", "ver")
 
 
 class _NewcomerMachine(PartyMachine):
@@ -162,18 +174,7 @@ class _ControllerMachine(PartyMachine):
         if message.round_label == "join-round2-un" and self._group_envelope is None:
             raise Early  # overtook the newcomer's round 1
         if message.round_label == "join-round1":
-            body = encode_fields(
-                [
-                    self.run.joining.to_bytes(),
-                    int_to_bytes(int(message.value("z"))),
-                    int_to_bytes(int(message.value("t"))),
-                ]
-            )
-            if not self.run.scheme.verify(
-                self.run.joining.to_bytes(), body, message.value("signature")
-            ):
-                raise SignatureError("U_1 rejected the joining user's signature")
-            party.recorder.record_signature("gq", "ver")
+            self.run.verify_newcomer(message, party, "U_1")
             z2 = self.run.state.party(self.run.u2).z
             zn = self.run.state.party(self.run.last).z
             z_new = int(message.value("z"))
@@ -236,18 +237,7 @@ class _LastMemberMachine(PartyMachine):
         if message.round_label == "join-round2-u1" and self._group_envelope is None:
             raise Early  # overtook the newcomer's round 1
         if message.round_label == "join-round1":
-            body = encode_fields(
-                [
-                    self.run.joining.to_bytes(),
-                    int_to_bytes(int(message.value("z"))),
-                    int_to_bytes(int(message.value("t"))),
-                ]
-            )
-            if not self.run.scheme.verify(
-                self.run.joining.to_bytes(), body, message.value("signature")
-            ):
-                raise SignatureError("U_n rejected the joining user's signature")
-            party.recorder.record_signature("gq", "ver")
+            self.run.verify_newcomer(message, party, "U_n")
             z_new = int(message.value("z"))
             assert party.r is not None and party.z is not None
             current_key = party.group_key
@@ -307,135 +297,53 @@ class _LastMemberMachine(PartyMachine):
         return []
 
 
-class _BystanderMachine(PartyMachine):
-    """Any other member: two symmetric decryptions, no exponentiations."""
+def join_plan(
+    setup: SystemSetup,
+    state: GroupState,
+    joining: Identity,
+    *,
+    medium: BroadcastMedium,
+    seed: object = 0,
+) -> MachinePlan:
+    """Decompose one Join into per-member machines.
 
-    def __init__(self, run: _JoinRun, party: PartyState) -> None:
-        super().__init__(party.identity, party.node)
-        self.run = run
-        self.party = party
-        self._sealed: Dict[str, object] = {}
+    ``state`` must be an agreed group (every member holds the same key);
+    the plan's result holds the enlarged group with the new key ``K'``.
+    """
+    if not state.all_agree():
+        raise ParameterError("the current group has not agreed on a key; run the GKA first")
+    new_ring = state.ring.with_join(joining)
+    rng = DeterministicRNG(seed, label="join")
+    for member in state.ring.members:
+        medium.attach(state.party(member).node)
 
-    def start(self, now: float) -> List[Outbound]:
-        self.waiting_for = "join-round2-u1"
-        return []
+    # The joining party: enrolled with the PKG, given a node on the medium.
+    new_key_pair = setup.enroll(joining)
+    new_node = Node(joining)
+    medium.attach(new_node)
+    new_party = PartyState(
+        identity=joining,
+        private_key=new_key_pair,
+        rng=rng.fork(f"party/{joining.name}"),
+        node=new_node,
+    )
 
-    def on_message(self, message: Message, now: float) -> List[Outbound]:
-        if message.round_label not in ("join-round2-u1", "join-round2-un"):
-            # On a multi-hop medium the newcomer's round 1 can arrive after
-            # both envelopes, whose key has been replaced by then.
-            return []
-        part_name = "E_K(K*)" if message.round_label == "join-round2-u1" else "E_K(DH)"
-        self._sealed[message.round_label] = message.value(part_name)
-        self.waiting_for = (
-            "join-round2-un" if message.round_label == "join-round2-u1" else "join-round2-u1"
-        )
-        if len(self._sealed) == 2:
-            group = self.run.setup.group
-            party = self.party
-            current_key = party.group_key
-            assert current_key is not None
-            envelope = SymmetricEnvelope(current_key)
-            k_star = envelope.open_group_element(
-                self._sealed["join-round2-u1"], self.run.controller.to_bytes()
-            )
-            dh_key = envelope.open_group_element(
-                self._sealed["join-round2-un"], self.run.last.to_bytes()
-            )
-            party.recorder.record_operation("symmetric", 2)
-            party.group_key = (k_star * dh_key) % group.p
-            self.finished = True
-            self.waiting_for = None
-        return []
-
-
-class JoinProtocol:
-    """Admit one new member into an established group."""
-
-    name = "proposed-join"
-
-    def __init__(self, setup: SystemSetup) -> None:
-        self.setup = setup
-        self._scheme = GQSignatureScheme(setup.gq_params)
-
-    # -------------------------------------------------------------- machines
-    def build_machines(
-        self,
-        state: GroupState,
-        joining: Identity,
-        *,
-        medium: BroadcastMedium,
-        seed: object = 0,
-    ) -> MachinePlan:
-        """Decompose the Join protocol into per-member machines."""
-        if not state.all_agree():
-            raise ParameterError("the current group has not agreed on a key; run the GKA first")
-        if joining in state.ring:
-            raise MembershipError(f"{joining.name!r} is already a group member")
-        rng = DeterministicRNG(seed, label="join")
-        for member in state.ring.members:
-            medium.attach(state.party(member).node)
-
-        # The joining party: enrolled with the PKG, given a node on the medium.
-        new_key_pair = self.setup.enroll(joining)
-        new_node = Node(joining)
-        medium.attach(new_node)
-        new_party = PartyState(
-            identity=joining,
-            private_key=new_key_pair,
-            rng=rng.fork(f"party/{joining.name}"),
-            node=new_node,
-        )
-
-        run = _JoinRun(self.setup, self._scheme, state, joining, new_party)
-        machines: List[PartyMachine] = []
-        for member in state.ring.members:
-            party = state.party(member)
-            if member.name == run.controller.name:
-                machines.append(_ControllerMachine(run, party))
-            elif member.name == run.last.name:
-                machines.append(_LastMemberMachine(run, party))
-            else:
-                machines.append(_BystanderMachine(run, party))
-        machines.append(_NewcomerMachine(run))
-
-        def finish(stats: EngineStats) -> ProtocolResult:
-            new_ring = state.ring.with_join(joining)
-            parties: Dict[str, PartyState] = dict(state.parties)
-            parties[joining.name] = new_party
-            new_state = GroupState(
-                setup=self.setup,
-                ring=new_ring,
-                parties=parties,
-                group_key=parties[new_ring.controller().name].group_key,
-            )
-            return ProtocolResult(
-                protocol=self.name,
-                state=new_state,
-                medium=medium,
-                rounds=3,
-                sim_latency_s=stats.sim_time_s,
-                timeouts=stats.timeouts,
-            )
-
-        return MachinePlan(machines=machines, finish=finish, rounds=3)
-
-    # ------------------------------------------------------------------- run
-    def run(
-        self,
-        state: GroupState,
-        joining: Identity,
-        *,
-        medium: Optional[BroadcastMedium] = None,
-        seed: object = 0,
-        engine: Optional[EngineConfig] = None,
-    ) -> ProtocolResult:
-        """Run the Join protocol, returning the new group state.
-
-        ``state`` must be an agreed group (every member holds the same key);
-        the returned :class:`ProtocolResult` contains the enlarged group with
-        the new key ``K'``.
-        """
-        medium = medium if medium is not None else BroadcastMedium()
-        plan = self.build_machines(state, joining, medium=medium, seed=seed)
-        return drive_plan(plan, medium, engine=engine)
+    run = _JoinRun(setup, state, joining, new_party)
+    envelopes = (
+        ("join-round2-u1", "E_K(K*)", run.controller),
+        ("join-round2-un", "E_K(DH)", run.last),
+    )
+    machines: List[PartyMachine] = []
+    for member in state.ring.members:
+        party = state.party(member)
+        if member.name == run.controller.name:
+            machines.append(_ControllerMachine(run, party))
+        elif member.name == run.last.name:
+            machines.append(_LastMemberMachine(run, party))
+        else:
+            # On a multi-hop medium the newcomer's round 1 can reach a
+            # bystander after both envelopes; it is ignored.
+            machines.append(EnvelopePairMachine(party, setup, envelopes))
+    machines.append(_NewcomerMachine(run))
+    parties = {**state.parties, joining.name: new_party}
+    return ring_plan(setup, "proposed-join", new_ring, parties, medium, machines, rounds=3)

@@ -20,27 +20,31 @@ the two controllers do public-key work:
 The two controllers run as mirror-image
 :class:`~repro.engine.machine.PartyMachine` instances — each round is a
 reaction to the peer controller's previous broadcast — and every other member
-is a bystander machine that merely collects its controller's two envelopes.
-All non-controller members only perform symmetric decryptions, which is what
-drives their Table 5 energy down to fractions of a millijoule.
+is an :class:`~repro.core.base.EnvelopePairMachine` that merely opens its
+controller's two envelopes.  All non-controller members only perform
+symmetric decryptions, which is what drives their Table 5 energy down to
+fractions of a millijoule.
+
+:func:`merge_plan` builds one Merge run.
+:meth:`~repro.core.gka.ProposedGKAProtocol.merge_states` drives it, and so
+does ``apply_event`` for a :class:`~repro.network.events.MergeEvent`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..engine.executor import EngineConfig, EngineStats, drive_plan
 from ..engine.machine import Early, MachinePlan, Outbound, PartyMachine
-from ..exceptions import MembershipError, ParameterError, SignatureError
+from ..exceptions import ParameterError, SignatureError
 from ..mathutils.serialization import encode_fields, int_to_bytes
 from ..network.medium import BroadcastMedium
 from ..network.message import Message, envelope_part, group_element_part, identity_part, signature_part
 from ..pki.identity import Identity
 from ..signatures.gq import GQSignatureScheme
 from ..symmetric.authenc import SymmetricEnvelope
-from .base import GroupState, PartyState, ProtocolResult, SystemSetup
+from .base import EnvelopePairMachine, GroupState, PartyState, SystemSetup, ring_plan
 
-__all__ = ["MergeProtocol"]
+__all__ = ["merge_plan"]
 
 
 class _MergeControllerMachine(PartyMachine):
@@ -222,141 +226,43 @@ class _MergeControllerMachine(PartyMachine):
         ]
 
 
-class _MergeBystanderMachine(PartyMachine):
-    """A non-controller member: collect the controller's two envelopes."""
+def merge_plan(
+    setup: SystemSetup,
+    state_a: GroupState,
+    state_b: GroupState,
+    *,
+    medium: BroadcastMedium,
+) -> MachinePlan:
+    """Decompose merging ``state_b`` into ``state_a`` into per-member machines."""
+    if state_a.setup is not setup and state_a.setup.group is not setup.group:
+        raise ParameterError("group A was established under different system parameters")
+    if not state_a.all_agree() or not state_b.all_agree():
+        raise ParameterError("both groups must hold agreed keys before merging")
+    merged_ring = state_a.ring.merged_with(state_b.ring)
 
-    def __init__(
-        self,
-        setup: SystemSetup,
-        party: PartyState,
-        tag: str,
-        controller: Identity,
-    ) -> None:
-        super().__init__(party.identity, party.node)
-        self.setup = setup
-        self.party = party
-        self.tag = tag
-        self.controller = controller
-        self._sealed: Dict[str, object] = {}
+    for member in list(state_a.ring) + list(state_b.ring):
+        source = state_a if member in state_a.ring else state_b
+        medium.attach(source.party(member).node)
 
-    def start(self, now: float) -> List[Outbound]:
-        self.waiting_for = f"merge-round2-{self.tag}"
-        return []
-
-    def on_message(self, message: Message, now: float) -> List[Outbound]:
-        label = message.round_label
-        own_part = f"E_K{self.tag.upper()}(K*_{self.tag.upper()})"
-        peer_part = f"E_K{self.tag.upper()}(K*_{'B' if self.tag == 'a' else 'A'})"
-        if label == f"merge-round2-{self.tag}":
-            self._sealed["own"] = message.value(own_part)
-            self.waiting_for = f"merge-round3-{self.tag}"
-        elif label == f"merge-round3-{self.tag}":
-            self._sealed["peer"] = message.value(peer_part)
-        else:
-            return []
-        if len(self._sealed) == 2:
-            group = self.setup.group
-            party = self.party
-            key = party.group_key
-            assert key is not None
-            envelope = SymmetricEnvelope(key)
-            own_k_star = envelope.open_group_element(
-                self._sealed["own"], self.controller.to_bytes()
-            )
-            peer_k_star = envelope.open_group_element(
-                self._sealed["peer"], self.controller.to_bytes()
-            )
-            party.recorder.record_operation("symmetric", 2)
-            party.group_key = (own_k_star * peer_k_star) % group.p
-            self.finished = True
-            self.waiting_for = None
-        return []
-
-
-class MergeProtocol:
-    """Merge two established groups into one."""
-
-    name = "proposed-merge"
-
-    def __init__(self, setup: SystemSetup) -> None:
-        self.setup = setup
-        self._scheme = GQSignatureScheme(setup.gq_params)
-
-    # -------------------------------------------------------------- machines
-    def build_machines(
-        self,
-        state_a: GroupState,
-        state_b: GroupState,
-        *,
-        medium: BroadcastMedium,
-        seed: object = 0,
-    ) -> MachinePlan:
-        """Decompose the Merge protocol into per-member machines."""
-        if state_a.setup is not self.setup and state_a.setup.group is not self.setup.group:
-            raise ParameterError("group A was established under different system parameters")
-        if not state_a.all_agree() or not state_b.all_agree():
-            raise ParameterError("both groups must hold agreed keys before merging")
-        overlap = {m.name for m in state_a.ring} & {m.name for m in state_b.ring}
-        if overlap:
-            raise MembershipError(f"groups overlap: {sorted(overlap)}")
-
-        for member in list(state_a.ring) + list(state_b.ring):
-            source = state_a if member in state_a.ring else state_b
-            medium.attach(source.party(member).node)
-
-        ctrl_a = state_a.ring.controller()
-        ctrl_b = state_b.ring.controller()
-        machines: List[PartyMachine] = []
-        for member in state_a.ring.members:
-            party = state_a.party(member)
-            if member.name == ctrl_a.name:
+    scheme = GQSignatureScheme(setup.gq_params)
+    machines: List[PartyMachine] = []
+    for state, own, other, peer in ((state_a, "A", "B", state_b), (state_b, "B", "A", state_a)):
+        controller = state.ring.controller()
+        tag = own.lower()
+        envelopes = (
+            (f"merge-round2-{tag}", f"E_K{own}(K*_{own})", controller),
+            (f"merge-round3-{tag}", f"E_K{own}(K*_{other})", controller),
+        )
+        for member in state.ring.members:
+            party = state.party(member)
+            if member.name == controller.name:
                 machines.append(
-                    _MergeControllerMachine(self.setup, self._scheme, party, state_a, "a", ctrl_b)
+                    _MergeControllerMachine(
+                        setup, scheme, party, state, tag, peer.ring.controller()
+                    )
                 )
             else:
-                machines.append(_MergeBystanderMachine(self.setup, party, "a", ctrl_a))
-        for member in state_b.ring.members:
-            party = state_b.party(member)
-            if member.name == ctrl_b.name:
-                machines.append(
-                    _MergeControllerMachine(self.setup, self._scheme, party, state_b, "b", ctrl_a)
-                )
-            else:
-                machines.append(_MergeBystanderMachine(self.setup, party, "b", ctrl_b))
+                machines.append(EnvelopePairMachine(party, setup, envelopes))
 
-        def finish(stats: EngineStats) -> ProtocolResult:
-            merged_ring = state_a.ring.merged_with(state_b.ring)
-            parties: Dict[str, PartyState] = {}
-            parties.update(state_a.parties)
-            parties.update(state_b.parties)
-            new_state = GroupState(
-                setup=self.setup,
-                ring=merged_ring,
-                parties=parties,
-                group_key=parties[merged_ring.controller().name].group_key,
-            )
-            return ProtocolResult(
-                protocol=self.name,
-                state=new_state,
-                medium=medium,
-                rounds=3,
-                sim_latency_s=stats.sim_time_s,
-                timeouts=stats.timeouts,
-            )
-
-        return MachinePlan(machines=machines, finish=finish, rounds=3)
-
-    # ------------------------------------------------------------------- run
-    def run(
-        self,
-        state_a: GroupState,
-        state_b: GroupState,
-        *,
-        medium: Optional[BroadcastMedium] = None,
-        seed: object = 0,
-        engine: Optional[EngineConfig] = None,
-    ) -> ProtocolResult:
-        """Merge ``state_b`` into ``state_a`` and return the combined group state."""
-        medium = medium if medium is not None else BroadcastMedium()
-        plan = self.build_machines(state_a, state_b, medium=medium, seed=seed)
-        return drive_plan(plan, medium, engine=engine)
+    parties = {**state_a.parties, **state_b.parties}
+    return ring_plan(setup, "proposed-merge", merged_ring, parties, medium, machines, rounds=3)

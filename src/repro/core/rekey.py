@@ -1,8 +1,10 @@
-"""Shared re-keying machinery for the Leave and Partition protocols.
+"""The authenticated Leave and Partition protocols (Section 7 of the paper).
 
 The paper's Leave protocol and Partition protocol are the same two-round
 construction — Partition "can be seen as multiple users leaving the group" —
-so both are implemented here over a common core:
+so one plan, :func:`departure_plan`, serves both; its ``kind`` (``"leave"``
+or ``"partition"``) names the rounds and the result.  When ``U_l`` leaves
+(or the set ``L`` partitions away):
 
 * **Round 1** — every *remaining odd-indexed* user refreshes its exponent
   (``r'_j``, ``z'_j = g^{r'_j}``) and its GQ commitment (``tau'_j``,
@@ -16,6 +18,10 @@ so both are implemented here over a common core:
 * **Verification & key computation** — the batch equation (10)/(12), Lemma 1
   over the remaining ``X'_i``, then the Burmester–Desmedt key over the new
   ring (equations (11)/(13)).
+
+:meth:`~repro.core.gka.ProposedGKAProtocol.apply_event` drives the plan for a
+:class:`~repro.network.events.LeaveEvent` or
+:class:`~repro.network.events.PartitionEvent`.
 
 Execution is one :class:`~repro.core.base.GQRoundMachine` per remaining
 member on the event kernel — the same BD rounds and GQ Round 2 as the
@@ -36,28 +42,19 @@ departed state alone.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Set
+from typing import List, Mapping, Sequence, Set
 
-from ..engine.executor import EngineConfig, drive_plan
 from ..engine.machine import MachinePlan, Outbound
 from ..exceptions import BatchVerificationError, KeyConfirmationError, MembershipError, ParameterError
 from ..mathutils.memo import Memo
-from ..mathutils.rand import DeterministicRNG
 from ..network.medium import BroadcastMedium
 from ..network.message import Message
 from ..network.topology import RingTopology
 from ..pki.identity import Identity
 from ..signatures.gq import gq_batch_verify
-from .base import (
-    GQRoundMachine,
-    GroupState,
-    PartyState,
-    ProtocolResult,
-    SystemSetup,
-    two_round_plan,
-)
+from .base import GQRoundMachine, GroupState, PartyState, SystemSetup, ring_plan
 
-__all__ = ["build_departure_rekey", "run_departure_rekey"]
+__all__ = ["departure_plan"]
 
 
 class _RekeyPartyMachine(GQRoundMachine):
@@ -70,15 +67,14 @@ class _RekeyPartyMachine(GQRoundMachine):
         new_ring: RingTopology,
         parties: Mapping[str, PartyState],
         refresher_names: Set[str],
-        round_prefix: str,
-        protocol_name: str,
+        kind: str,
         verdicts: Memo,
     ) -> None:
         super().__init__(party, setup, new_ring, verdicts)
         self.parties = parties
-        self.protocol_name = protocol_name
-        self.round1_label = f"{round_prefix}-round1"
-        self.round2_label = f"{round_prefix}-round2"
+        self.protocol_name = f"proposed-{kind}"
+        self.round1_label = f"{kind}-round1"
+        self.round2_label = f"{kind}-round2"
         self.is_refresher = party.identity.name in refresher_names
         self._expected_round1 = len(refresher_names) - (1 if self.is_refresher else 0)
         self._received_round1 = 0
@@ -127,38 +123,25 @@ class _RekeyPartyMachine(GQRoundMachine):
         self.waiting_for = None
 
 
-def build_departure_rekey(
+def departure_plan(
     setup: SystemSetup,
     state: GroupState,
     departing: Sequence[Identity],
     *,
-    protocol_name: str,
-    round_prefix: str,
+    kind: str,
     medium: BroadcastMedium,
-    seed: object = 0,
 ) -> MachinePlan:
-    """Decompose the Leave/Partition re-keying into per-member machines."""
+    """Decompose one Leave or Partition (``kind``) into per-member machines."""
     if not departing:
         raise ParameterError("at least one member must depart")
     if not state.all_agree():
         raise ParameterError("the current group has not agreed on a key; run the GKA first")
     departing_names: Set[str] = {identity.name for identity in departing}
-    for identity in departing:
-        if identity not in state.ring:
-            raise MembershipError(f"{identity.name!r} is not a group member")
     if state.ring.controller().name in departing_names:
         raise MembershipError("the controller U_1 cannot be removed by this protocol")
 
-    # The rekey draws no protocol-level randomness of its own (each refresher
-    # uses its party stream), but the label keeps the seed plumbing uniform.
-    DeterministicRNG(seed, label=protocol_name)
-
     old_ring = state.ring
-    new_ring = (
-        old_ring.with_partition([i for i in departing])
-        if len(departing) > 1
-        else old_ring.with_leave(departing[0])
-    )
+    new_ring = old_ring.with_partition(departing)
     remaining = new_ring.members
 
     for member in remaining:
@@ -176,40 +159,8 @@ def build_departure_rekey(
     verdicts = Memo()
     machines = [
         _RekeyPartyMachine(
-            state.party(member),
-            setup,
-            new_ring,
-            parties,
-            refresher_names,
-            round_prefix,
-            protocol_name,
-            verdicts,
+            state.party(member), setup, new_ring, parties, refresher_names, kind, verdicts
         )
         for member in remaining
     ]
-    return two_round_plan(setup, protocol_name, new_ring, parties, medium, machines)
-
-
-def run_departure_rekey(
-    setup: SystemSetup,
-    state: GroupState,
-    departing: Sequence[Identity],
-    *,
-    protocol_name: str,
-    round_prefix: str,
-    medium: Optional[BroadcastMedium] = None,
-    seed: object = 0,
-    engine: Optional[EngineConfig] = None,
-) -> ProtocolResult:
-    """Run the Leave/Partition re-keying for the given departing members."""
-    medium = medium if medium is not None else BroadcastMedium()
-    plan = build_departure_rekey(
-        setup,
-        state,
-        departing,
-        protocol_name=protocol_name,
-        round_prefix=round_prefix,
-        medium=medium,
-        seed=seed,
-    )
-    return drive_plan(plan, medium, engine=engine)
+    return ring_plan(setup, f"proposed-{kind}", new_ring, parties, medium, machines, rounds=2)

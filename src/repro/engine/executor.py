@@ -410,9 +410,10 @@ def drive_plan(
 ):
     """Execute a :class:`~repro.engine.machine.MachinePlan` to its result.
 
-    The single driver body behind ``Protocol.run`` and the dynamic
-    sub-protocols' ``run`` methods: step the machines to quiescence, then let
-    the plan assemble its protocol result from the engine statistics.
+    The single driver body behind ``Protocol.run`` and every protocol's
+    native ``apply_event``/``merge_states``: step the machines to
+    quiescence, then let the plan assemble its protocol result from the
+    engine statistics.
     """
     stats = run_machines(plan.machines, medium, engine=engine)
     return plan.finish(stats)

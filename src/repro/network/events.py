@@ -11,7 +11,7 @@ protocols in realistic proportions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from ..exceptions import MembershipError, ParameterError
 from ..mathutils.rand import DeterministicRNG
@@ -67,22 +67,26 @@ def membership_after(members: Sequence[Identity], event: MembershipEvent) -> Lis
     """The member list after applying ``event`` (ring order preserved).
 
     This is the single definition of each event's effect on membership; the
-    trace generator and the protocols' re-execution fallback
-    (:meth:`repro.core.base.Protocol.apply_event`) both use it.  An event
+    trace generator and every protocol's ``apply_event`` use it.  An event
     that does not fit ``members`` raises
-    :class:`~repro.exceptions.MembershipError`: a join of a member, a leave
-    or partition naming a non-member or leaving fewer than two members, or a
-    merge whose groups overlap.
+    :class:`~repro.exceptions.MembershipError`: a join of a member, a merge
+    of fewer than two members (a lone arrival is a join) or whose groups
+    overlap, a partition that names no one, and a leave or partition naming
+    a non-member or leaving fewer than two members.
     """
     names = {m.name for m in members}
     if isinstance(event, (JoinEvent, MergeEvent)):
         arriving = [event.joining] if isinstance(event, JoinEvent) else list(event.other_group)
+        if len(arriving) < 2 and isinstance(event, MergeEvent):
+            raise MembershipError(f"a merge brings in at least two members, got {len(arriving)}")
         present = sorted(names.intersection(m.name for m in arriving))
         if present:
             raise MembershipError(f"already group members: {present}")
         return list(members) + arriving
     if isinstance(event, (LeaveEvent, PartitionEvent)):
         leaving = (event.leaving,) if isinstance(event, LeaveEvent) else event.leaving
+        if not leaving:
+            raise MembershipError("a partition must name at least one member")
         gone = {identity.name for identity in leaving}
         absent = sorted(gone - names)
         if absent:

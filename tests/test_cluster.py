@@ -746,6 +746,15 @@ class TestClusterSecurity:
         assert report.attacks_detected
         assert report.aborted
 
+    def test_replay_across_epochs_is_detected(self, small_setup, protocol):
+        # Every re-key moves a cluster to a new epoch and so to new round
+        # labels; the replayer still finds the slot and races its recording.
+        report = ScenarioRunner(small_setup, check_agreement=False).run(
+            protocol, _attack_scenario(AdversaryConfig.preset("replay"))
+        )
+        assert report.total_attacks > 0
+        assert report.security_verdict == "detected"
+
 
 class TestClusterAttackMatrix:
     def test_matrix_row_for_cluster_bd(self, small_setup):

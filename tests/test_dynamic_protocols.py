@@ -7,18 +7,13 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import AuthenticatedBDProtocol
-from repro.core import (
-    GroupSession,
-    JoinProtocol,
-    LeaveProtocol,
-    MergeProtocol,
-    PartitionProtocol,
-    ProposedGKAProtocol,
-)
+from repro.core import GroupSession, ProposedGKAProtocol
 from repro.core import gka as gka_module
 from repro.core.registry import available_protocols, create_protocol
 from repro.core import rekey as rekey_module
-from repro.core.rekey import build_departure_rekey
+from repro.core.base import EnvelopePairMachine
+from repro.core.join import join_plan
+from repro.core.rekey import departure_plan
 from repro.engine.executor import drive_plan
 from repro.exceptions import BatchVerificationError, MembershipError, ParameterError, ProtocolError
 from repro.network.events import JoinEvent, LeaveEvent, MergeEvent, PartitionEvent
@@ -33,10 +28,28 @@ def established(small_setup):
     return ProposedGKAProtocol(small_setup).run(members, seed="dyn-base")
 
 
+def join(setup, state, joining, **kwargs):
+    return ProposedGKAProtocol(setup).apply_event(state, JoinEvent(joining=joining), **kwargs)
+
+
+def leave(setup, state, leaving, **kwargs):
+    return ProposedGKAProtocol(setup).apply_event(state, LeaveEvent(leaving=leaving), **kwargs)
+
+
+def partition(setup, state, leaving, **kwargs):
+    return ProposedGKAProtocol(setup).apply_event(
+        state, PartitionEvent(leaving=tuple(leaving)), **kwargs
+    )
+
+
+def merge(setup, state, other, **kwargs):
+    return ProposedGKAProtocol(setup).merge_states(state, other, **kwargs)
+
+
 class TestJoinProtocol:
     def test_join_agreement_and_membership(self, small_setup, established):
         newcomer = Identity("newcomer")
-        result = JoinProtocol(small_setup).run(established.state, newcomer, seed=1)
+        result = join(small_setup, established.state, newcomer, seed=1)
         assert result.all_agree()
         assert newcomer in result.state.ring
         assert result.state.size == established.state.size + 1
@@ -44,12 +57,12 @@ class TestJoinProtocol:
 
     def test_key_changes_after_join(self, small_setup, established):
         old_key = established.group_key
-        result = JoinProtocol(small_setup).run(established.state, Identity("newcomer"), seed=2)
+        result = join(small_setup, established.state, Identity("newcomer"), seed=2)
         assert result.group_key != old_key
 
     def test_bystanders_do_no_exponentiations(self, small_setup, established):
         established.state.reset_costs()
-        result = JoinProtocol(small_setup).run(established.state, Identity("newcomer"), seed=3)
+        result = join(small_setup, established.state, Identity("newcomer"), seed=3)
         ring = established.state.ring
         busy = {ring.controller().name, ring.last().name, "newcomer"}
         for name, recorder in result.state.recorders().items():
@@ -61,7 +74,7 @@ class TestJoinProtocol:
 
     def test_active_roles_cost_match_paper_counts(self, small_setup, established):
         established.state.reset_costs()
-        result = JoinProtocol(small_setup).run(established.state, Identity("newcomer"), seed=4)
+        result = join(small_setup, established.state, Identity("newcomer"), seed=4)
         recorders = result.state.recorders()
         controller = established.state.ring.controller().name
         last = established.state.ring.last().name
@@ -74,32 +87,26 @@ class TestJoinProtocol:
 
     def test_double_join_rejected(self, small_setup, established):
         with pytest.raises(MembershipError):
-            JoinProtocol(small_setup).run(established.state, established.state.ring.members[2])
+            join(small_setup, established.state, established.state.ring.members[2])
 
     def test_join_requires_agreed_group(self, small_setup, established):
         established.state.party(established.state.ring.members[1]).group_key = None
         with pytest.raises(ParameterError):
-            JoinProtocol(small_setup).run(established.state, Identity("newcomer"))
+            join(small_setup, established.state, Identity("newcomer"))
 
     def test_bystander_ignores_round1_after_both_envelopes(self, small_setup, established):
         """A newcomer's round 1 that arrives last must not re-open the envelopes."""
-        from repro.core.join import (
-            _BystanderMachine,
-            _ControllerMachine,
-            _LastMemberMachine,
-            _NewcomerMachine,
-        )
-        from repro.network.medium import BroadcastMedium
+        from repro.core.join import _ControllerMachine, _LastMemberMachine, _NewcomerMachine
 
-        plan = JoinProtocol(small_setup).build_machines(
-            established.state, Identity("newcomer"), medium=BroadcastMedium(), seed=5
+        plan = join_plan(
+            small_setup, established.state, Identity("newcomer"), medium=BroadcastMedium(), seed=5
         )
         by_role = {type(machine): machine for machine in plan.machines}
         (round1,) = [out.message for out in by_role[_NewcomerMachine].start(0.0)]
         (from_u1,) = [out.message for out in by_role[_ControllerMachine].on_message(round1, 0.0)]
         (from_un,) = [out.message for out in by_role[_LastMemberMachine].on_message(round1, 0.0)]
         by_role[_ControllerMachine].on_message(from_un, 0.0)
-        bystander = by_role[_BystanderMachine]
+        bystander = by_role[EnvelopePairMachine]
         bystander.start(0.0)
         for message in (from_u1, from_un, round1):
             assert bystander.on_message(message, 0.0) == []
@@ -146,7 +153,7 @@ class TestJoinProtocol:
 class TestLeaveProtocol:
     def test_leave_agreement(self, small_setup, established):
         leaving = established.state.ring.members[2]
-        result = LeaveProtocol(small_setup).run(established.state, leaving, seed=1)
+        result = leave(small_setup, established.state, leaving, seed=1)
         assert result.all_agree()
         assert leaving not in result.state.ring
         assert result.state.size == established.state.size - 1
@@ -155,7 +162,7 @@ class TestLeaveProtocol:
         leaving = established.state.ring.members[3]
         old_key = established.group_key
         departed_state = established.state.party(leaving)
-        result = LeaveProtocol(small_setup).run(established.state, leaving, seed=2)
+        result = leave(small_setup, established.state, leaving, seed=2)
         assert result.group_key != old_key
         # The departed member's old view cannot be the new key and it is not
         # part of the new state.
@@ -169,22 +176,22 @@ class TestLeaveProtocol:
             members = [Identity(f"oddeven-{index}-{i}") for i in range(6)]
             base = ProposedGKAProtocol(small_setup).run(members, seed=index)
             leaving = base.state.ring.members[index]
-            result = LeaveProtocol(small_setup).run(base.state, leaving, seed=index)
+            result = leave(small_setup, base.state, leaving, seed=index)
             assert result.all_agree()
 
     def test_controller_cannot_leave(self, small_setup, established):
         with pytest.raises(MembershipError):
-            LeaveProtocol(small_setup).run(established.state, established.state.ring.controller())
+            leave(small_setup, established.state, established.state.ring.controller())
 
     def test_unknown_member_rejected(self, small_setup, established):
         with pytest.raises(MembershipError):
-            LeaveProtocol(small_setup).run(established.state, Identity("ghost"))
+            leave(small_setup, established.state, Identity("ghost"))
 
     def test_leaver_not_charged_for_rekeying(self, small_setup, established):
         established.state.reset_costs()
         leaving = established.state.ring.members[2]
         leaving_recorder = established.state.party(leaving).recorder
-        LeaveProtocol(small_setup).run(established.state, leaving, seed=5)
+        leave(small_setup, established.state, leaving, seed=5)
         assert leaving_recorder.rx_bits == 0
         assert leaving_recorder.tx_bits == 0
 
@@ -192,7 +199,7 @@ class TestLeaveProtocol:
 class TestPartitionProtocol:
     def test_partition_agreement(self, small_setup, established):
         leaving = [established.state.ring.members[i] for i in (1, 3)]
-        result = PartitionProtocol(small_setup).run(established.state, leaving, seed=1)
+        result = partition(small_setup, established.state, leaving, seed=1)
         assert result.all_agree()
         assert result.state.size == established.state.size - 2
         for identity in leaving:
@@ -200,23 +207,21 @@ class TestPartitionProtocol:
 
     def test_single_member_partition_equals_leave_semantics(self, small_setup, established):
         leaving = established.state.ring.members[2]
-        result = PartitionProtocol(small_setup).run(established.state, [leaving], seed=2)
+        result = partition(small_setup, established.state, [leaving], seed=2)
         assert result.all_agree()
         assert result.state.size == established.state.size - 1
 
     def test_empty_partition_rejected(self, small_setup, established):
-        with pytest.raises(ParameterError):
-            PartitionProtocol(small_setup).run(established.state, [])
+        with pytest.raises(MembershipError):
+            partition(small_setup, established.state, [])
 
     def test_partition_cannot_remove_controller(self, small_setup, established):
         with pytest.raises(MembershipError):
-            PartitionProtocol(small_setup).run(
-                established.state, [established.state.ring.controller()]
-            )
+            partition(small_setup, established.state, [established.state.ring.controller()])
 
     def test_partition_cannot_empty_group(self, small_setup, established):
         with pytest.raises(MembershipError):
-            PartitionProtocol(small_setup).run(established.state, established.state.ring.members[1:])
+            partition(small_setup, established.state, established.state.ring.members[1:])
 
 
 class TestSharedBatchVerdict:
@@ -226,14 +231,8 @@ class TestSharedBatchVerdict:
         state = established.state
         old_key = established.group_key
         medium = BroadcastMedium()
-        plan = build_departure_rekey(
-            small_setup,
-            state,
-            [state.ring.members[2]],
-            protocol_name="leave",
-            round_prefix="leave",
-            medium=medium,
-            seed=3,
+        plan = departure_plan(
+            small_setup, state, [state.ring.members[2]], kind="leave", medium=medium
         )
         victim = plan.machines[-1]  # verifies after the controller has
         honest_verify = victim._verify
@@ -271,7 +270,7 @@ class TestSharedBatchVerdict:
         members = [Identity(f"scope-{i}") for i in range(5)]
         for _ in range(2):  # identical inputs, back to back
             base = ProposedGKAProtocol(small_setup).run(members, seed="scope")
-            LeaveProtocol(small_setup).run(base.state, members[2], seed="scope")
+            leave(small_setup, base.state, members[2], seed="scope")
         assert calls == {"gka": 2, "rekey": 2}
 
 
@@ -282,7 +281,7 @@ class TestMergeProtocol:
         old_key_a = established.group_key
         old_key_b = other.group_key
         size_a = established.state.size
-        result = MergeProtocol(small_setup).run(established.state, other.state, seed=1)
+        result = merge(small_setup, established.state, other.state, seed=1)
         assert result.all_agree()
         assert result.state.size == size_a + 4
         assert result.group_key not in (old_key_a, old_key_b)
@@ -290,7 +289,7 @@ class TestMergeProtocol:
     def test_merged_ring_order(self, small_setup, established):
         other_members = [Identity(f"ring-{i}") for i in range(3)]
         other = ProposedGKAProtocol(small_setup).run(other_members, seed="ring")
-        result = MergeProtocol(small_setup).run(established.state, other.state, seed=2)
+        result = merge(small_setup, established.state, other.state, seed=2)
         names = [m.name for m in result.state.ring.members]
         assert names[: established.state.size] == [m.name for m in established.state.ring.members]
         assert names[established.state.size :] == [m.name for m in other.state.ring.members]
@@ -300,7 +299,7 @@ class TestMergeProtocol:
         other = ProposedGKAProtocol(small_setup).run(other_members, seed="cheap")
         established.state.reset_costs()
         other.state.reset_costs()
-        result = MergeProtocol(small_setup).run(established.state, other.state, seed=3)
+        result = merge(small_setup, established.state, other.state, seed=3)
         controllers = {established.state.ring.controller().name, other.state.ring.controller().name}
         for name, recorder in result.state.recorders().items():
             if name in controllers:
@@ -310,9 +309,36 @@ class TestMergeProtocol:
             else:
                 assert recorder.operation_count("modexp") == 0
 
+    def test_member_takes_round3_envelope_before_round2(self, small_setup, established):
+        """Latency mode can deliver a controller's round 3 before its round 2."""
+        from repro.core.merge import _MergeControllerMachine, merge_plan
+
+        other = ProposedGKAProtocol(small_setup).run(
+            [Identity(f"late-{i}") for i in range(3)], seed="late"
+        )
+        plan = merge_plan(small_setup, established.state, other.state, medium=BroadcastMedium())
+        ctrl_a, ctrl_b = [m for m in plan.machines if isinstance(m, _MergeControllerMachine)]
+        (round1_a,) = [out.message for out in ctrl_a.start(0.0)]
+        (round1_b,) = [out.message for out in ctrl_b.start(0.0)]
+        (round2_a,) = [out.message for out in ctrl_a.on_message(round1_b, 0.0)]
+        (round2_b,) = [out.message for out in ctrl_b.on_message(round1_a, 0.0)]
+        (round3_a,) = [out.message for out in ctrl_a.on_message(round2_b, 0.0)]
+        member = next(
+            m for m in plan.machines
+            if isinstance(m, EnvelopePairMachine) and m.identity in established.state.ring
+        )
+        member.start(0.0)
+        assert member.on_message(round3_a, 0.0) == []
+        assert not member.finished
+        assert member.waiting_for == "merge-round2-a"
+        assert member.on_message(round2_a, 0.0) == []
+        assert member.finished
+        assert member.party.group_key == ctrl_a.party.group_key
+        assert member.party.recorder.operation_count("symmetric") == 2
+
     def test_overlapping_groups_rejected(self, small_setup, established):
         with pytest.raises((MembershipError, ParameterError)):
-            MergeProtocol(small_setup).run(established.state, established.state)
+            merge(small_setup, established.state, established.state)
 
     def test_merge_completes_on_multihop_latency_medium(self, small_setup, monkeypatch):
         """Latency mode on a multi-hop grid: seed 13 of this grid delivers a
@@ -354,9 +380,7 @@ class TestMergeProtocol:
         protocol = ProposedGKAProtocol(small_setup)
         state_a = protocol.run(group_a, medium=medium, seed=13, engine=engine).state
         state_b = protocol.run(group_b, medium=medium, seed=1013, engine=engine).state
-        result = MergeProtocol(small_setup).run(
-            state_a, state_b, medium=medium, seed=13, engine=engine
-        )
+        result = protocol.merge_states(state_a, state_b, medium=medium, seed=13, engine=engine)
         assert result.all_agree()
         assert result.state.size == 9
         assert early and set(early) <= {"merge-round2-a", "merge-round2-b"}
@@ -406,7 +430,7 @@ class TestGroupSession:
         session.apply_event(MergeEvent(other_group=(Identity("ev-m1"), Identity("ev-m2"))))
         assert session.all_agree()
         assert len(session.history) == 5
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ParameterError):
             session.apply_event("not-an-event")  # type: ignore[arg-type]
 
     def test_energy_report_and_reset(self, small_setup, wlan_profile, radio_profile):
@@ -452,7 +476,7 @@ class TestBDRerunBaseline:
         # Proposed join
         base = ProposedGKAProtocol(small_setup).run(members, seed="cmp")
         base.state.reset_costs()
-        joined = JoinProtocol(small_setup).run(base.state, Identity("cmp-new"), seed="cmp-join")
+        joined = join(small_setup, base.state, Identity("cmp-new"), seed="cmp-join")
         bystander = [
             m.name for m in base.state.ring.members
             if m.name not in (base.state.ring.controller().name, base.state.ring.last().name)
@@ -497,6 +521,9 @@ def test_events_that_do_not_fit_fail_before_touching_the_medium(small_setup, pro
         LeaveEvent(leaving=Identity("ghost")),
         JoinEvent(joining=members[2]),
         PartitionEvent(leaving=tuple(members[1:])),
+        PartitionEvent(leaving=()),
+        MergeEvent(other_group=()),
+        MergeEvent(other_group=(Identity("fit-lone"),)),
     ):
         with pytest.raises(MembershipError):
             protocol.apply_event(established.state, event, medium=medium, seed=2)

@@ -121,6 +121,9 @@ class TestMembershipAfter:
             LeaveEvent(leaving=ghost),
             PartitionEvent(leaving=(members[1], ghost)),
             MergeEvent(other_group=(Identity("a"), members[4])),
+            PartitionEvent(leaving=()),
+            MergeEvent(other_group=()),
+            MergeEvent(other_group=(Identity("a"),)),
         ):
             with pytest.raises(MembershipError):
                 membership_after(members, event)
