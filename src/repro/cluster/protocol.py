@@ -112,7 +112,7 @@ class ClusterTreeProtocol(Protocol):
         if len(members) < 2:
             raise ParameterError("the GKA needs at least two members")
         target = cluster_size or auto_cluster_size(len(members))
-        field = getattr(medium, "field", None)
+        field = medium.field
         if field is not None:
             chunks = geographic_clusters(members, target, field)
         else:
@@ -263,7 +263,7 @@ class ClusterTreeProtocol(Protocol):
                 state, event, medium=medium, seed=seed, engine=engine
             )
         medium = medium if medium is not None else BroadcastMedium()
-        field = getattr(medium, "field", None)
+        field = medium.field
         drafts, departed, next_uid = self._transform(state, event, field)
         expected = {m.name for m in membership_after(state.members, event)}
         resulting = {m.name for d in drafts for m in d.members}

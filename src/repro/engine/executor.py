@@ -299,7 +299,7 @@ class MachineExecutor:
             channel_wait = tx_time = 0.0
         else:
             receipt = self.medium.transmit(message)
-            tx_time = self.latency.tx_time_for(message.wire_bits, message.sender.name)
+            tx_time = self.latency.tx_time(message.wire_bits, message.sender.name)
             tx_start = max(now, self._busy_until)
             self._busy_until = tx_start + tx_time
             channel_wait = tx_start - now
@@ -333,7 +333,7 @@ class MachineExecutor:
                     rank=EventKernel.RANK_DELIVERY,
                 )
         else:
-            field_ = getattr(self.medium, "field", None)
+            field_ = self.medium.field
             for identity in delivered:
                 receiver = self._by_name.get(identity.name)
                 if receiver is None:
@@ -342,7 +342,7 @@ class MachineExecutor:
                 distance = 0.0
                 if field_ is not None and message.sender.name in field_ and identity.name in field_:
                     distance = field_.distance(message.sender.name, identity.name)
-                delay = channel_wait + tx_time + self.latency.delivery_delay_for(
+                delay = channel_wait + tx_time + self.latency.delivery_delay(
                     message.wire_bits, hops, distance, message.sender.name, identity.name
                 )
                 self.kernel.schedule(

@@ -11,9 +11,13 @@ pays RX for the copy it overhears, whether or not it needed it.  Protocol
 comparisons over this medium therefore reflect the true relaying cost of the
 topology, not just the end-point cost.
 
-Losses are drawn per directed link per copy from the
-:class:`~repro.mobility.radio.RadioLink` model; a wave that leaves addressed
-members uncovered (deep fades) triggers a retransmission wave in which every
+Reachability and losses come from the medium's link model — the
+distance-dependent :class:`~repro.mobility.radio.RadioLink`, or the tier
+links of :class:`~repro.mobility.tiered.TieredMedium` — which the medium
+binds to the ``links`` child of its RNG; link models belong to the relaying
+media alone (the single-hop broadcast domain has one loss knob).  Losses
+are drawn per directed link per copy; a wave that leaves addressed members
+uncovered (deep fades) triggers a retransmission wave in which every
 current holder re-floods, mirroring the paper's "all members retransmit"
 recovery.  Addressed members that are graph-unreachable (the component
 containing the sender cannot reach them at any loss draw) raise
@@ -55,7 +59,8 @@ class MultiHopMedium(BroadcastMedium):
         How many extra flood waves may recover from per-link losses before
         :class:`~repro.exceptions.NetworkError` is raised.
     rng:
-        Deterministic randomness for per-link loss draws.
+        Deterministic randomness for per-link loss draws; its named ``links``
+        child is bound to the link model (burst-loss chains).
     """
 
     def __init__(
@@ -69,9 +74,11 @@ class MultiHopMedium(BroadcastMedium):
     ) -> None:
         if max_hops < 1:
             raise NetworkError("max_hops must be at least 1")
-        super().__init__(
-            loss_probability=0.0, max_retries=max_retries, rng=rng, link_model=link_model
-        )
+        super().__init__(max_retries=max_retries, rng=rng)
+        self.link_model = link_model
+        # fork() is a pure function of the seed, so binding the link model's
+        # named child never advances the medium's own loss-draw stream.
+        link_model.bind(self._rng.fork("links"))
         self.field = field
         self.max_hops = max_hops
         self._graph_cache: Optional[Tuple[int, Tuple[str, ...], Dict[str, List[str]]]] = None

@@ -8,7 +8,9 @@ only continue through a *gateway* node homed in one tier and participating
 in another — the multi-homed relay terminals of a tiered deployment.  Every
 relayed copy is charged through the same energy accounting as any other
 multi-hop transmission, and per-copy losses come from each link class's
-knob, including stateful Gilbert–Elliott burst chains.
+knob: a constant, or a Gilbert–Elliott burst chain per directed link, which
+the :class:`~repro.network.tiers.TieredLink` keeps and the medium seeds from
+the ``links`` child of its RNG.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ class TieredMedium(MultiHopMedium):
     ----------
     tier_map:
         The resolved node-to-tier assignment (see
-        :meth:`~repro.network.tiers.TierConfig.build_map`).  Exposed as
-        ``self.tier_map`` so latency models
-        (:class:`~repro.engine.latency.TieredLatency`) can bind to it.
+        :meth:`~repro.network.tiers.TierConfig.build_map`).  Set as the
+        medium's declared ``tier_map`` so
+        :class:`~repro.engine.latency.TieredLatency` binds to it.
     max_hops:
         Flood TTL per wave; a two-tier path needs at least 2 (member →
         gateway → other tier), three tiers at least 3.

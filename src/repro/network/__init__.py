@@ -9,7 +9,7 @@ from .events import (
     MergeEvent,
     PartitionEvent,
 )
-from .medium import BroadcastMedium, DeliveryReceipt, LinkModel, UniformLink
+from .medium import BroadcastMedium, DeliveryReceipt, LinkModel
 from .message import (
     Message,
     MessagePart,
@@ -22,7 +22,6 @@ from .node import Node
 from .tiers import (
     LINK_CLASSES,
     GilbertElliott,
-    GilbertElliottLink,
     LinkClass,
     TierConfig,
     TieredLink,
@@ -32,7 +31,6 @@ from .topology import RingTopology
 
 __all__ = [
     "GilbertElliott",
-    "GilbertElliottLink",
     "LINK_CLASSES",
     "LinkClass",
     "TierConfig",
@@ -47,7 +45,6 @@ __all__ = [
     "BroadcastMedium",
     "DeliveryReceipt",
     "LinkModel",
-    "UniformLink",
     "Message",
     "MessagePart",
     "envelope_part",

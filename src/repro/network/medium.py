@@ -7,13 +7,19 @@ is charged one reception — and optionally injects message loss, in which case
 the sender retransmits (charging everyone again) until the message gets
 through or the retry budget is exhausted.  That is exactly the retransmission
 behaviour the paper appeals to when a verification fails.
+
+The single-hop domain has one loss knob, drawn once per broadcast attempt.
+Per-link models (:class:`LinkModel`: reachability, per-link loss, burst
+chains) belong to the relaying media,
+:class:`repro.mobility.relay.MultiHopMedium` and
+:class:`repro.mobility.tiered.TieredMedium`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..exceptions import NetworkError
 from ..mathutils.rand import DeterministicRNG
@@ -21,18 +27,22 @@ from ..pki.identity import Identity
 from .message import Message
 from .node import Node
 
-__all__ = ["LinkModel", "UniformLink", "BroadcastMedium", "DeliveryReceipt"]
+if TYPE_CHECKING:
+    from ..mobility.field import MobilityField
+    from .tiers import TierMap
+
+__all__ = ["LinkModel", "BroadcastMedium", "DeliveryReceipt"]
 
 
 class LinkModel:
     """Per-pair radio link characteristics, keyed by node identity *names*.
 
-    The broadcast medium consults its link model to decide which attached
-    nodes a transmission can reach at all (:meth:`reachable`) and how likely
-    a given directed link is to drop a copy (:meth:`loss_probability`).  The
-    base class is the fully-connected lossless ether; :class:`UniformLink`
-    reproduces the classic single-knob uniform-loss medium; distance-dependent
-    radio links over moving nodes live in :mod:`repro.mobility.radio`.
+    A relaying medium consults its link model to decide which attached nodes
+    a transmission can reach at all (:meth:`reachable`) and how likely a
+    given directed link is to drop a copy (:meth:`loss_probability`).  The
+    base class is the fully-connected lossless ether; distance-dependent
+    radio links over moving nodes live in :mod:`repro.mobility.radio`, and
+    tier links with burst-loss chains in :mod:`repro.network.tiers`.
     """
 
     def reachable(self, sender: str, receiver: str) -> bool:
@@ -47,30 +57,15 @@ class LinkModel:
         """Receive the medium's ``links`` RNG child at attach time.
 
         The medium forks a *named* child of its own RNG and hands it to the
-        link model here, so stateful models (the Gilbert–Elliott chains in
-        :mod:`repro.network.tiers`) get deterministic randomness without
-        ever touching the medium's own loss-draw stream.  Stateless models
-        ignore the call.
+        link model here, so stateful models (the Gilbert–Elliott chains of
+        :class:`repro.network.tiers.TieredLink`) get deterministic randomness
+        without ever touching the medium's own loss-draw stream.  Stateless
+        models ignore the call.
         """
 
     def describe(self) -> str:
         """One-line summary used in reports."""
         return type(self).__name__
-
-
-class UniformLink(LinkModel):
-    """The degenerate link model: everyone reachable, one global loss knob."""
-
-    def __init__(self, loss_probability: float = 0.0) -> None:
-        if not 0.0 <= loss_probability < 1.0:
-            raise NetworkError("loss probability must be in [0, 1)")
-        self.loss = loss_probability
-
-    def loss_probability(self, sender: str, receiver: str) -> float:
-        return self.loss
-
-    def describe(self) -> str:
-        return f"uniform(loss={self.loss:g})"
 
 
 @dataclass
@@ -116,39 +111,28 @@ class BroadcastMedium:
     rng:
         Randomness source for loss decisions (deterministic, like everything
         else in the library).
-    link_model:
-        Per-pair :class:`LinkModel` hook.  The default is
-        ``UniformLink(loss_probability)``, which keeps the historic behaviour
-        exactly: every attached node reachable, loss drawn once per broadcast
-        attempt.  Passing an explicit :class:`UniformLink` makes it the single
-        source of truth for the loss knob.  Any other link model contributes
-        *reachability filtering only* on this single-hop medium — per-link
-        loss draws and relaying need
-        :class:`repro.mobility.relay.MultiHopMedium`.
     """
+
+    #: node positions, for media over a mobility field (the executor's
+    #: propagation distances, the cluster tree's geographic clusters)
+    field: Optional["MobilityField"] = None
+    #: the tier layout, for tiered media and the single-tier collapse
+    #: (:class:`~repro.engine.latency.TieredLatency` binds to it)
+    tier_map: Optional["TierMap"] = None
 
     def __init__(
         self,
         loss_probability: float = 0.0,
         max_retries: int = 10,
         rng: Optional[DeterministicRNG] = None,
-        link_model: Optional[LinkModel] = None,
     ) -> None:
         if not 0.0 <= loss_probability < 1.0:
             raise NetworkError("loss probability must be in [0, 1)")
-        if isinstance(link_model, UniformLink):
-            # One source of truth: an explicit uniform link carries the knob.
-            loss_probability = link_model.loss
         self.loss_probability = loss_probability
         self.max_retries = max_retries
-        self.link_model = link_model if link_model is not None else UniformLink(loss_probability)
         # `is None`, not truthiness: a caller-supplied RNG must never be
         # silently swapped for the default just because it tests falsy.
         self._rng = rng if rng is not None else DeterministicRNG("medium", label="medium")
-        # fork() is a pure function of the seed, so binding the link model's
-        # named child never advances (or otherwise perturbs) the medium's
-        # own draw stream — pre-tier runs stay bit-identical.
-        self.link_model.bind(self._rng.fork("links"))
         self._nodes: Dict[str, Node] = {}
         #: attach rank of every attached node, increasing in the order of
         #: ``_nodes`` (which keeps attach order): the multicast sort key
@@ -157,10 +141,12 @@ class BroadcastMedium:
         self.transcript: List[Message] = []
         self.receipts: List[DeliveryReceipt] = []
         # Running traffic totals, kept by _finalize so total_* are O(1).
+        self._messages = 0
         self._bits = 0
         self._bits_on_air = 0
         self._transmissions = 0
         self._relay_bits = 0
+        self._hops = 0
         #: read-only observers called after every physical send — the
         #: adversary subsystem's eavesdropping hook.  Taps must not mutate
         #: anything: they see the message and its receipt, nothing more, so
@@ -175,10 +161,12 @@ class BroadcastMedium:
         """Record a completed send and notify the taps."""
         self.transcript.append(message)
         self.receipts.append(receipt)
+        self._messages += 1
         self._bits += message.wire_bits
         self._bits_on_air += message.wire_bits * receipt.transmissions
         self._transmissions += receipt.transmissions
         self._relay_bits += receipt.relay_bits
+        self._hops += receipt.hops
         for tap in self.taps:
             tap(message, receipt)
         return receipt
@@ -248,20 +236,6 @@ class BroadcastMedium:
         """
         sender = self.node(message.sender)
         addressees = self._addressees(message)
-        # Validate deliverability before anything is charged, so a failed
-        # send is side-effect-free: a single-hop domain has no relays, and an
-        # addressed member out of direct range could never be served —
-        # silently skipping it would surface much later as a confusing
-        # protocol failure.  Multi-hop delivery lives in
-        # repro.mobility.relay.MultiHopMedium.
-        if type(self.link_model).reachable is not LinkModel.reachable:
-            for node in addressees:
-                if not self.link_model.reachable(message.sender.name, node.identity.name):
-                    raise NetworkError(
-                        f"{node.identity.name} is out of direct range of "
-                        f"{message.sender.name} and this single-hop medium cannot "
-                        "relay; use MultiHopMedium for multi-hop topologies"
-                    )
         attempts = 0
         while True:
             attempts += 1
@@ -291,38 +265,24 @@ class BroadcastMedium:
         """One *single* physical broadcast attempt (no retries, no raising).
 
         This is the engine's latency-mode primitive: the sender is charged
-        one transmission, every addressed node in range is charged one
-        reception (it was listening whether or not its copy decoded), and
-        lost or out-of-range copies simply do not appear in ``delivered_to``
-        — recovery is the protocol machines' job, via round timeouts and
-        retransmission waves in virtual time.  Loss is drawn once per
-        broadcast from the uniform knob (a collision / deep fade at the
-        sender) and, for non-uniform link models, once more per directed
-        link.  The legacy :meth:`send` keeps its immediate-retry semantics
-        for synchronous execution.
+        one transmission, every addressed node is charged one reception (it
+        was listening whether or not the copy decoded), and a lost broadcast
+        simply delivers to nobody — recovery is the protocol machines' job,
+        via round timeouts and retransmission waves in virtual time.  Loss is
+        drawn once per broadcast, as in :meth:`send`, which keeps its
+        immediate-retry semantics for synchronous execution.
         """
         sender = self.node(message.sender)
         bits = message.wire_bits
         sender.recorder.record_tx(bits)
-        attempt_lost = self._attempt_lost()
-        per_link = not isinstance(self.link_model, UniformLink)
-        delivered: List[Identity] = []
-        for node in self._addressees(message):
-            name = node.identity.name
-            if not self.link_model.reachable(message.sender.name, name):
-                continue
+        lost = self._attempt_lost()
+        addressees = self._addressees(message)
+        for node in addressees:
             node.recorder.record_rx(bits)
-            if attempt_lost:
-                continue
-            if per_link:
-                loss = self.link_model.loss_probability(message.sender.name, name)
-                if loss > 0.0 and self._rng.randbelow(1_000_000) / 1_000_000.0 < loss:
-                    continue
-            delivered.append(node.identity)
         receipt = DeliveryReceipt(
             message=message,
             attempts=1,
-            delivered_to=delivered,
+            delivered_to=[] if lost else [node.identity for node in addressees],
             hops=1,
             transmissions=1,
             relay_bits=0,
@@ -332,7 +292,7 @@ class BroadcastMedium:
     # ------------------------------------------------------------- reporting
     def total_messages(self) -> int:
         """Number of distinct messages placed on the medium."""
-        return len(self.transcript)
+        return self._messages
 
     def total_bits(self, *, include_retries: bool = False) -> int:
         """Total bits placed on the medium.
@@ -355,3 +315,7 @@ class BroadcastMedium:
     def total_relay_bits(self) -> int:
         """Bits transmitted by relay nodes on behalf of other senders."""
         return self._relay_bits
+
+    def total_hops(self) -> int:
+        """The flood depths of every message, summed (1 per single-hop send)."""
+        return self._hops

@@ -9,21 +9,22 @@ supplies the descriptors and link models for such topologies:
 * :class:`LinkClass` — one kind of link: per-direction bitrate, a fixed
   propagation delay and a loss model (an i.i.d. float or a
   :class:`GilbertElliott` burst-loss parameter set);
-* :class:`GilbertElliott` / :class:`GilbertElliottLink` — the classic
-  two-state (good/bad) Markov burst-loss channel, one deterministic chain per
-  directed link, seeded from the medium's named RNG children;
+* :class:`GilbertElliott` — the classic two-state (good/bad) Markov
+  burst-loss channel parameters;
 * :class:`TierMap` / :class:`TierConfig` — node-to-tier assignment with
   *gateway* nodes homed in one tier but participating in others; floods
   cross tiers only through gateways;
 * :class:`TieredLink` — the :class:`~repro.network.medium.LinkModel` gluing
   the above together: reachability from shared tiers, loss from the link
-  class of the pair.
+  class of the pair, with one deterministic burst chain per directed link on
+  bursty classes.
 
-Determinism: chain randomness comes from a *named* child of the medium's RNG
-(``links``), forked per directed link, so attaching burst-loss chains never
-perturbs the medium's own loss draws — the degenerate configurations stay
-bit-identical to the historic uniform-loss paths — and chain state survives
-membership churn (detaching a node does not reset its links' chains).
+Determinism: chain randomness comes from a *named* child of the tiered
+medium's RNG (``links``), forked per directed link, so burst-loss chains
+never perturb the medium's own loss draws — the degenerate configurations
+stay bit-identical to the historic uniform-loss paths — and chain state
+survives membership churn (detaching a node does not reset its links'
+chains).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .medium import LinkModel
 
 __all__ = [
     "GilbertElliott",
-    "GilbertElliottLink",
     "LinkClass",
     "LINK_CLASSES",
     "TierConfig",
@@ -61,10 +61,10 @@ class GilbertElliott:
 
     ``burst_length == 1`` is the memoryless boundary — bad spells last a
     single copy, so the chain carries no correlation and the model degrades
-    to i.i.d. draws at the stationary loss rate (:attr:`iid_loss`), letting
-    the medium use its existing uniform-loss path bit-for-bit.  The same
-    holds when ``p_enter_bad == 0`` (never leaves good) or when the two
-    states share one loss value.
+    to i.i.d. draws at the stationary loss rate (:attr:`iid_loss`), drawn
+    bit-for-bit like a constant-loss class.  The same holds when
+    ``p_enter_bad == 0`` (never leaves good) or when the two states share
+    one loss value.
     """
 
     loss_good: float = param(0.0, ge=0.0, lt=1.0, to_float=True)
@@ -171,104 +171,6 @@ class _Chain:
         elif draw < self.params.p_enter_bad:
             self.bad = True
         return self.params.loss_bad if self.bad else self.params.loss_good
-
-
-class _ChainStore:
-    """Lazily-created per-directed-link chains over one bound RNG.
-
-    Chains are keyed by ``(sender, receiver)`` and forked from a *named*
-    child of the store's RNG, so the set of links exercised never perturbs
-    any other stream and chain state persists across membership churn.
-    """
-
-    def __init__(self, rng: Optional[DeterministicRNG] = None) -> None:
-        self._rng = rng
-        self._chains: Dict[Tuple[str, str], _Chain] = {}
-
-    def bind(self, rng: DeterministicRNG) -> None:
-        # `is None`: an explicitly supplied RNG must survive the medium's
-        # own bind call (direct construction in tests, shared stores).
-        if self._rng is None:
-            self._rng = rng
-
-    def step(self, params: GilbertElliott, sender: str, receiver: str) -> float:
-        key = (sender, receiver)
-        chain = self._chains.get(key)
-        if chain is None:
-            if self._rng is None:
-                raise NetworkError(
-                    "burst-loss chains need randomness: attach the link model "
-                    "to a medium (which binds its 'links' RNG child) or pass "
-                    "an rng explicitly"
-                )
-            chain = _Chain(params, self._rng.fork(f"ge/{sender}->{receiver}"))
-            self._chains[key] = chain
-        return chain.step()
-
-    def states(self) -> Dict[Tuple[str, str], str]:
-        """Snapshot of every live chain's state (test/debug hook)."""
-        return {
-            key: ("bad" if chain.bad else "good")
-            for key, chain in sorted(self._chains.items())
-        }
-
-
-class GilbertElliottLink(LinkModel):
-    """Burst loss on every directed link of an (optionally wrapped) model.
-
-    One independent :class:`GilbertElliott` chain per directed link, seeded
-    deterministically from the medium's ``links`` RNG child.  With an
-    ``inner`` link model (e.g. a :class:`~repro.mobility.radio.RadioLink`),
-    reachability comes from the inner model and the two loss processes
-    compound; without one the ether is fully connected and the chain is the
-    only loss source.
-
-    Degenerate parameters (:attr:`GilbertElliott.is_iid`) never create
-    chains and never draw randomness — the model is then exactly the
-    constant-probability link the medium already knows how to drive.
-    """
-
-    def __init__(
-        self,
-        params: GilbertElliott,
-        inner: Optional[LinkModel] = None,
-        *,
-        rng: Optional[DeterministicRNG] = None,
-    ) -> None:
-        self.params = params
-        self.inner = inner
-        self._chains = _ChainStore(rng)
-
-    def bind(self, rng: DeterministicRNG) -> None:
-        self._chains.bind(rng)
-        if self.inner is not None:
-            self.inner.bind(rng.fork("inner"))
-
-    def reachable(self, sender: str, receiver: str) -> bool:
-        if self.inner is not None:
-            return self.inner.reachable(sender, receiver)
-        return True
-
-    def loss_probability(self, sender: str, receiver: str) -> float:
-        """Stateful: each call is one physical copy advancing the chain."""
-        if self.params.is_iid:
-            burst = self.params.iid_loss
-        else:
-            burst = self._chains.step(self.params, sender, receiver)
-        if self.inner is None:
-            return burst
-        inner = self.inner.loss_probability(sender, receiver)
-        # Independent loss processes compound: survive both or lose the copy.
-        return 1.0 - (1.0 - burst) * (1.0 - inner)
-
-    def chain_states(self) -> Dict[Tuple[str, str], str]:
-        """Per-directed-link chain states (test/debug hook)."""
-        return self._chains.states()
-
-    def describe(self) -> str:
-        if self.inner is not None:
-            return f"{self.params.describe()} over {self.inner.describe()}"
-        return self.params.describe()
 
 
 # ----------------------------------------------------------------- link class
@@ -481,18 +383,17 @@ class TieredLink(LinkModel):
 
     Reachability: the pair shares a tier (or has an override).  Loss: the
     link class's knob — a constant, or one :class:`GilbertElliott` chain per
-    directed link (seeded from the medium's ``links`` RNG child; degenerate
-    parameter sets never draw randomness).
+    directed link, forked from the RNG the medium binds (its ``links``
+    child); degenerate parameter sets never draw randomness.
     """
 
-    def __init__(
-        self, tier_map: TierMap, *, rng: Optional[DeterministicRNG] = None
-    ) -> None:
+    def __init__(self, tier_map: TierMap) -> None:
         self.tier_map = tier_map
-        self._chains = _ChainStore(rng)
+        self._rng: Optional[DeterministicRNG] = None
+        self._chains: Dict[Tuple[str, str], _Chain] = {}
 
     def bind(self, rng: DeterministicRNG) -> None:
-        self._chains.bind(rng)
+        self._rng = rng
 
     def reachable(self, sender: str, receiver: str) -> bool:
         if sender == receiver:
@@ -504,15 +405,27 @@ class TieredLink(LinkModel):
         cls = self.tier_map.link_class(sender, receiver)
         if cls is None:
             return 1.0
-        if isinstance(cls.loss, GilbertElliott):
-            if cls.loss.is_iid:
-                return cls.loss.iid_loss
-            return self._chains.step(cls.loss, sender, receiver)
-        return cls.loss
+        if not isinstance(cls.loss, GilbertElliott):
+            return cls.loss
+        if cls.loss.is_iid:
+            return cls.loss.iid_loss
+        chain = self._chains.get((sender, receiver))
+        if chain is None:
+            if self._rng is None:
+                raise NetworkError(
+                    "burst-loss chains need randomness: attach the link model "
+                    "to a medium, which binds its 'links' RNG child"
+                )
+            chain = _Chain(cls.loss, self._rng.fork(f"ge/{sender}->{receiver}"))
+            self._chains[(sender, receiver)] = chain
+        return chain.step()
 
     def chain_states(self) -> Dict[Tuple[str, str], str]:
         """Per-directed-link chain states (test/debug hook)."""
-        return self._chains.states()
+        return {
+            key: ("bad" if chain.bad else "good")
+            for key, chain in sorted(self._chains.items())
+        }
 
     def describe(self) -> str:
         return self.tier_map.describe()

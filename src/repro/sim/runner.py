@@ -57,7 +57,7 @@ from .scenarios import Scenario
 
 __all__ = ["ScenarioRunner"]
 
-#: (messages, bits, bits w/ retries, transmissions, relay bits, receipt count)
+#: (messages, bits, bits w/ retries, transmissions, relay bits, hops)
 _Traffic = Tuple[int, int, int, int, int, int]
 
 #: Event kinds that admit / remove members (drives the secrecy oracles).
@@ -175,6 +175,9 @@ class ScenarioRunner:
         return report
 
     def _run(self, protocol: Protocol, scenario: Scenario) -> ScenarioReport:
+        # Expanded first, so an event that does not fit the group fails
+        # before any protocol work.
+        events = scenario.build_events()
         medium, field = self._build_medium(scenario)
         suite = scenario.build_adversary()
         engine = self.engine
@@ -215,7 +218,7 @@ class ScenarioRunner:
 
         # ------------------------------------------------------- churn events
         if state is not None:
-            for position, scheduled in enumerate(scenario.build_events(), start=1):
+            for position, scheduled in enumerate(events, start=1):
                 if field is not None:
                     field.advance_to(scheduled.time)
                 if scheduled.kind in _REMOVING_KINDS:
@@ -452,7 +455,7 @@ class ScenarioRunner:
             medium.total_bits(include_retries=True),
             medium.total_transmissions(),
             medium.total_relay_bits(),
-            len(medium.receipts),
+            medium.total_hops(),
         )
 
     @staticmethod
@@ -476,21 +479,17 @@ class ScenarioRunner:
     ) -> EventRecord:
         state = result.state
         energy = self._energy_delta(state, before_energy)
-        messages0, bits0, retry_bits0, transmissions0, relay_bits0, receipts0 = before_traffic
+        messages0, bits0, retry_bits0, transmissions0, relay_bits0, hops0 = before_traffic
         relay_bits = medium.total_relay_bits() - relay_bits0
-        step_receipts = medium.receipts[receipts0:]
-        mean_hops = (
-            sum(receipt.hops for receipt in step_receipts) / len(step_receipts)
-            if step_receipts
-            else 1.0
-        )
+        messages = medium.total_messages() - messages0
+        hops = medium.total_hops() - hops0
         return EventRecord(
             index=index,
             kind=kind,
             time=event_time,
             group_size=state.size,
             rounds=result.rounds,
-            messages=medium.total_messages() - messages0,
+            messages=messages,
             bits=medium.total_bits() - bits0,
             bits_with_retries=medium.total_bits(include_retries=True) - retry_bits0,
             wall_seconds=wall,
@@ -499,7 +498,7 @@ class ScenarioRunner:
             transmissions=medium.total_transmissions() - transmissions0,
             relay_bits=relay_bits,
             relay_energy_j=self.device.transceiver.tx_energy_mj(relay_bits) / 1000.0,
-            mean_hops=mean_hops,
+            mean_hops=hops / messages if messages else 1.0,
             sim_latency_s=result.sim_latency_s,
             timeouts=result.timeouts,
             attacks=attacks,

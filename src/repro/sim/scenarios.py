@@ -239,7 +239,11 @@ class PeriodicMerges(ChurnSchedule):
 
 @dataclass(frozen=True)
 class TraceReplay(ChurnSchedule):
-    """Replay an explicit event list with fixed spacing (trace-driven runs)."""
+    """Replay an explicit event list with fixed spacing (trace-driven runs).
+
+    Each event must fit the group as the trace leaves it; one that does not
+    raises :class:`~repro.exceptions.MembershipError` when the trace expands.
+    """
 
     events: tuple
     spacing: float = param(1.0, to_float=True)
@@ -253,14 +257,15 @@ class TraceReplay(ChurnSchedule):
         *,
         min_group_size: int = 3,
     ) -> List[ScheduledEvent]:
+        members = list(initial_members)
         scheduled: List[ScheduledEvent] = []
         now = 0.0
         for event in self.events:
-            if isinstance(event, ScheduledEvent):
-                scheduled.append(event)
-                continue
-            now += self.spacing
-            scheduled.append(ScheduledEvent(time=now, event=event))
+            if not isinstance(event, ScheduledEvent):
+                now += self.spacing
+                event = ScheduledEvent(time=now, event=event)
+            scheduled.append(event)
+            members = membership_after(members, event.event)
         return scheduled
 
 

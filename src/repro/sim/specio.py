@@ -130,20 +130,17 @@ def _latency(profile: object) -> object:
     )
 
 
-def _knobs(latency: LatencyModel) -> Dict[str, object]:
-    # A tier map discovered at run time rebinds per run: it is no knob.
-    return {k: v for k, v in vars(latency).items() if k != "tier_map" or latency._explicit}
-
-
 def _latency_profile(latency: LatencyModel) -> str:
     """The profile that builds ``latency``; other models have none."""
     if type(latency) is FixedLatency:
         text = f"{latency.delay_s:g}"
         return f"fixed:{text if float(text) == latency.delay_s else repr(latency.delay_s)}"
-    for profile in (*_TRANSCEIVERS, "tiered"):
-        default = _latency(profile)
-        if type(latency) is type(default) and _knobs(latency) == _knobs(default):
-            return profile
+    if type(latency) is TieredLatency:
+        return "tiered"
+    if type(latency) is TransceiverLatency:
+        for profile, transceiver in _TRANSCEIVERS.items():
+            if latency.transceiver == transceiver:
+                return profile
     raise ParameterError(
         f"latency model {latency.describe()} has no engine profile; it is not spec-serializable"
     )

@@ -30,7 +30,7 @@ from repro.network.medium import BroadcastMedium
 from repro.network.message import Message, MessagePart
 from repro.network.node import Node
 from repro.pki import Identity
-from repro.sim import Scenario, ScenarioRunner, comparison_table
+from repro.sim import PoissonChurn, Scenario, ScenarioRunner, comparison_table
 from repro.sim.specio import build
 
 
@@ -93,27 +93,25 @@ class TestEventKernel:
 class TestLatencyModels:
     def test_fixed_latency_scales_with_hops(self):
         model = FixedLatency(0.02)
-        assert model.tx_time_s(10_000) == 0.0
-        assert model.delivery_delay_s(10_000, hops=1, distance_m=0.0) == pytest.approx(0.02)
-        assert model.delivery_delay_s(10_000, hops=3, distance_m=0.0) == pytest.approx(0.06)
+        assert model.tx_time(10_000, "a") == 0.0
+        assert model.delivery_delay(10_000, 1, 0.0, "a", "b") == pytest.approx(0.02)
+        assert model.delivery_delay(10_000, 3, 0.0, "a", "b") == pytest.approx(0.06)
 
     def test_transceiver_latency_serialization(self):
-        model = TransceiverLatency(RADIO_100KBPS, per_hop_overhead_s=0.001)
+        model = TransceiverLatency(RADIO_100KBPS)
         # 100 kbps: 1000 bits take 10 ms on air.
-        assert model.tx_time_s(1000) == pytest.approx(0.010)
-        # 3 hops: two relay re-serializations plus their overhead.
-        assert model.delivery_delay_s(1000, hops=3, distance_m=0.0) == pytest.approx(0.022)
+        assert model.tx_time(1000, "a") == pytest.approx(0.010)
+        # 3 hops: two relay re-serializations plus their 1 ms overhead.
+        assert model.delivery_delay(1000, 3, 0.0, "a", "b") == pytest.approx(0.022)
 
     def test_wlan_is_faster_than_sensor_radio(self):
         sensor = TransceiverLatency(RADIO_100KBPS)
         wlan = TransceiverLatency(WLAN_SPECTRUM24)
-        assert wlan.tx_time_s(10_000) < sensor.tx_time_s(10_000)
+        assert wlan.tx_time(10_000, "a") < sensor.tx_time(10_000, "a")
 
     def test_negative_parameters_rejected(self):
         with pytest.raises(ParameterError):
             FixedLatency(-0.1)
-        with pytest.raises(ParameterError):
-            TransceiverLatency(RADIO_100KBPS, per_hop_overhead_s=-1.0)
 
     def test_non_finite_profiles_fail_when_built(self):
         for profile in ("fixed:nan", "fixed:inf"):
@@ -419,6 +417,37 @@ class TestLatencyExecution:
             [Identity(f"dyn2-{i}") for i in range(6)], seed=9, engine=config
         )
         assert joined.sim_latency_s < establishment.sim_latency_s
+
+    # Each round of a flat protocol waits on a wave of broadcasts, so no step
+    # can finish sooner than its rounds times the link delay.  The cluster
+    # protocols are left out: their ``rounds`` is a nominal count
+    # (sub-protocol rounds plus tree depth) that can exceed the critical path.
+    @pytest.mark.parametrize(
+        "protocol_name",
+        ["bd-dsa", "bd-ecdsa", "bd-sok", "bd-unauthenticated", "proposed-gka", "ssn"],
+    )
+    @pytest.mark.parametrize("loss, delays", [(0.0, (0.01, 0.05)), (0.2, (0.01,))])
+    def test_sim_latency_is_at_least_rounds_times_the_link_delay(
+        self, engine_setup, protocol_name, loss, delays
+    ):
+        schedule = PoissonChurn(length=6, merge_rate=1.0, partition_rate=1.0)
+        for delay in delays:
+            runner = ScenarioRunner(engine_setup, engine=EngineConfig(latency=FixedLatency(delay)))
+            for seed in range(3):
+                scenario = Scenario(
+                    name="latency-floor",
+                    initial_size=7,
+                    schedule=schedule,
+                    seed=seed,
+                    loss_probability=loss,
+                )
+                kinds = set()
+                for record in runner.run(protocol_name, scenario).records:
+                    kinds.add(record.kind)
+                    # The clock sums per-hop delays, so allow float rounding.
+                    floor = record.rounds * delay - 1e-12
+                    assert record.sim_latency_s >= floor, (delay, seed, record)
+                assert {"merge", "partition"} & kinds
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from repro.exceptions import NetworkError
 from repro.mathutils.rand import DeterministicRNG
-from repro.network.medium import BroadcastMedium, UniformLink
+from repro.network.medium import BroadcastMedium
 from repro.network.message import Message, MessagePart
 from repro.network.node import Node
 from repro.pki import Identity
@@ -106,54 +106,8 @@ class TestLossDeterminism:
 
 
 class TestLossKnobPrecedence:
-    """Who owns the loss knob when both a constructor value and a link model
-    are supplied — pinned so the tiered media cannot silently change it."""
-
-    def test_explicit_uniform_link_overrides_constructor_knob(self):
-        medium = BroadcastMedium(loss_probability=0.4, link_model=UniformLink(0.1))
-        assert medium.loss_probability == pytest.approx(0.1)
-        # And the other way: a lossless UniformLink silences the knob.
-        quiet = BroadcastMedium(loss_probability=0.4, link_model=UniformLink(0.0))
-        assert quiet.loss_probability == 0.0
-        alice = Identity("alice")
-        quiet.attach(Node(alice))
-        quiet.attach(Node(Identity("bob")))
-        for _ in range(20):
-            quiet.send(_make_message(alice))
-        assert all(r.attempts == 1 for r in quiet.receipts)
-
-    def test_non_uniform_model_compounds_with_knob_in_transmit(self):
-        # transmit() draws the broadcast-level knob once AND the per-link
-        # model once per receiver: with both at work the delivery rate is the
-        # product of the two survival probabilities, not either alone.
-        from repro.network.tiers import GilbertElliott, GilbertElliottLink
-
-        def delivered(knob, link_loss, sends=600):
-            medium = BroadcastMedium(
-                loss_probability=knob,
-                rng=DeterministicRNG(f"compound/{knob}/{link_loss}", label="medium"),
-                link_model=GilbertElliottLink(GilbertElliott.iid(link_loss)),
-            )
-            alice = Identity("alice")
-            medium.attach(Node(alice))
-            medium.attach(Node(Identity("bob")))
-            count = 0
-            for index in range(sends):
-                receipt = medium.transmit(_make_message(alice, bits=800 + index))
-                count += len(receipt.delivered_to)
-            return count / sends
-
-        both = delivered(0.3, 0.3)
-        knob_only = delivered(0.3, 0.0)
-        link_only = delivered(0.0, 0.3)
-        assert knob_only == pytest.approx(0.7, abs=0.07)
-        assert link_only == pytest.approx(0.7, abs=0.07)
-        assert both == pytest.approx(0.49, abs=0.07)
+    """The single-hop medium's one loss knob."""
 
     def test_certain_loss_is_rejected(self):
         with pytest.raises(NetworkError):
             BroadcastMedium(loss_probability=1.0)
-        with pytest.raises(NetworkError):
-            UniformLink(1.0)
-        with pytest.raises(NetworkError):
-            BroadcastMedium(link_model=UniformLink(1.0))

@@ -32,7 +32,7 @@ from repro.mobility import (
     StaticGrid,
 )
 from repro.mobility.models import NodeMotion
-from repro.network import BroadcastMedium, Message, Node, UniformLink, group_element_part
+from repro.network import Message, Node, group_element_part
 from repro.pki import Identity
 from repro.sim import (
     PeriodicMerges,
@@ -196,39 +196,6 @@ class TestRadioLink:
         assert near == pytest.approx(0.02)
         assert near < mid < edge < 0.4 + 1e-9
         assert link.loss_probability("a", "d") == 1.0
-
-    def test_uniform_link_is_the_degenerate_case(self):
-        # The same seed drives identical loss draws whether the knob is the
-        # plain constructor argument or an explicit UniformLink (which is the
-        # single source of truth when passed).
-        members = [Identity(f"u{i}") for i in range(4)]
-        receipts = []
-        for medium in (
-            BroadcastMedium(loss_probability=0.3, rng=_rng("deg")),
-            BroadcastMedium(link_model=UniformLink(0.3), rng=_rng("deg")),
-        ):
-            assert medium.loss_probability == 0.3
-            for identity in members:
-                medium.attach(Node(identity))
-            receipts.append([medium.send(_message(m)).attempts for m in members])
-        assert receipts[0] == receipts[1]
-        assert any(attempts > 1 for attempts in receipts[0])
-
-    def test_single_hop_medium_refuses_out_of_range_members(self):
-        # A single-hop domain has no relays, so an addressed member beyond
-        # direct range is a hard error (not a silent skip that would surface
-        # later as a baffling protocol failure).
-        positions = {"a": (0.0, 0.0), "b": (50.0, 0.0), "d": (500.0, 0.0)}
-        field = _field(list(positions), _Fixed(positions))
-        medium = BroadcastMedium(link_model=RadioLink(field, 100.0))
-        for name in positions:
-            medium.attach(Node(Identity(name)))
-        with pytest.raises(NetworkError, match="single-hop medium cannot relay"):
-            medium.send(_message(Identity("a")))
-        # Within range, the same medium delivers normally.
-        near = Message.unicast(Identity("a"), Identity("b"), "round1", _message(Identity("a")).parts)
-        receipt = medium.send(near)
-        assert [i.name for i in receipt.delivered_to] == ["b"]
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ class TestSchedules:
         assert all(len(e.event.other_group) == 3 for e in events)
 
     def test_trace_replay_keeps_order_and_spacing(self):
-        trace = (JoinEvent(joining=Identity("a")), LeaveEvent(leaving=Identity("m1")))
+        trace = (JoinEvent(joining=Identity("a")), LeaveEvent(leaving=Identity("member-001")))
         scenario = Scenario(
             name="t", initial_size=5, schedule=TraceReplay(events=trace, spacing=2.5), seed=0
         )
@@ -279,3 +279,22 @@ class TestScenarioRunner:
         )
         assert report.protocol == "proposed-gka"
         assert report.agreed_throughout
+
+    def test_trace_that_does_not_fit_the_group_fails_before_any_protocol_call(
+        self, small_setup, monkeypatch
+    ):
+        trace = (
+            JoinEvent(joining=Identity("a")),
+            JoinEvent(joining=Identity("b")),
+            LeaveEvent(leaving=Identity("ghost")),
+        )
+        scenario = Scenario(name="ghost", initial_size=6, schedule=TraceReplay(events=trace))
+        with pytest.raises(MembershipError, match="ghost"):
+            scenario.build_events()
+        protocol = create_protocol("proposed-gka", small_setup)
+        calls = []
+        for name in ("run", "apply_event"):
+            monkeypatch.setattr(protocol, name, lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(MembershipError, match="ghost"):
+            ScenarioRunner(small_setup).run(protocol, scenario)
+        assert calls == []

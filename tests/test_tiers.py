@@ -1,10 +1,11 @@
 """Multi-tier link classes and Gilbert–Elliott burst loss.
 
-Covers the burst-loss chain mathematics and determinism, link-class /
-tier-map resolution, gateway-mediated cross-tier flooding, the tiered
-latency model, spec round-trips, the campaign ``tiers`` axis — and the
-acceptance bar that every degenerate configuration stays bit-identical to
-the pre-tier uniform-loss paths.
+Covers the burst-loss chain mathematics and determinism (the chains a
+:class:`TieredLink` keeps per directed link), link-class / tier-map
+resolution, gateway-mediated cross-tier flooding, the tiered latency model,
+spec round-trips, the campaign ``tiers`` axis — and the acceptance bar that
+every degenerate configuration stays bit-identical to the flat single-hop
+medium and its one loss knob.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ import pytest
 
 from repro.exceptions import NetworkError, ParameterError
 from repro.mathutils.rand import DeterministicRNG
-from repro.network.medium import BroadcastMedium, UniformLink
 from repro.network.message import Message, MessagePart
 from repro.network.node import Node
 from repro.network.tiers import (
     LINK_CLASSES,
     GilbertElliott,
-    GilbertElliottLink,
     LinkClass,
     TierConfig,
     TieredLink,
@@ -105,11 +104,16 @@ class TestGilbertElliottParameters:
 
 # ------------------------------------------------------------------ GE chains
 class TestGilbertElliottChains:
+    @staticmethod
+    def _link(params: GilbertElliott, seed=None) -> TieredLink:
+        """A one-tier link whose every pair carries ``params``, bound to ``seed``."""
+        link = TieredLink(TierMap({"t": LinkClass("t", bitrate_bps=1e6, loss=params)}, {}))
+        if seed is not None:
+            link.bind(DeterministicRNG(seed, label="links"))
+        return link
+
     def _sequence(self, seed, copies: int = 400):
-        link = GilbertElliottLink(
-            GilbertElliott.from_loss_rate(0.2, 8.0),
-            rng=DeterministicRNG(seed, label="links"),
-        )
+        link = self._link(GilbertElliott.from_loss_rate(0.2, 8.0), seed)
         return [link.loss_probability("a", "b") for _ in range(copies)]
 
     def test_same_seed_same_chain(self):
@@ -128,52 +132,23 @@ class TestGilbertElliottChains:
         assert pairs / (len(bad) - 1) > 0.10
 
     def test_chains_are_per_directed_link(self):
-        link = GilbertElliottLink(
-            GilbertElliott.from_loss_rate(0.3, 4.0),
-            rng=DeterministicRNG("directed", label="links"),
-        )
+        link = self._link(GilbertElliott.from_loss_rate(0.3, 4.0), "directed")
         for _ in range(50):
             link.loss_probability("a", "b")
             link.loss_probability("b", "a")
         assert set(link.chain_states()) == {("a", "b"), ("b", "a")}
 
     def test_degenerate_parameters_never_draw(self):
-        # No RNG supplied and never bound: a chain step would raise, the
-        # i.i.d. fast path never needs one.
-        link = GilbertElliottLink(GilbertElliott.iid(0.3))
+        # Never bound: a chain step would raise, the i.i.d. fast path never
+        # needs randomness.
+        link = self._link(GilbertElliott.iid(0.3))
         assert link.loss_probability("a", "b") == pytest.approx(0.3)
         assert link.chain_states() == {}
 
     def test_unbound_bursty_link_raises(self):
-        link = GilbertElliottLink(GilbertElliott.from_loss_rate(0.2, 5.0))
+        link = self._link(GilbertElliott.from_loss_rate(0.2, 5.0))
         with pytest.raises(NetworkError, match="burst-loss chains need randomness"):
             link.loss_probability("a", "b")
-
-    def test_compounds_with_inner_model(self):
-        inner = UniformLink(0.5)
-        link = GilbertElliottLink(GilbertElliott.iid(0.5), inner=inner)
-        assert link.loss_probability("a", "b") == pytest.approx(0.75)
-
-    def test_medium_bind_does_not_perturb_loss_draws(self):
-        # Attaching a (degenerate) GE link model must leave the medium's own
-        # draw stream untouched: same seed, same receipts as the plain knob.
-        def run(link_model):
-            medium = BroadcastMedium(
-                loss_probability=0.4 if link_model is None else 0.0,
-                max_retries=50,
-                rng=DeterministicRNG("bind", label="medium"),
-                link_model=link_model,
-            )
-            if link_model is not None:
-                medium.loss_probability = 0.4  # same knob, explicit model
-            alice, bob = Identity("alice"), Identity("bob")
-            medium.attach(Node(alice))
-            medium.attach(Node(bob))
-            for index in range(30):
-                medium.send(_message(alice, bits=800 + index))
-            return [receipt.attempts for receipt in medium.receipts]
-
-        assert run(None) == run(GilbertElliottLink(GilbertElliott.iid(0.0)))
 
 
 # ------------------------------------------------------------------ link class
@@ -454,33 +429,34 @@ class TestTieredLatency:
     def test_delays_reflect_link_classes(self):
         from repro.engine.latency import TieredLatency
 
-        tm = _two_tier_map(size=6)
-        latency = TieredLatency(tm, per_hop_overhead_s=0.0, propagation_m_per_s=float("inf"))
+        latency = TieredLatency()
+        latency.bind(TieredMedium(_two_tier_map(size=6)))
         bits = 1_000_000
         # The satellite node serializes its uplink at 1 Mbps — a full second;
         # ground members (the gateway included: tx happens on its *home*
         # class) ride the 2 Mbps ground channel.
-        assert latency.tx_time_for(bits, "member-005") == pytest.approx(1.0)
-        assert latency.tx_time_for(bits, "member-000") == pytest.approx(0.5)
-        assert latency.tx_time_for(bits, "member-001") == pytest.approx(0.5)
+        assert latency.tx_time(bits, "member-005") == pytest.approx(1.0)
+        assert latency.tx_time(bits, "member-000") == pytest.approx(0.5)
+        assert latency.tx_time(bits, "member-001") == pytest.approx(0.5)
         # Same-tier single hop: propagation only (tx time is charged apart).
-        assert latency.delivery_delay_for(bits, 1, 0.0, "member-001", "member-002") == (
+        assert latency.delivery_delay(bits, 1, 0.0, "member-001", "member-002") == (
             pytest.approx(0.001)
         )
-        # Cross-tier: one gateway re-serialization at the pair rate plus the
-        # summed propagation of both home classes.
-        delay = latency.delivery_delay_for(bits, 1, 0.0, "member-001", "member-005")
-        assert delay == pytest.approx(1.0 + 0.251)
+        # Cross-tier: one gateway re-serialization at the pair rate, with its
+        # 1 ms relay overhead, plus the summed propagation of both home
+        # classes.
+        delay = latency.delivery_delay(bits, 1, 0.0, "member-001", "member-005")
+        assert delay == pytest.approx(1.0 + 0.001 + 0.251)
         # Descending deliveries ride the 10 Mbps downlink.
-        delay_down = latency.delivery_delay_for(bits, 1, 0.0, "member-005", "member-000")
-        assert delay_down == pytest.approx(0.1 + 0.25)
+        delay_down = latency.delivery_delay(bits, 1, 0.0, "member-005", "member-000")
+        assert delay_down == pytest.approx(0.1 + 0.001 + 0.25)
 
     def test_unbound_fallback_uses_ground_class(self):
         from repro.engine.latency import TieredLatency
 
-        latency = TieredLatency(per_hop_overhead_s=0.0, propagation_m_per_s=float("inf"))
-        assert latency.tx_time_for(2_000_000, "anyone") == pytest.approx(1.0)
-        assert latency.delivery_delay_for(2_000_000, 1, 0.0, "a", "b") == pytest.approx(0.001)
+        latency = TieredLatency()
+        assert latency.tx_time(2_000_000, "anyone") == pytest.approx(1.0)
+        assert latency.delivery_delay(2_000_000, 1, 0.0, "a", "b") == pytest.approx(0.001)
 
 
 # -------------------------------------------------------------- scenario layer
@@ -600,12 +576,17 @@ class TestTieredScenarios:
         from repro.engine.latency import TieredLatency
         from repro.engine.executor import EngineConfig
 
+        from repro.energy.transceiver import RADIO_100KBPS
+        from repro.engine.latency import TransceiverLatency
+
         config = build(EngineConfig, "tiered")
         assert isinstance(config.latency, TieredLatency)
         assert to_spec(config) == "tiered"
-        with pytest.raises(ParameterError):
-            explicit = TieredLatency(_two_tier_map())
-            to_spec(dataclasses.replace(config, latency=explicit))
+        custom = TransceiverLatency(
+            dataclasses.replace(RADIO_100KBPS, name="custom", bitrate_bps=5e4)
+        )
+        with pytest.raises(ParameterError, match="has no engine profile"):
+            to_spec(dataclasses.replace(config, latency=custom))
 
 
 # ------------------------------------------------------------------- campaign
