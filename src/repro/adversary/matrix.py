@@ -21,8 +21,11 @@ classifies each run from its :class:`~repro.sim.report.ScenarioReport`:
     the adversary can produce the agreed group key (no protocol in this
     library may ever earn this one).
 
-The result is a :class:`SecurityReport` that renders as the README's
-survival matrix and exports to CSV/JSON for CI trend lines.
+The matrix always runs as a :mod:`repro.campaign` grid, one cell per
+(protocol, attacker) pair: :func:`~repro.campaign.execute.run_campaign`
+runs, caches and classifies every cell, in process or on local fleet
+workers.  The result is a :class:`SecurityReport` that renders as the
+README's survival matrix and exports to CSV/JSON for CI trend lines.
 """
 
 from __future__ import annotations
@@ -233,7 +236,6 @@ def run_attack_matrix(
     protocols: Optional[Sequence[str]] = None,
     attackers: Optional[Mapping[str, Optional[AdversaryConfig]]] = None,
     scenario=None,
-    device=None,
     engine=None,
     workers: int = 1,
     cache_dir: Optional[str] = None,
@@ -245,16 +247,21 @@ def run_attack_matrix(
     every preset.  ``scenario`` defaults to a small establish + leave + join
     trace exercising the dynamic sub-protocols too.
 
-    The matrix is a :mod:`repro.campaign` sweep under the hood — protocols ×
-    attacker columns as campaign axes — so ``workers`` shards the cells over
-    local fleet workers and ``cache_dir`` replays unchanged cells, with output
-    bit-identical to the serial run either way.  A non-default ``device`` (or
-    an engine/scenario a JSON spec cannot express) falls back to the in-process
-    serial loop, which is equivalent but unsharded.
+    The matrix is always a :mod:`repro.campaign` sweep — protocols ×
+    attacker columns as campaign axes, one cell per pair, each running the
+    scenario verbatim under its column's attacker — so ``workers`` shards
+    the cells over local fleet workers and ``cache_dir`` replays unchanged
+    cells, with output bit-identical to ``workers=1`` either way.  The cells
+    rebuild ``setup`` by name, so a setup outside the named parameter sets
+    (:data:`~repro.campaign.spec.PARAM_SETS`), or a scenario or engine
+    without a spec form, raises :class:`~repro.exceptions.ParameterError`.
     """
     # Imported lazily: this module is reachable from ``repro.sim`` (the
     # runner consults the oracles), so a module-level import would be a cycle.
+    from ..campaign.execute import params_for, run_campaign
+    from ..campaign.spec import CampaignSpec
     from ..core.registry import available_protocols
+    from ..sim.specio import to_spec
 
     if protocols is None:
         protocols = available_protocols()
@@ -265,75 +272,7 @@ def run_attack_matrix(
     if scenario is None:
         scenario = _default_matrix_scenario()
 
-    if device is None:
-        try:
-            return _run_matrix_campaign(
-                setup,
-                protocols=protocols,
-                attackers=attackers,
-                scenario=scenario,
-                engine=engine,
-                workers=workers,
-                cache_dir=cache_dir,
-            )
-        except ParameterError:
-            # Not spec-serializable (custom schedule class, exotic latency
-            # model, ...): the serial loop below handles every live object.
-            pass
-    return _run_matrix_serial(
-        setup,
-        protocols=protocols,
-        attackers=attackers,
-        scenario=scenario,
-        device=device,
-        engine=engine,
-    )
-
-
-def _params_for_setup(setup) -> str:
-    """The worker-side ``params`` name reproducing ``setup`` exactly.
-
-    Campaign workers rebuild the setup from a name, so only the two canonical
-    named parameter sets are expressible; anything else (custom groups,
-    generated parameters, non-default hash sizes) raises
-    :class:`~repro.exceptions.ParameterError`, which sends
-    :func:`run_attack_matrix` down the serial fallback instead of silently
-    evaluating a different cryptosystem.
-    """
-    from ..core.base import SystemSetup
-
-    for params, reference in (
-        ("test", SystemSetup.from_param_sets("test-256", "gq-test-256")),
-        ("paper", SystemSetup.from_param_sets()),
-    ):
-        if (
-            setup.group.p == reference.group.p
-            and setup.group.q == reference.group.q
-            and setup.group.g == reference.group.g
-            and setup.pkg.params.n == reference.pkg.params.n
-            and setup.hash_function.output_bits == reference.hash_function.output_bits
-        ):
-            return params
-    raise ParameterError("setup is not a canonical named parameter set")
-
-
-def _run_matrix_campaign(
-    setup,
-    *,
-    protocols: Sequence[str],
-    attackers: Mapping[str, Optional[AdversaryConfig]],
-    scenario,
-    engine,
-    workers: int,
-    cache_dir: Optional[str],
-) -> SecurityReport:
-    """The sharded path: protocols × attacker columns as a campaign grid."""
-    from ..campaign.execute import run_campaign
-    from ..campaign.spec import CampaignSpec
-    from ..sim.specio import to_spec
-
     scenario_spec = to_spec(scenario)
-    params = _params_for_setup(setup)
     spec = CampaignSpec(
         name=f"attack-matrix/{scenario.name}",
         protocols=tuple(protocols),
@@ -344,7 +283,7 @@ def _run_matrix_campaign(
         engines=(to_spec(engine) if engine is not None else "instant",),
         adversaries={name: to_spec(config) for name, config in attackers.items()},
         seed=scenario.seed,
-        params=params,
+        params=params_for(setup),
         max_retries=scenario.max_retries,
         min_group_size=scenario.min_group_size,
     )
@@ -378,41 +317,6 @@ def _run_matrix_campaign(
                 detail=str(row.get("security_detail", "")),
             )
         )
-    return SecurityReport(
-        scenario_name=scenario.name,
-        scenario_description=scenario.describe(),
-        outcomes=outcomes,
-    )
-
-
-def _run_matrix_serial(
-    setup,
-    *,
-    protocols: Sequence[str],
-    attackers: Mapping[str, Optional[AdversaryConfig]],
-    scenario,
-    device,
-    engine,
-) -> SecurityReport:
-    """The in-process fallback for live objects a spec cannot express."""
-    from ..sim.runner import ScenarioRunner
-
-    runner = ScenarioRunner(setup, device=device, engine=engine, check_agreement=False)
-    outcomes: List[AttackOutcome] = []
-    for protocol in protocols:
-        for attacker_name, config in attackers.items():
-            staged = scenario.with_adversary(config)
-            report = runner.run(protocol, staged)
-            verdict, detail = classify_report(report)
-            outcomes.append(
-                AttackOutcome(
-                    protocol=protocol,
-                    attacker=attacker_name,
-                    verdict=verdict,
-                    attacks=report.total_attacks,
-                    detail=detail,
-                )
-            )
     return SecurityReport(
         scenario_name=scenario.name,
         scenario_description=scenario.describe(),

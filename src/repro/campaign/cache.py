@@ -10,14 +10,13 @@ field a cached row cannot refresh; rows replayed from the cache are marked
 
 The cache layout is one ``<sha256>.json`` file per cell under the cache
 directory — trivially inspectable, safe to delete wholesale, and naturally
-shared between campaigns that happen to contain identical cells.
+shared between campaigns that happen to contain identical cells.  Nothing
+evicts entries; bound a long-lived cache by deleting it.
 
 Robustness contract: a cache entry can **never** take a campaign down.  A
 truncated file, non-JSON garbage, or valid JSON of the wrong shape (anything
 but an object with the row's identifying fields) is logged at warning level
 and treated as a miss — the cell recomputes and the entry is overwritten.
-:meth:`ResultCache.prune` bounds the directory by age and/or entry count for
-long-lived caches shared across many campaigns.
 
 ``CACHE_VERSION`` is baked into every key; bump it whenever the simulation's
 observable outputs change so stale results can never masquerade as fresh
@@ -30,8 +29,7 @@ import hashlib
 import json
 import logging
 import os
-import time
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from .. import telemetry
 
@@ -112,52 +110,6 @@ class ResultCache:
             json.dump(stored, handle)
         os.replace(tmp, path)
         telemetry.count("cache.puts")
-
-    # ------------------------------------------------------------ maintenance
-    def prune(
-        self,
-        *,
-        max_age_s: Optional[float] = None,
-        max_entries: Optional[int] = None,
-    ) -> int:
-        """Delete old and/or surplus entries; return how many were removed.
-
-        ``max_age_s`` drops entries whose mtime is older than that many
-        seconds; ``max_entries`` then keeps only the newest N.  Entries that
-        vanish concurrently (another process pruning the shared directory)
-        are skipped silently — the cache is advisory storage, never truth.
-        """
-        entries: List[tuple] = []
-        now = time.time()
-        for name in os.listdir(self.directory):
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                mtime = os.path.getmtime(path)
-            except OSError:
-                continue
-            entries.append((mtime, path))
-        doomed = []
-        if max_age_s is not None:
-            cutoff = now - max_age_s
-            doomed.extend(path for mtime, path in entries if mtime < cutoff)
-            entries = [(m, p) for m, p in entries if m >= cutoff]
-        if max_entries is not None and len(entries) > max_entries:
-            entries.sort(reverse=True)  # newest first
-            doomed.extend(path for _, path in entries[max_entries:])
-        removed = 0
-        for path in doomed:
-            try:
-                os.remove(path)
-                removed += 1
-            except OSError:
-                continue
-        if removed:
-            telemetry.count("cache.pruned", removed)
-            logger.info("pruned %d cache entr%s from %s",
-                        removed, "y" if removed == 1 else "ies", self.directory)
-        return removed
 
     def log_summary(self) -> None:
         """Count the replayed cells and log :meth:`summary_line` (campaign end)."""

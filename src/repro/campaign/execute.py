@@ -5,26 +5,28 @@ JSON payload to a JSON row**.  It builds the cell's
 :class:`~repro.core.base.SystemSetup`, scenario and engine inside the worker
 process (nothing live is ever pickled across the boundary), runs the
 :class:`~repro.sim.runner.ScenarioRunner`, and flattens the report into a
-flat row of axis values and metrics.  Any exception becomes an ``error`` row
-instead of propagating, so one pathological cell cannot take down a thousand
-good ones.
+flat row of axis values and metrics.  Any exception, a malformed payload's
+included, becomes an ``error`` row instead of propagating, so one
+pathological cell cannot take down a thousand good ones.  Every row starts
+with :func:`cell_row`, the fleet's written-off rows too.
 
 :func:`run_campaign` plans the grid (:func:`~repro.campaign.plan.plan_campaign`:
 cache hits are served from disk) and runs the pending cells in this process,
 or with ``workers > 1`` hands the campaign to
 :func:`~repro.fleet.local.run_fleet_campaign`, whose local fleet workers
-requeue a dead worker's cell and ship their telemetry home.
-Results are assembled **by cell index, never by completion order**, and
-every stochastic input lives in the cell's own derived seed — which is why
-``workers=N`` output is bit-identical to ``workers=1`` (the property
-``tests/test_campaign.py`` pins for every registry protocol).
+requeue a dead worker's cell and ship their telemetry home.  Every grid
+point is one cell with its own key, so both executors compute each cell
+exactly once.  Results are assembled **by cell index, never by completion
+order**, and every stochastic input lives in the cell's own derived seed —
+which is why ``workers=N`` output is bit-identical to ``workers=1`` (the
+property ``tests/test_campaign.py`` pins for every registry protocol).
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from .. import telemetry
 from ..exceptions import ParameterError
@@ -32,9 +34,9 @@ from ..fields import to_spec
 from .cache import ResultCache
 from .plan import plan_campaign
 from .result import CampaignResult
-from .spec import CampaignCell, CampaignSpec
+from .spec import PARAM_SETS, CampaignCell, CampaignSpec
 
-__all__ = ["execute_cell", "run_campaign"]
+__all__ = ["cell_row", "execute_cell", "params_for", "run_campaign"]
 
 #: Per-process SystemSetup cache: building the 256/1024-bit parameter sets is
 #: pure and deterministic, so sharing one instance across a worker's cells
@@ -47,31 +49,64 @@ def _setup_for(params: str):
 
     setup = _SETUPS.get(params)
     if setup is None:
-        if params == "paper":
-            setup = SystemSetup.from_param_sets()
-        else:
-            setup = SystemSetup.from_param_sets("test-256", "gq-test-256")
-        _SETUPS[params] = setup
+        setup = _SETUPS[params] = SystemSetup.from_param_sets(*PARAM_SETS[params])
     return setup
+
+
+def params_for(setup) -> str:
+    """The :data:`~repro.campaign.spec.PARAM_SETS` name that rebuilds ``setup``.
+
+    Workers rebuild a cell's setup from this name, so a setup outside the
+    named sets (custom groups, generated parameters, another hash size)
+    raises :class:`~repro.exceptions.ParameterError` rather than being
+    swapped for a different cryptosystem.
+    """
+    for params in PARAM_SETS:
+        named = _setup_for(params)
+        if (
+            setup.group.p == named.group.p
+            and setup.group.q == named.group.q
+            and setup.group.g == named.group.g
+            and setup.pkg.params.n == named.pkg.params.n
+            and setup.hash_function.output_bits == named.hash_function.output_bits
+        ):
+            return params
+    raise ParameterError(f"setup is not one of the named parameter sets {list(PARAM_SETS)}")
+
+
+def cell_row(payload: Mapping[str, object], error: str = "") -> Dict[str, object]:
+    """The head every row of ``payload``'s cell starts with.
+
+    ``campaign``, ``cell``, the axes, ``seed``, ``cached`` and ``error``, in
+    that order (the CSV columns follow it); a computed row appends the
+    metrics and ``wall_seconds``.  Parts of a malformed payload are skipped,
+    so even that cell gets its error row.
+    """
+    row: Dict[str, object] = {
+        "campaign": payload.get("campaign", ""),
+        "cell": payload.get("cell", ""),
+    }
+    axes = payload.get("axes", {})
+    if isinstance(axes, Mapping):
+        row.update(axes)
+    scenario = payload.get("scenario", {})
+    row.update(
+        seed=scenario.get("seed", "") if isinstance(scenario, Mapping) else "",
+        cached=False,
+        error=error,
+    )
+    return row
 
 
 def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
     """Run one campaign cell and return its flat result row.
 
-    Never raises: failures are captured into the row's ``error`` field with
-    the exception's traceback tail, keeping sibling cells unaffected.
+    Never raises: failures, a malformed payload's included, are captured
+    into the row's ``error`` field with the exception's traceback tail,
+    keeping sibling cells unaffected.
     """
     started = time.perf_counter()
-    row: Dict[str, object] = {
-        "campaign": payload.get("campaign", ""),
-        "cell": payload.get("cell", ""),
-    }
-    row.update(payload.get("axes", {}))
-    row.update(
-        seed=payload.get("scenario", {}).get("seed", ""),
-        cached=False,
-        error="",
-    )
+    row = cell_row(payload)
     try:
         row.update(_run_cell(payload))
     except Exception as exc:  # crash isolation: the row *is* the error report

@@ -75,12 +75,15 @@ def plan_campaign(
     Pass an already-open ``cache`` to share its hit/miss counters with the
     run that follows (both executors do); otherwise ``cache_dir`` opens one
     just for the plan.  An adjusted ``cells`` list must keep the indices
-    ``0..len-1``: rows are assembled by index.
+    ``0..len-1``, as rows are assembled by index, and one key per cell, as
+    the spec's own grid does.
     """
     if cells is None:
         cells = spec.cells()
     elif [cell.index for cell in cells] != list(range(len(cells))):
         raise ParameterError("adjusted cell lists must keep contiguous indices")
+    elif len({cell.key for cell in cells}) < len(cells):
+        raise ParameterError("adjusted cell lists must not repeat a cell key")
     axes: Dict[str, List[object]] = {name: [] for name in AXIS_NAMES}
     for cell in cells:
         for name in AXIS_NAMES:

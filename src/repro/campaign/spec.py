@@ -11,7 +11,8 @@ a file.  No live object ever travels to a worker.
 Determinism is structural:
 
 * every cell owns a stable **key** (``protocol=bd/n=8/...``) derived from its
-  axis values, independent of expansion order;
+  axis values, independent of expansion order, and no two cells share one:
+  a repeated axis value or engine label fails the spec;
 * every cell's scenario seed is a **named child** of the campaign's master
   seed, derived from the cell's *workload key* — the group-size, mobility and
   replication axes.  Cells sharing a workload share the seed (and the
@@ -37,9 +38,17 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..exceptions import ParameterError
 from ..fields import Seed, param, settle
+from ..groups.params import PAPER_GQ_SET, PAPER_SCHNORR_SET, TEST_GQ_SET, TEST_SCHNORR_SET
 from ..mathutils.rand import DeterministicRNG
 
-__all__ = ["CampaignCell", "CampaignSpec", "AXIS_NAMES"]
+__all__ = ["CampaignCell", "CampaignSpec", "AXIS_NAMES", "PARAM_SETS"]
+
+#: ``params`` name -> the named (Schnorr, GQ) parameter sets a worker builds
+#: its :class:`~repro.core.base.SystemSetup` from.
+PARAM_SETS: Dict[str, Tuple[str, str]] = {
+    "test": (TEST_SCHNORR_SET, TEST_GQ_SET),
+    "paper": (PAPER_SCHNORR_SET, PAPER_GQ_SET),
+}
 
 #: Cell-key axis names, in key order (also the row columns the axes become).
 AXIS_NAMES = (
@@ -102,8 +111,9 @@ class CampaignSpec:
     seed:
         Master seed; every cell derives its own named child from it.
     params:
-        Parameter sizes for the worker's :class:`~repro.core.base.SystemSetup`:
-        ``"test"`` (256-bit, fast) or ``"paper"`` (the paper's 1024-bit).
+        A :data:`PARAM_SETS` name for the worker's
+        :class:`~repro.core.base.SystemSetup`: ``"test"`` (256-bit, fast) or
+        ``"paper"`` (the paper's 1024-bit).
     replications:
         Independent repetitions of every grid point (distinct child seeds).
     max_retries / min_group_size:
@@ -122,7 +132,7 @@ class CampaignSpec:
         (("none", None),), keys="name", shorthand=True
     )
     seed: Seed = 0
-    params: str = param("test", choices=("test", "paper"))
+    params: str = param("test", choices=tuple(PARAM_SETS))
     replications: int = param(1, ge=1)
     max_retries: int = 10
     min_group_size: int = 3
@@ -131,14 +141,17 @@ class CampaignSpec:
         settle(self)
         if not self.name:
             raise ParameterError("a campaign needs a name")
-        for values, what in (
-            (self.protocols, "protocol"),
-            (self.group_sizes, "group size"),
-            (self.losses, "loss level"),
-            (self.engines, "engine profile"),
+        # A repeated value would expand into cells sharing one key.
+        for values, what, axis in (
+            (self.protocols, "protocol", "protocols"),
+            (self.group_sizes, "group size", "group_sizes"),
+            (self.losses, "loss level", "losses"),
+            ([self.engine_label(e) for e in self.engines], "engine profile", "engine labels"),
         ):
             if not values:
                 raise ParameterError(f"a campaign needs at least one {what}")
+            if len(set(values)) < len(values):
+                raise ParameterError(f"{axis} must be unique, got {list(values)}")
         for axis in ("mobilities", "tiers", "adversaries"):
             if not getattr(self, axis):
                 raise ParameterError(f"{axis} axis cannot be empty")

@@ -10,7 +10,7 @@ at a time, and stream result rows back incrementally:
 * :mod:`repro.fleet.wire` — the framing layer (4-byte length prefix +
   canonical JSON message);
 * :mod:`repro.fleet.controller` — queue ownership, content-hash cache
-  dedup (cache hits never leave the controller), heartbeat-based worker-loss
+  replay (cache hits never leave the controller), heartbeat-based worker-loss
   detection with bounded requeues (then error rows — never a dead sweep),
   and streaming row assembly;
 * :mod:`repro.fleet.worker` — the client loop around the campaign layer's

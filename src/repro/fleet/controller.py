@@ -6,8 +6,7 @@ connections, and drives one campaign to completion:
 * **Queue** — the spec's grid is planned up front
   (:func:`repro.campaign.plan.plan_campaign`): cache hits fill their rows
   immediately and are *never dispatched* — a resumed campaign only ships the
-  cells that still need computing.  Pending cells are deduplicated by
-  content hash, so two cells with identical payloads cost one execution.
+  cells that still need computing, each once: a plan holds one cell per key.
 * **Streaming** — each idle worker holds exactly one cell; its row is
   recorded (and cached) the moment it arrives, so progress is continuous
   rather than wait-for-everything.
@@ -40,6 +39,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..campaign.cache import ResultCache, payload_hash
+from ..campaign.execute import cell_row
 from ..campaign.plan import CampaignPlan, plan_campaign
 from ..campaign.result import CampaignResult
 from ..campaign.spec import CampaignCell, CampaignSpec
@@ -53,11 +53,11 @@ __all__ = ["CampaignController", "WorkUnit"]
 
 @dataclass
 class WorkUnit:
-    """One dispatchable unit: a payload plus every cell index it serves."""
+    """One dispatchable unit: a cell's payload and index."""
 
     key: str  # payload content hash
     payload: Dict[str, object]
-    indices: List[int]  # cell indices sharing this payload (usually one)
+    index: int  # the cell index its row is filed under
     attempts: int = 0  # dispatches so far (first dispatch makes it 1)
 
 
@@ -145,25 +145,16 @@ class CampaignController:
         for index, row in self.plan.cached_rows.items():
             self._rows[index] = row
 
-        # Deduplicate pending cells by payload hash: one WorkUnit may serve
-        # several cell indices (identical payloads are bit-identical rows).
-        self._queue: Deque[WorkUnit] = deque()
-        by_hash: Dict[str, WorkUnit] = {}
-        for cell in self.plan.pending:
-            key = payload_hash(cell.payload)
-            unit = by_hash.get(key)
-            if unit is None:
-                unit = WorkUnit(key=key, payload=dict(cell.payload), indices=[])
-                by_hash[key] = unit
-                self._queue.append(unit)
-            unit.indices.append(cell.index)
+        self._queue: Deque[WorkUnit] = deque(
+            WorkUnit(key=payload_hash(cell.payload), payload=dict(cell.payload), index=cell.index)
+            for cell in self.plan.pending
+        )
 
         self._workers: Dict[socket.socket, _Worker] = {}
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
         self._started = 0.0
-        self._done_cells = self.plan.total - sum(len(u.indices) for u in self._queue)
-        self._completed_units = 0
+        self._done_cells = len(self.plan.cached_rows)
         self._dispatched_units = 0
         self._requeues = 0
         self._worker_losses = 0
@@ -424,7 +415,7 @@ class CampaignController:
             if unit is None or str(message.get("unit", "")) != unit.key:
                 return  # stale row from a requeued unit some other worker won
             worker.unit = None
-            worker.cells_done += len(unit.indices)
+            worker.cells_done += 1
             self._absorb_telemetry(worker, unit, message)
             row = message.get("row")
             if not isinstance(row, dict):
@@ -486,8 +477,7 @@ class CampaignController:
                 track=worker.name or "worker",
                 wall_start=worker.dispatched_at,
                 wall_dur=max(0.0, finished - worker.dispatched_at),
-                args={"worker": worker.name, "attempts": unit.attempts,
-                      "cells": len(unit.indices)},
+                args={"worker": worker.name, "attempts": unit.attempts},
             )
             spans = message.get("spans")
             if isinstance(spans, list):
@@ -510,16 +500,14 @@ class CampaignController:
             )
 
     def _record(self, unit: WorkUnit, row: Dict[str, object]) -> None:
-        """File one computed row under every cell index the unit serves."""
+        """File one computed row under the unit's cell index."""
         row = dict(row)
         row.setdefault("cached", False)
         if self._cache is not None and not row.get("error"):
             self._cache.put(unit.payload, row)
-        for index in unit.indices:
-            if self._rows[index] is None:
-                self._done_cells += 1
-            self._rows[index] = dict(row)
-        self._completed_units += 1
+        if self._rows[unit.index] is None:
+            self._done_cells += 1
+        self._rows[unit.index] = row
 
     def _requeue(self, unit: WorkUnit) -> None:
         """Return a lost unit to the queue head, or write it off."""
@@ -528,11 +516,11 @@ class CampaignController:
                 f"FleetError: worker lost while computing this cell "
                 f"{unit.attempts} time(s); retries exhausted"
             )
-            self._record(unit, _error_row(unit.payload, message))
+            self._record(unit, {**cell_row(unit.payload, message), "wall_seconds": 0.0})
             if self._metrics is not None:
-                self._metrics.count("fleet.cells_written_off", len(unit.indices))
+                self._metrics.count("fleet.cells_written_off")
             return
-        self._requeues += len(unit.indices)
+        self._requeues += 1
         if self._tracer is not None:
             self._tracer.instant(
                 "fleet.requeue",
@@ -542,7 +530,7 @@ class CampaignController:
                       "attempts": unit.attempts},
             )
         if self._metrics is not None:
-            self._metrics.count("fleet.requeues", len(unit.indices))
+            self._metrics.count("fleet.requeues")
         self._queue.appendleft(unit)
         # Offer it immediately to any idle worker instead of waiting for the
         # next row to trigger a dispatch.
@@ -638,22 +626,3 @@ class CampaignController:
             cache_hits=self._cache.hits if self._cache is not None else 0,
             cache_misses=self._cache.misses if self._cache is not None else 0,
         )
-
-
-def _error_row(payload: Dict[str, object], message: str) -> Dict[str, object]:
-    """An error row shaped exactly like :func:`~repro.campaign.execute.execute_cell`'s."""
-    row: Dict[str, object] = {
-        "campaign": payload.get("campaign", ""),
-        "cell": payload.get("cell", ""),
-    }
-    axes = payload.get("axes", {})
-    if isinstance(axes, dict):
-        row.update(axes)
-    scenario = payload.get("scenario", {})
-    row.update(
-        seed=scenario.get("seed", "") if isinstance(scenario, dict) else "",
-        cached=False,
-        error=message,
-        wall_seconds=0.0,
-    )
-    return row

@@ -55,6 +55,7 @@ import sys
 from typing import List, Optional
 
 from ..adversary.config import ATTACKER_PRESETS
+from ..campaign.spec import PARAM_SETS
 from ..core.base import SystemSetup
 from ..core.registry import available_protocols, describe_registry
 from ..engine.executor import EngineConfig
@@ -103,7 +104,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--params",
         default="test",
-        choices=("test", "paper"),
+        choices=tuple(PARAM_SETS),
         help="parameter sizes: fast 256-bit test sets (default) or the paper's 1024-bit",
     )
     parser.add_argument(
@@ -151,10 +152,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     try:
-        if args.params == "paper":
-            setup = SystemSetup.from_param_sets()
-        else:
-            setup = SystemSetup.from_param_sets("test-256", "gq-test-256")
+        setup = SystemSetup.from_param_sets(*PARAM_SETS[args.params])
         protocols = (
             [name.strip() for name in args.protocols.split(",") if name.strip()]
             if args.protocols

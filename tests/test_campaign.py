@@ -19,7 +19,6 @@ import json
 import multiprocessing
 import os
 import random
-import time
 
 import pytest
 
@@ -214,6 +213,10 @@ class TestSpecExpansion:
             {"tiers": {"lan": {"tiers": [["lan", {"name": "lan", "bitrate_bps": float("nan")}]]}}},
             {"adversaries": {"none": None, "mitm": {"mitmm": True}}},
             {"losses": (0.0, float("nan"))},
+            {"protocols": ("bd", "bd")},
+            {"group_sizes": (5, 5)},
+            {"losses": [0, 0.0]},
+            {"engines": ("radio", {"latency": "radio"})},
         ],
         ids=[
             "old-backend-key",
@@ -226,11 +229,16 @@ class TestSpecExpansion:
             "tiers-nan-bitrate",
             "adversary-typo",
             "nan-loss",
+            "repeated-protocol",
+            "repeated-group-size",
+            "repeated-settled-loss",
+            "repeated-engine-label",
         ],
     )
     def test_bad_engine_entry_fails_the_spec_not_its_cells(self, axes):
         # Every axis entry (engines, schedule, mobilities, tiers, adversaries,
-        # losses) is built when the spec is, before any cell or worker runs.
+        # losses) is built when the spec is, before any cell or worker runs;
+        # a repeated value, which would give two cells one key, fails too.
         with pytest.raises(ParameterError):
             small_spec(**axes)
         with pytest.raises(ParameterError):
@@ -474,36 +482,6 @@ class TestResultCache:
         healed = run_campaign(spec, cache_dir=str(tmp_path))
         assert healed.cache_hits == 2
 
-    def test_prune_by_age_and_count(self, tmp_path):
-        from repro.campaign import ResultCache
-
-        run_campaign(small_spec(losses=(0.0, 0.1, 0.2)), cache_dir=str(tmp_path))
-        cache = ResultCache(str(tmp_path))
-        assert len(cache) == 6
-        # Age out two entries by back-dating their mtimes.
-        entries = sorted(os.listdir(tmp_path))
-        old = time.time() - 3600
-        for name in entries[:2]:
-            os.utime(tmp_path / name, (old, old))
-        assert cache.prune(max_age_s=60) == 2
-        assert len(cache) == 4
-        # Then bound the survivors by count (newest kept).
-        assert cache.prune(max_entries=1) == 3
-        assert len(cache) == 1
-        # Idempotent and safe on an already-small cache.
-        assert cache.prune(max_age_s=60, max_entries=5) == 0
-        # The surviving entry still replays.
-        warm = run_campaign(small_spec(losses=(0.0, 0.1, 0.2)), cache_dir=str(tmp_path))
-        assert warm.cache_hits == 1 and warm.cache_misses == 5
-
-    def test_prune_ignores_foreign_files(self, tmp_path):
-        from repro.campaign import ResultCache
-
-        (tmp_path / "README.txt").write_text("not a cache entry")
-        cache = ResultCache(str(tmp_path))
-        assert cache.prune(max_age_s=0.0) == 0
-        assert (tmp_path / "README.txt").exists()
-
 
 # ---------------------------------------------------------------------------
 # Crash isolation and aggregation
@@ -523,6 +501,12 @@ class TestExecution:
     def test_execute_cell_never_raises(self):
         row = execute_cell({"campaign": "x", "cell": "k", "axes": {}, "scenario": {}})
         assert row["error"]
+
+    @pytest.mark.parametrize("payload", [{"scenario": "x"}, {"axes": "x"}], ids=["scenario", "axes"])
+    def test_malformed_payload_becomes_an_error_row(self, payload):
+        # A fleet worker handed such a cell must send an error row, not die.
+        row = execute_cell(payload)
+        assert row["error"] and row["seed"] == "" and "wall_seconds" in row
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ParameterError, match="workers"):
@@ -598,14 +582,13 @@ class TestParallelWorkers:
 # ---------------------------------------------------------------------------
 
 class TestAttackMatrixParity:
-    def test_campaign_path_matches_the_serial_fallback_exactly(self, small_setup):
+    def test_matrix_matches_a_direct_runner_loop_exactly(self, small_setup):
         # A scenario exercising the fields the campaign cells must pin
         # verbatim (non-default member_prefix, trace schedule, string seed).
-        from repro.adversary import AdversaryConfig, run_attack_matrix
-        from repro.energy.accounting import DeviceProfile
+        from repro.adversary import AdversaryConfig, classify_report, run_attack_matrix
         from repro.network.events import LeaveEvent
         from repro.pki import Identity
-        from repro.sim import Scenario, TraceReplay
+        from repro.sim import Scenario, ScenarioRunner, TraceReplay
 
         scenario = Scenario(
             name="parity",
@@ -615,34 +598,51 @@ class TestAttackMatrixParity:
             seed="parity",
         )
         attackers = {"baseline": None, "inject": AdversaryConfig.preset("inject")}
-        kwargs = dict(
-            protocols=["proposed-gka", "bd-unauthenticated"],
-            attackers=attackers,
-            scenario=scenario,
+        protocols = ["proposed-gka", "bd-unauthenticated"]
+        matrix = run_attack_matrix(
+            small_setup, protocols=protocols, attackers=attackers, scenario=scenario, workers=2
         )
-        via_campaign = run_attack_matrix(small_setup, workers=2, **kwargs)
-        # A non-None device is not spec-serializable and forces the serial
-        # in-process loop — the reference behaviour.
-        via_serial = run_attack_matrix(small_setup, device=DeviceProfile(), **kwargs)
+        # The reference: each (protocol, attacker) pair run and classified
+        # in process, one at a time.
+        runner = ScenarioRunner(small_setup, check_agreement=False)
+        direct = []
+        for protocol in protocols:
+            for attacker, config in attackers.items():
+                report = runner.run(protocol, scenario.with_adversary(config))
+                verdict, detail = classify_report(report)
+                direct.append((protocol, attacker, verdict, report.total_attacks, detail))
         assert [
-            (o.protocol, o.attacker, o.verdict, o.attacks, o.detail)
-            for o in via_campaign.outcomes
-        ] == [
-            (o.protocol, o.attacker, o.verdict, o.attacks, o.detail)
-            for o in via_serial.outcomes
-        ]
+            (o.protocol, o.attacker, o.verdict, o.attacks, o.detail) for o in matrix.outcomes
+        ] == direct
 
-    def test_non_canonical_setup_falls_back_to_serial(self):
+    def test_non_canonical_setup_is_rejected(self):
         # Workers rebuild the setup by name, so a setup that is not one of
-        # the canonical parameter sets must never be silently substituted.
+        # the named parameter sets must never be silently substituted.
         from repro.adversary import run_attack_matrix
         from repro.core import SystemSetup
 
         custom = SystemSetup.from_param_sets("test-256", "gq-test-256", hash_bits=128)
-        matrix = run_attack_matrix(
-            custom, protocols=["bd-unauthenticated"], attackers={"baseline": None}
-        )
-        assert matrix.verdict("bd-unauthenticated", "baseline") == "clean"
+        with pytest.raises(ParameterError, match="named parameter sets"):
+            run_attack_matrix(
+                custom, protocols=["bd-unauthenticated"], attackers={"baseline": None}
+            )
+
+    def test_engine_without_a_profile_is_rejected(self, small_setup):
+        import dataclasses
+
+        from repro.adversary import run_attack_matrix
+        from repro.energy import RADIO_100KBPS
+        from repro.engine import EngineConfig, TransceiverLatency
+
+        radio = dataclasses.replace(RADIO_100KBPS, name="custom", bitrate_bps=5e4)
+        engine = EngineConfig(latency=TransceiverLatency(radio))
+        with pytest.raises(ParameterError, match="has no engine profile"):
+            run_attack_matrix(
+                small_setup,
+                protocols=["bd-unauthenticated"],
+                attackers={"baseline": None},
+                engine=engine,
+            )
 
 
 # ---------------------------------------------------------------------------

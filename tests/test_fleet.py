@@ -196,28 +196,19 @@ class TestFleetCache:
         assert (result.cache_hits, result.cache_misses) == (2, 2)
         assert [row["cell"] for row in result.rows] == [c.key for c in edited.cells()]
 
-    def test_identical_payloads_deduplicate_to_one_dispatch(self):
+    def test_repeated_cells_are_rejected(self):
         spec = small_spec(protocols=("proposed-gka",))
         cells = spec.cells()
         assert len(cells) == 1
-        # Two cells with byte-identical payloads (a duplicated grid point).
+        # Two cells with one key (a duplicated grid point): every grid point
+        # is one cell, for the fleet and the in-process executor alike.
         from dataclasses import replace
 
         doubled = [cells[0], replace(cells[0], index=1)]
-        controller = CampaignController(spec, cells=doubled)
-        address = controller.bind()
-        process = _fork_context().Process(
-            target=_local_worker_main, args=(address, "w0"), daemon=True
-        )
-        process.start()
-        try:
-            result = controller.serve()
-        finally:
-            controller.close()
-            process.join(timeout=10.0)
-        assert controller.dispatched_units == 1
-        assert len(result.rows) == 2
-        assert result.deterministic_rows()[0] == result.deterministic_rows()[1]
+        with pytest.raises(ParameterError, match="repeat a cell key"):
+            CampaignController(spec, cells=doubled)
+        with pytest.raises(ParameterError, match="repeat a cell key"):
+            run_campaign(spec, cells=doubled)
 
 
 # ---------------------------------------------------------------------------

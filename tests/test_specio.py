@@ -155,9 +155,9 @@ def _campaign() -> st.SearchStrategy:
         engines = draw(st.lists(objects(EngineConfig).map(to_spec), min_size=1, max_size=2, unique_by=json.dumps))
         return CampaignSpec(
             name=draw(NAMES),
-            protocols=tuple(draw(st.lists(NAMES, min_size=1, max_size=3))),
-            group_sizes=tuple(draw(st.lists(st.integers(2, 20), min_size=1, max_size=2))),
-            losses=tuple(draw(st.lists(st.floats(0.0, 0.9), min_size=1, max_size=2))),
+            protocols=tuple(draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))),
+            group_sizes=tuple(draw(st.lists(st.integers(2, 20), min_size=1, max_size=2, unique=True))),
+            losses=tuple(draw(st.lists(st.floats(0.0, 0.9), min_size=1, max_size=2, unique=True))),
             schedule=None if mobile else draw(st.none() | objects(ChurnSchedule).map(to_spec)),
             mobilities=mobilities if mobile else {"none": None},
             tiers={"none": None} if mobile else draw(st.dictionaries(NAMES, objects(TierConfig).map(to_spec), min_size=1, max_size=2)),
