@@ -12,7 +12,8 @@ Determinism is structural:
 
 * every cell owns a stable **key** (``protocol=bd/n=8/...``) derived from its
   axis values, independent of expansion order, and no two cells share one:
-  a repeated axis value or engine label fails the spec;
+  a repeated axis value, or two engine entries that settle to one engine,
+  fail the spec;
 * every cell's scenario seed is a **named child** of the campaign's master
   seed, derived from the cell's *workload key* — the group-size, mobility and
   replication axes.  Cells sharing a workload share the seed (and the
@@ -146,13 +147,12 @@ class CampaignSpec:
             (self.protocols, "protocol", "protocols"),
             (self.group_sizes, "group size", "group_sizes"),
             (self.losses, "loss level", "losses"),
-            ([self.engine_label(e) for e in self.engines], "engine profile", "engine labels"),
         ):
             if not values:
                 raise ParameterError(f"a campaign needs at least one {what}")
             if len(set(values)) < len(values):
                 raise ParameterError(f"{axis} must be unique, got {list(values)}")
-        for axis in ("mobilities", "tiers", "adversaries"):
+        for axis in ("engines", "mobilities", "tiers", "adversaries"):
             if not getattr(self, axis):
                 raise ParameterError(f"{axis} axis cannot be empty")
         mobile = any(spec is not None for _, spec in self.mobilities)
@@ -172,7 +172,10 @@ class CampaignSpec:
         """Build every axis entry now, so a bad one fails the spec, not its cells.
 
         Only the config objects are built: no field, medium or event
-        expansion.  The cells keep carrying the entries as given.
+        expansion.  The cells keep carrying the entries as given.  Two
+        engine entries that settle to one engine would run it twice, so
+        they are compared by the ``to_spec`` of their built configs, where
+        ``1 == 1.0`` and a default spelled out equals it left out.
         """
         # Imported here: the campaign module loads without the sim layer.
         from ..adversary.config import AdversaryConfig
@@ -180,7 +183,7 @@ class CampaignSpec:
         from ..mobility.config import MobilityConfig
         from ..network.tiers import TierConfig
         from ..sim.scenarios import ChurnSchedule
-        from ..sim.specio import build
+        from ..sim.specio import build, to_spec
 
         build(ChurnSchedule, self.schedule)
         for axis, cls in (
@@ -190,8 +193,14 @@ class CampaignSpec:
         ):
             for _, spec in axis:
                 build(cls, spec)
+        settled: List[object] = []
         for engine in self.engines:
-            build(EngineConfig, engine)
+            spec = to_spec(build(EngineConfig, engine))
+            if spec in settled:
+                raise ParameterError(
+                    f"engines must be unique once settled, got {list(self.engines)}"
+                )
+            settled.append(spec)
 
     # -------------------------------------------------------------- expansion
     def _master_rng(self) -> DeterministicRNG:

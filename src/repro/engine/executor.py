@@ -9,7 +9,9 @@ and the :class:`~repro.engine.kernel.EventKernel`:
 * every emitted message goes through the medium (charging senders, receivers
   and relays through the existing energy accounting) and its delivered copies
   reach the receivers' ``on_message`` through scheduled kernel events: one
-  per transmission in instant mode, one per receiver in latency mode;
+  per transmission in instant mode, one per receiver in latency mode (none
+  for a receiver that already consumed the copy's ``(sender, round_label)``,
+  whose arrival still moves the clock);
 * a message whose ``on_message`` raises :class:`~repro.engine.machine.Early`
   is held per machine, in arrival order, and passed to ``on_message`` again
   after each later hook of that machine, joining that hook's batch;
@@ -103,6 +105,9 @@ class EngineStats:
     messages_sent: int = 0
     #: kernel events processed
     events: int = 0
+    #: latency-mode copies never scheduled: their receiver had consumed
+    #: the copy's (sender, round_label) before the send
+    copies_unscheduled: int = 0
 
 
 class MachineExecutor:
@@ -146,6 +151,8 @@ class MachineExecutor:
         #: messages each machine raised Early for, in arrival order
         self._held: Dict[str, List[Message]] = {}
         self._busy_until = 0.0
+        #: latest arrival among the copies never scheduled
+        self._unscheduled_until = 0.0
 
     # --------------------------------------------------------------- context
     def wake(self, machine: PartyMachine, payload: object) -> None:
@@ -181,6 +188,7 @@ class MachineExecutor:
             metrics.count("engine.timeouts", stats.timeouts)
             metrics.count("engine.retransmission_waves", stats.timeout_waves)
             metrics.count("engine.events", stats.events)
+            metrics.count("engine.copies_unscheduled", stats.copies_unscheduled)
             metrics.observe("engine.sim_time_s", stats.sim_time_s)
         return stats
 
@@ -195,6 +203,9 @@ class MachineExecutor:
         try:
             while True:
                 self.kernel.run()
+                # The clock ends where the last copy lands, scheduled or not.
+                if self._unscheduled_until > self.kernel.now:
+                    self.kernel.now = self._unscheduled_until
                 unfinished = [m for m in self.machines if not m.finished]
                 if not unfinished:
                     break
@@ -334,6 +345,7 @@ class MachineExecutor:
                 )
         else:
             field_ = self.medium.field
+            key = (decoded.sender.name, decoded.round_label)
             for identity in delivered:
                 receiver = self._by_name.get(identity.name)
                 if receiver is None:
@@ -345,6 +357,14 @@ class MachineExecutor:
                 delay = channel_wait + tx_time + self.latency.delivery_delay(
                     message.wire_bits, hops, distance, message.sender.name, identity.name
                 )
+                if key in self._seen[identity.name]:
+                    # _deliver would drop this copy: schedule no event for
+                    # it, only keep the instant it lands at.
+                    self.stats.copies_unscheduled += 1
+                    arrival = now + (delay + attack_delay)
+                    if arrival > self._unscheduled_until:
+                        self._unscheduled_until = arrival
+                    continue
                 self.kernel.schedule(
                     partial(self._deliver, receiver, decoded),
                     delay=delay + attack_delay,
@@ -383,7 +403,7 @@ class MachineExecutor:
         key = (message.sender.name, message.round_label)
         seen = self._seen[machine.identity.name]
         if key in seen:
-            return  # duplicate copy from a retransmission wave
+            return  # a second copy (instant mode, or still in flight)
         seen.add(key)
         self.stats.deliveries += 1
         try:

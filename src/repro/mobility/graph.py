@@ -17,15 +17,9 @@ __all__ = ["adjacency", "component", "induced_component"]
 
 
 def adjacency(link: LinkModel, names: Sequence[str]) -> Dict[str, List[str]]:
-    """Symmetric single-hop adjacency lists among ``names`` under ``link``."""
-    ordered = list(names)
-    graph: Dict[str, List[str]] = {name: [] for name in ordered}
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if link.reachable(a, b):
-                graph[a].append(b)
-                graph[b].append(a)
-    return graph
+    """Symmetric single-hop adjacency lists among the distinct ``names``,
+    as ``link`` builds them (:meth:`~repro.network.medium.LinkModel.adjacency`)."""
+    return link.adjacency(names)
 
 
 def component(graph: Dict[str, List[str]], origin: str) -> Set[str]:

@@ -15,6 +15,9 @@ than "near" pairs in the energy ledgers.
 
 from __future__ import annotations
 
+import math
+from typing import Dict, List, Sequence
+
 from ..exceptions import ParameterError
 from ..network.medium import LinkModel
 from .field import MobilityField
@@ -68,6 +71,28 @@ class RadioLink(LinkModel):
         if sender == receiver:
             return False
         return self.field.distance(sender, receiver) <= self.tx_range
+
+    def adjacency(self, names: Sequence[str]) -> Dict[str, List[str]]:
+        """The pairwise :meth:`reachable` graph, from one position read per node.
+
+        Same pair order, list order and ``math.hypot`` test as
+        :meth:`~repro.mobility.field.MobilityField.distance`; squared
+        distances could flip a pair at exactly ``tx_range``.
+        """
+        ordered = list(names)
+        position = self.field.position
+        points = [position(name) for name in ordered]
+        tx_range = self.tx_range
+        hypot = math.hypot
+        graph: Dict[str, List[str]] = {name: [] for name in ordered}
+        for i, a in enumerate(ordered):
+            ax, ay = points[i]
+            near = graph[a]
+            for b, (bx, by) in zip(ordered[i + 1 :], points[i + 1 :]):
+                if hypot(ax - bx, ay - by) <= tx_range:
+                    near.append(b)
+                    graph[b].append(a)
+        return graph
 
     def loss_probability(self, sender: str, receiver: str) -> float:
         distance = self.field.distance(sender, receiver)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..exceptions import NetworkError
 from ..mathutils.rand import DeterministicRNG
@@ -52,6 +52,23 @@ class LinkModel:
     def loss_probability(self, sender: str, receiver: str) -> float:
         """Probability that one copy on the ``sender -> receiver`` link is lost."""
         return 0.0
+
+    def adjacency(self, names: Sequence[str]) -> Dict[str, List[str]]:
+        """Symmetric single-hop adjacency lists among the distinct ``names``.
+
+        Pairs are tested with :meth:`reachable` in ``i < j`` order and each
+        linked pair is appended to both lists in that order.  A model that
+        can answer without one call per pair overrides this with the same
+        lists, in the same order.
+        """
+        ordered = list(names)
+        graph: Dict[str, List[str]] = {name: [] for name in ordered}
+        for i, a in enumerate(ordered):
+            for b in ordered[i + 1 :]:
+                if self.reachable(a, b):
+                    graph[a].append(b)
+                    graph[b].append(a)
+        return graph
 
     def bind(self, rng: "DeterministicRNG") -> None:
         """Receive the medium's ``links`` RNG child at attach time.

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..adversary.actors import AdversarySuite
 from ..adversary.config import AdversaryConfig
@@ -269,6 +269,15 @@ class TraceReplay(ChurnSchedule):
         return scheduled
 
 
+#: Emergent-event expansions, keyed by every input one reads.  A per-process
+#: cache of a pure, deterministic function, like
+#: ``campaign.execute._SETUPS``: the cells of a campaign grid differ only in
+#: treatments (protocol, loss, engine, adversary), which no expansion reads,
+#: so they share one.  It empties at :data:`EXPANSION_LIMIT` entries.
+_EXPANSIONS: Dict[Tuple[object, ...], Tuple[List[Identity], List[ScheduledEvent]]] = {}
+EXPANSION_LIMIT = 64
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A named, fully deterministic churn experiment.
@@ -395,29 +404,42 @@ class Scenario:
         )
 
     def _mobility_expansion(self) -> Tuple[List[Identity], List[ScheduledEvent]]:
-        """(initial group, emergent events), computed once and cached."""
-        cached = self.__dict__.get("_mobility_cache")
-        if cached is not None:
-            return cached
-        assert self.mobility is not None
-        field_ = self.build_mobility_field()
-        monitor = ConnectivityMonitor(
-            field_,
-            self.mobility.build_link(field_),
-            self.universe(),
-            min_group_size=self.min_group_size,
-            settle_ticks=self.mobility.settle_ticks,
+        """(initial group, emergent events): fresh lists of a shared expansion.
+
+        The key holds every input the expansion reads.  The loss ramp and
+        ``max_hops`` are not among them: the monitor asks only for the
+        radio graph, which reads ``tx_range`` alone.  Values compare by
+        ``==``, which is exact here: the expansion yields identities and
+        whole-tick times, so of all the inputs only the tick's type (``2``
+        or ``2.0``) reaches it.
+        """
+        mobility = self.mobility
+        assert mobility is not None
+        key = (
+            self.seed, self.name, self.initial_size, self.member_prefix,
+            self.min_group_size, mobility.model, mobility.area, mobility.tick,
+            type(mobility.tick), mobility.tx_range, mobility.settle_ticks,
+            mobility.duration,
         )
-        initial = monitor.initial_members()
-        events = [
-            ScheduledEvent(time=when, event=event)
-            for when, event in monitor.emergent_events(self.mobility.duration)
-        ]
-        expansion = (initial, events)
-        # Frozen dataclass: cache via __dict__ (not a field, so replace()d
-        # copies — e.g. with_seed — start with a cold cache).
-        self.__dict__["_mobility_cache"] = expansion
-        return expansion
+        expansion = _EXPANSIONS.get(key)
+        if expansion is None:
+            field_ = self.build_mobility_field()
+            monitor = ConnectivityMonitor(
+                field_,
+                mobility.build_link(field_),
+                self.universe(),
+                min_group_size=self.min_group_size,
+                settle_ticks=mobility.settle_ticks,
+            )
+            initial = monitor.initial_members()
+            events = [
+                ScheduledEvent(time=when, event=event)
+                for when, event in monitor.emergent_events(mobility.duration)
+            ]
+            if len(_EXPANSIONS) >= EXPANSION_LIMIT:
+                _EXPANSIONS.clear()
+            expansion = _EXPANSIONS[key] = (initial, events)
+        return list(expansion[0]), list(expansion[1])
 
     def with_seed(self, seed: object) -> "Scenario":
         """A copy of this scenario under a different seed (for replications)."""

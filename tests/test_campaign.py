@@ -217,6 +217,13 @@ class TestSpecExpansion:
             {"group_sizes": (5, 5)},
             {"losses": [0, 0.0]},
             {"engines": ("radio", {"latency": "radio"})},
+            {
+                "engines": (
+                    {"latency": "radio", "round_timeout_s": 1},
+                    {"latency": "radio", "round_timeout_s": 1.0},
+                )
+            },
+            {"engines": ("wlan", {"latency": "wlan", "max_timeout_waves": 25})},
         ],
         ids=[
             "old-backend-key",
@@ -233,12 +240,15 @@ class TestSpecExpansion:
             "repeated-group-size",
             "repeated-settled-loss",
             "repeated-engine-label",
+            "repeated-settled-engine-int-float",
+            "repeated-settled-engine-default",
         ],
     )
     def test_bad_engine_entry_fails_the_spec_not_its_cells(self, axes):
         # Every axis entry (engines, schedule, mobilities, tiers, adversaries,
         # losses) is built when the spec is, before any cell or worker runs;
-        # a repeated value, which would give two cells one key, fails too.
+        # a repeated value, which would give two cells one key, fails too,
+        # and so do two engine entries that settle to one engine.
         with pytest.raises(ParameterError):
             small_spec(**axes)
         with pytest.raises(ParameterError):

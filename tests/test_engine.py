@@ -277,6 +277,38 @@ class _Listener(PartyMachine):
         return []
 
 
+class _Resender(PartyMachine):
+    """Sends ``r1``, then sends it again once ``bob`` acknowledges it."""
+
+    def __init__(self, identity):
+        super().__init__(identity, Node(identity))
+
+    def start(self, now):
+        self.waiting_for = "ack"
+        return [Outbound(_toy_message(self.identity, "r1"))]
+
+    def on_message(self, message, now):
+        self.finished = True
+        self.waiting_for = None
+        return [Outbound(_toy_message(self.identity, "r1"))]
+
+
+class _Acker(PartyMachine):
+    """Acknowledges the first ``r1`` it takes, then finishes."""
+
+    def __init__(self, identity):
+        super().__init__(identity, Node(identity))
+
+    def start(self, now):
+        self.waiting_for = "r1"
+        return []
+
+    def on_message(self, message, now):
+        self.finished = True
+        self.waiting_for = None
+        return [Outbound(_toy_message(self.identity, "ack"))]
+
+
 class TestDeliveryEvents:
     RECEIVERS = 4
 
@@ -308,6 +340,22 @@ class TestDeliveryEvents:
         assert arrivals == receipt_order
         assert stats.deliveries == self.RECEIVERS
         assert stats.events == (self.RECEIVERS + 1) + 1 + self.RECEIVERS
+
+    def test_a_run_ends_at_the_arrival_of_its_last_unscheduled_copy(self):
+        # alice sends r1, bob consumes it and acks, and alice's answer sends
+        # r1 again: that copy lands on a receiver that already holds it, so
+        # it gets no kernel event, yet the clock still ends at its arrival.
+        alice, bob = _Resender(Identity("alice")), _Acker(Identity("bob"))
+        medium = BroadcastMedium()
+        for machine in (alice, bob):
+            medium.attach(machine.node)
+        stats = run_machines([alice, bob], medium, engine=EngineConfig(latency=FixedLatency(0.25)))
+        assert alice.finished and bob.finished
+        assert stats.copies_unscheduled == 1
+        assert stats.deliveries == 2
+        # Two starts, three emits and the two consumed copies.
+        assert stats.events == 7
+        assert stats.sim_time_s == 0.75
 
     def test_executor_is_freed_when_the_run_returns(self):
         # Without the cyclic collector, only a cycle-free executor goes with
@@ -448,6 +496,79 @@ class TestLatencyExecution:
                     floor = record.rounds * delay - 1e-12
                     assert record.sim_latency_s >= floor, (delay, seed, record)
                 assert {"merge", "partition"} & kinds
+
+
+    def test_no_copy_reaches_a_receiver_that_consumed_it_before_the_send(
+        self, engine_setup, monkeypatch
+    ):
+        # Each copy a send schedules is tagged with whether its receiver had
+        # already consumed the copy's (sender, round_label); timeout waves
+        # resend to members holding the round, and none of those may arrive.
+        arrivals = []
+        transmit = MachineExecutor._transmit
+
+        def tagging_transmit(executor, machine, message):
+            key = (message.sender.name, message.round_label)
+            consumed = {name for name, seen in executor._seen.items() if key in seen}
+            schedule = executor.kernel.schedule
+
+            def tagged(callback, **kwargs):
+                receiver = callback.args[0].identity.name
+
+                def deliver():
+                    arrivals.append(receiver in consumed)
+                    callback()
+
+                schedule(deliver, **kwargs)
+
+            executor.kernel.schedule = tagged
+            try:
+                transmit(executor, machine, message)
+            finally:
+                del executor.kernel.schedule
+
+        monkeypatch.setattr(MachineExecutor, "_transmit", tagging_transmit)
+        medium = BroadcastMedium(
+            loss_probability=0.3, rng=DeterministicRNG("consumed", label="medium")
+        )
+        config = EngineConfig(latency=FixedLatency(0.01), round_timeout_s=0.5)
+        result = create_protocol("bd", engine_setup).run(
+            [Identity(f"held-{i}") for i in range(5)], medium=medium, seed=4, engine=config
+        )
+        assert result.all_agree() and result.timeouts > 0
+        assert arrivals and not any(arrivals)
+        assert medium.total_messages() > 2 * 5
+
+    @pytest.mark.parametrize(
+        "protocol_name",
+        ["bd-dsa", "bd-ecdsa", "bd-sok", "bd-unauthenticated", "proposed-gka", "ssn"],
+    )
+    def test_added_loss_never_makes_a_single_hop_run_cheaper_or_faster(
+        self, engine_setup, protocol_name
+    ):
+        # Compared seed by seed, not on average: every lost broadcast is
+        # retried (instant mode) or waits for a timeout wave (latency mode).
+        schedule = PoissonChurn(length=6, merge_rate=1.0, partition_rate=1.0)
+        for engine in (None, EngineConfig(latency=FixedLatency(0.01))):
+            runner = ScenarioRunner(engine_setup, engine=engine)
+            for seed in range(3):
+                lossless, lossy = (
+                    runner.run(
+                        protocol_name,
+                        Scenario(
+                            name="loss-monotone",
+                            initial_size=7,
+                            schedule=schedule,
+                            seed=seed,
+                            loss_probability=loss,
+                        ),
+                    )
+                    for loss in (0.0, 0.2)
+                )
+                assert lossy.total_bits(include_retries=True) >= lossless.total_bits(
+                    include_retries=True
+                ), (engine, seed)
+                assert lossy.total_sim_latency_s >= lossless.total_sim_latency_s, (engine, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -31,8 +34,10 @@ from repro.mobility import (
     ReferencePointGroup,
     StaticGrid,
 )
+from repro.mobility.graph import adjacency
 from repro.mobility.models import NodeMotion
 from repro.network import Message, Node, group_element_part
+from repro.network.tiers import TierConfig, TieredLink
 from repro.pki import Identity
 from repro.sim import (
     PeriodicMerges,
@@ -43,6 +48,7 @@ from repro.sim import (
     comparison_json,
     comparison_table,
 )
+from repro.sim.scenarios import _EXPANSIONS, EXPANSION_LIMIT
 
 
 def _rng(seed="mobility-test"):
@@ -196,6 +202,71 @@ class TestRadioLink:
         assert near == pytest.approx(0.02)
         assert near < mid < edge < 0.4 + 1e-9
         assert link.loss_probability("a", "d") == 1.0
+
+
+def _pairwise(link, names):
+    """The reference graph: one ``reachable`` call per ``i < j`` pair."""
+    graph = {name: [] for name in names}
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            if link.reachable(a, b):
+                graph[a].append(b)
+                graph[b].append(a)
+    return graph
+
+
+class TestAdjacency:
+    """``graph.adjacency`` equals the pairwise graph, list order included."""
+
+    #: An offset whose squared length rounds above ``hypot(*EDGE) ** 2``: a
+    #: squared-distance test would unlink a pair exactly at range.
+    EDGE = (72.94921875, 31.85546875)
+
+    def _pairwise_checked(self, link, names):
+        graph = adjacency(link, names)
+        expected = _pairwise(link, names)
+        assert graph == expected
+        assert list(graph) == list(expected)
+        return graph
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_radio_graph_of_a_moving_field(self, seed):
+        names = [f"n{i:02d}" for i in range(16)]
+        field = _field(names, RandomWaypoint(min_speed=5.0, max_speed=30.0), seed=f"adj-{seed}")
+        link = RadioLink(field, 120.0)
+        linked = 0
+        for _ in range(8):
+            field.advance_ticks(3)
+            linked += sum(map(len, self._pairwise_checked(link, names).values()))
+        assert linked > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairs_exactly_at_range_stay_linked(self, seed):
+        rng = random.Random(seed)
+        dx, dy = self.EDGE
+        tx_range = math.hypot(dx, dy)
+        assert dx * dx + dy * dy > tx_range * tx_range
+        positions = {f"r{i}": (rng.uniform(0, 300), rng.uniform(0, 300)) for i in range(10)}
+        for i in range(4):
+            x, y = float(rng.randint(0, 200)), float(rng.randint(0, 200))
+            positions[f"e{i}a"], positions[f"e{i}b"] = (x, y), (x + dx, y + dy)
+        names = list(positions)
+        rng.shuffle(names)
+        link = RadioLink(_field(names, _Fixed(positions)), tx_range)
+        graph = self._pairwise_checked(link, names)
+        assert all(f"e{i}b" in graph[f"e{i}a"] for i in range(4))
+
+    def test_tiered_link_keeps_the_pairwise_default(self):
+        names = [f"member-{i:03d}" for i in range(8)]
+        config = TierConfig(
+            tiers={"ground": "ground", "sat": "satellite"},
+            members={"sat": 3},
+            gateways={"ground:sat": 1},
+        )
+        link = TieredLink(config.build_map(names))
+        graph = self._pairwise_checked(link, names)
+        # Two tiers joined by one gateway: some pairs share no tier.
+        assert "member-005" not in graph["member-001"]
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +549,7 @@ class TestMobilityScenarios:
 
     def test_event_stream_is_deterministic_and_seed_sensitive(self):
         first = _mobility_scenario().build_events()
+        _EXPANSIONS.clear()  # expand again, rather than share the first
         second = _mobility_scenario().build_events()
         assert [(e.time, e.kind) for e in first] == [(e.time, e.kind) for e in second]
         other = _mobility_scenario(seed="t0").build_events()
@@ -520,6 +592,91 @@ class TestMobilityScenarios:
     def test_comparison_table_shows_relay_columns(self, mobility_reports):
         table = comparison_table(mobility_reports)
         assert "relay J" in table and "hops" in table and "tx" in table
+
+
+class TestSharedExpansions:
+    """One emergent-event expansion per distinct input, shared per process."""
+
+    @pytest.fixture(autouse=True)
+    def cold_table(self):
+        _EXPANSIONS.clear()
+        yield
+        _EXPANSIONS.clear()
+
+    @staticmethod
+    def _expand(scenario):
+        return scenario.initial_members(), scenario.build_events()
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"base_loss": 0.05}, {"edge_loss": 0.4}, {"path_loss_exponent": 3.0}, {"max_hops": 2}],
+        ids=["base_loss", "edge_loss", "path_loss_exponent", "max_hops"],
+    )
+    def test_loss_and_ttl_leave_the_expansion_unchanged(self, change):
+        scenario = _mobility_scenario()
+        other = replace(scenario, mobility=replace(scenario.mobility, **change))
+        expected = self._expand(scenario)
+        _EXPANSIONS.clear()
+        assert self._expand(other) == expected
+        # Either scenario now finds the other's entry.
+        self._expand(scenario)
+        assert len(_EXPANSIONS) == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"seed": "t25"},
+            {"name": "rwp-13"},
+            {"initial_size": 13},
+            {"member_prefix": "node"},
+            {"min_group_size": 4},
+            {"model": RandomWaypoint(min_speed=3.0, max_speed=13.0)},
+            {"area": Area(430.0, 430.0)},
+            {"tick": 1.0},
+            {"tick": 2},
+            {"tx_range": 141.0},
+            {"settle_ticks": 3},
+            {"duration": 100.0},
+        ],
+        ids=[
+            "seed", "name", "initial_size", "member_prefix", "min_group_size", "model",
+            "area", "tick", "tick-type", "tx_range", "settle_ticks", "duration",
+        ],
+    )
+    def test_every_keyed_input_misses_the_table(self, change):
+        scenario = _mobility_scenario()
+        if next(iter(change)) in ("seed", "name", "initial_size", "member_prefix", "min_group_size"):
+            other = replace(scenario, **change)
+        else:
+            other = replace(scenario, mobility=replace(scenario.mobility, **change))
+        self._expand(scenario)
+        self._expand(other)
+        assert len(_EXPANSIONS) == 2
+
+    def test_an_int_tick_keeps_int_event_times(self):
+        # 2 == 2.0, yet the tick's type is the event times' type.
+        scenario = _mobility_scenario()
+        whole = replace(scenario, mobility=replace(scenario.mobility, tick=2))
+        assert {type(e.time) for e in scenario.build_events()} == {float}
+        assert {type(e.time) for e in whole.build_events()} == {int}
+
+    def test_callers_get_fresh_lists(self):
+        scenario = _mobility_scenario()
+        members, events = self._expand(scenario)
+        members.clear()
+        events.clear()
+        assert self._expand(_mobility_scenario()) == self._expand(scenario)
+        assert scenario.initial_members() and scenario.build_events()
+
+    def test_the_table_never_exceeds_its_bound(self):
+        mobility = MobilityConfig(
+            model=StaticGrid(), area=Area(100.0, 100.0), tx_range=200.0, duration=2.0
+        )
+        for seed in range(EXPANSION_LIMIT + 3):
+            Scenario(name="bound", initial_size=3, mobility=mobility, seed=seed).build_events()
+            assert 1 <= len(_EXPANSIONS) <= EXPANSION_LIMIT
+        # Emptied once when full, then refilled.
+        assert len(_EXPANSIONS) == 3
 
 
 class TestMasterSeedPlumbing:

@@ -37,6 +37,7 @@ from repro.fleet import run_fleet_campaign
 from repro.sim.runner import ScenarioRunner
 from repro.sim.scenarios import PoissonChurn, Scenario
 from repro.engine.executor import EngineConfig
+from repro.engine.latency import FixedLatency
 from repro.sim.specio import build
 from repro.telemetry import (
     MetricsRegistry,
@@ -356,6 +357,22 @@ class TestEngineIntegration:
         assert counters["engine.tx.bits"] == report.total_bits()
         assert counters["scenario.steps"] == len(report.records)
         assert counters["crypto.modexp"] > 0
+
+    def test_unscheduled_copies_are_counted_in_latency_mode_only(self, setup_256):
+        # Timeout waves resend rounds that members already hold; latency
+        # mode schedules no kernel event for those copies and counts them.
+        scenario = Scenario(name="tele-unscheduled", initial_size=5, seed=11, loss_probability=0.2)
+        unscheduled = {}
+        for mode, engine in (
+            ("instant", None),
+            ("latency", EngineConfig(latency=FixedLatency(0.01), round_timeout_s=0.5)),
+        ):
+            runner = ScenarioRunner(setup_256, engine=engine, check_agreement=False)
+            with telemetry.telemetry_session(metrics=True) as session:
+                runner.run("bd", scenario)
+            unscheduled[mode] = session.metrics.snapshot()["counters"]["engine.copies_unscheduled"]
+        assert unscheduled["instant"] == 0
+        assert unscheduled["latency"] > 0
 
 
 # ---------------------------------------------------------------------------
